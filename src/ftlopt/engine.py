@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -22,7 +20,6 @@ from .model import Instance, Solution, validate_solution
 from .operators import (
     REMOVAL_OPERATORS,
     InsertionEvaluator,
-    RemovalRequest,
     build_initial,
     removal_count,
     repair,
@@ -198,21 +195,6 @@ def _roulette(stats: list[OperatorStats], rng: random.Random) -> int:
     return len(stats) - 1
 
 
-def _threads() -> int:
-    try:
-        return max(0, int(os.environ.get("FTL_THREADS", "0")))
-    except ValueError:
-        return 0
-
-
-def _warm_cache(ev: InsertionEvaluator, s_in, trips, workers: int) -> None:
-    """Pre-resolve insertion cells in parallel; results are pure, so the
-    outcome is identical to sequential evaluation."""
-    pairs = [(rid, trip) for rid in s_in for trip in trips]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda p: ev.cell(p[0], p[1]), pairs))
-
-
 def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution, RunReport]:
     """Execute the full search and return the best solution found."""
     config.check()
@@ -220,16 +202,9 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
     rng = random.Random(config.seed)
     sim = Simulator(instance)
     ev = InsertionEvaluator(sim)
-    threads = _threads()
 
     removal_stats = [OperatorStats(name) for name in config.removal_ops]
     insertion_stats = [OperatorStats(name) for name in config.insertion_ops]
-
-    def removal_call(req: RemovalRequest, solution):
-        op = REMOVAL_OPERATORS[req.operator]
-        if req.operator in ("shaw", "shaw_tw"):
-            return op(sim, solution, req.count, rng, p=config.shaw_p)
-        return op(sim, solution, req.count, rng)
 
     start = time.perf_counter()
     current = build_initial(instance, sim)
@@ -247,7 +222,11 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
         ri = _roulette(removal_stats, rng)
         ii = _roulette(insertion_stats, rng)
         q = removal_count(config.psi, xi, current.planned_count)
-        trips, removed = removal_call(RemovalRequest(config.removal_ops[ri], q), current)
+        name = config.removal_ops[ri]
+        if name in ("shaw", "shaw_tw"):
+            trips, removed = REMOVAL_OPERATORS[name](sim, current, q, rng, p=config.shaw_p)
+        else:
+            trips, removed = REMOVAL_OPERATORS[name](sim, current, q, rng)
         # repair is a pure function of this key; revisited states are free
         memo_key = (
             tuple(t.requests for t in trips),
@@ -257,8 +236,6 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
         )
         candidate = repair_memo.get(memo_key)
         if candidate is None:
-            if threads > 1:
-                _warm_cache(ev, sorted(set(removed) | current.bank), trips, threads)
             candidate = repair(
                 sim,
                 trips,

@@ -10,29 +10,12 @@ the spot market.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 from .model import Instance, Solution, Trip
 from .schedule import Simulator
-
-
-@dataclass(frozen=True)
-class RemovalRequest:
-    """One removal invocation: which operator, how many shipments."""
-
-    operator: str
-    count: int
-
-
-@dataclass(frozen=True)
-class InsertionCostCell:
-    request_id: int
-    trip_index: int
-    position: Optional[int]
-    delta_d10: Optional[int]
-    feasible: bool
 
 
 def removal_count(psi: int, xi: Fraction, planned: int) -> int:
@@ -44,7 +27,7 @@ def removal_count(psi: int, xi: Fraction, planned: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# insertion evaluation (shared by repair and the engine's statistics)
+# insertion evaluation (one evaluator is shared by every repair of a run)
 
 
 class InsertionEvaluator:
@@ -155,17 +138,6 @@ class InsertionEvaluator:
                 best = key
         return best
 
-    def matrix(self, s_in: Sequence[int], trips: Sequence[Trip]) -> list[InsertionCostCell]:
-        out = []
-        for rid in s_in:
-            for ti, trip in enumerate(trips):
-                cell = self.cell(rid, trip)
-                if cell is None:
-                    out.append(InsertionCostCell(rid, ti, None, None, False))
-                else:
-                    out.append(InsertionCostCell(rid, ti, cell[1], cell[0], True))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # removal operators
@@ -196,13 +168,14 @@ def _rebuild_without(
     return out, extra
 
 
-def _roulette_without_replacement(
-    weights: list[float], count: int, rng: random.Random
-) -> list[int]:
-    """Indices drawn by weight, no repeats; weights must be positive."""
+def _roulette_without_replacement(weights: list[float], rng: random.Random) -> Iterator[int]:
+    """Indices drawn lazily by weight, no repeats; weights must be positive.
+
+    Each draw consumes one random number when the next index is requested,
+    so a caller that stops early leaves the rest of the stream untouched.
+    """
     alive = list(range(len(weights)))
-    picked = []
-    while alive and len(picked) < count:
+    while alive:
         total = sum(weights[i] for i in alive)
         shot = rng.random() * total
         acc = 0.0
@@ -212,9 +185,8 @@ def _roulette_without_replacement(
             if shot < acc:
                 chosen = i
                 break
-        picked.append(chosen)
         alive.remove(chosen)
-    return picked
+        yield chosen
 
 
 def _route_travel_time(sim: Simulator, trip: Trip) -> int:
@@ -234,24 +206,14 @@ def _remove_routes(sim, solution, q, rng, weigher) -> tuple[list[Trip], list[int
     trips = list(solution.trips)
     if not trips or q <= 0:
         return trips, []
-    weights = [weigher(t) for t in trips]
     removed: list[int] = []
-    chosen: list[int] = []
-    alive = list(range(len(trips)))
-    while alive and len(removed) < q:
-        total = sum(weights[i] for i in alive)
-        shot = rng.random() * total
-        acc = 0.0
-        pick = alive[-1]
-        for i in alive:
-            acc += weights[i]
-            if shot < acc:
-                pick = i
-                break
-        chosen.append(pick)
-        alive.remove(pick)
+    chosen: set[int] = set()
+    for pick in _roulette_without_replacement([weigher(t) for t in trips], rng):
+        chosen.add(pick)
         removed.extend(trips[pick].requests)
-    survivors = [t for i, t in enumerate(trips) if i not in set(chosen)]
+        if len(removed) >= q:
+            break
+    survivors = [t for i, t in enumerate(trips) if i not in chosen]
     return survivors, removed
 
 
@@ -267,12 +229,8 @@ def remove_stop_routes(sim: Simulator, solution: Solution, q: int, rng: random.R
     return _remove_routes(sim, solution, q, rng, lambda t: 1.0 / len(t.requests))
 
 
-def _planned_in_order(solution: Solution) -> list[int]:
-    return [rid for t in solution.trips for rid in t.requests]
-
-
 def remove_random_shipments(sim: Simulator, solution: Solution, q: int, rng: random.Random):
-    planned = _planned_in_order(solution)
+    planned = solution.planned_ids()
     if not planned or q <= 0:
         return list(solution.trips), []
     q = min(q, len(planned))
@@ -282,7 +240,7 @@ def remove_random_shipments(sim: Simulator, solution: Solution, q: int, rng: ran
 
 
 def remove_time_shipments(sim: Simulator, solution: Solution, q: int, rng: random.Random):
-    planned = _planned_in_order(solution)
+    planned = solution.planned_ids()
     if not planned or q <= 0:
         return list(solution.trips), []
     time = sim.time
@@ -296,7 +254,7 @@ def remove_time_shipments(sim: Simulator, solution: Solution, q: int, rng: rando
             if i + 1 < len(reqs):
                 w += time[r.destination][reqs[i + 1].origin]
             weights.append(float(w))
-    picked = _roulette_without_replacement(weights, min(q, len(planned)), rng)
+    picked = islice(_roulette_without_replacement(weights, rng), q)
     removed = [planned[i] for i in picked]
     trips, extra = _rebuild_without(sim, solution.trips, set(removed))
     return trips, removed + extra
@@ -324,7 +282,7 @@ def remove_shaw(
     p: int = 6,
 ):
     """Remove mutually similar shipments; low relatedness value = similar."""
-    planned = _planned_in_order(solution)
+    planned = solution.planned_ids()
     if not planned or q <= 0:
         return list(solution.trips), []
     instance = sim.instance

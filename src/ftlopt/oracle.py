@@ -220,12 +220,6 @@ def check_schedule_rules(instance: Instance, requests: Sequence[int], sched: Sch
         problems.append("schedule runs past the horizon")
 
     # driving totals per leg
-    prev = None
-    drive_between: dict[int, int] = {}
-    for seg in sched.segments:
-        if seg.kind == "drive":
-            drive_between[id(prev)] = 0  # placeholder, replaced below
-        prev = seg
     legs = []
     node_idx = 0
     drive_sum = 0

@@ -287,7 +287,6 @@ class Simulator:
         self._node_data: dict[int, tuple] = {}
         self._schedules: dict[int, Schedule] = {}
         self._latest: dict[int, tuple[int, ...]] = {}
-        self._seq_locs: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._seq_nodes: dict[int, tuple] = {}
         self._trips: dict[tuple[int, ...], Optional[Trip]] = {}
 
@@ -296,18 +295,7 @@ class Simulator:
         self._trips.clear()
         self._schedules.clear()
         self._latest.clear()
-        self._seq_locs.clear()
         self._seq_nodes.clear()
-
-    def _locs(self, trip: Trip) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        locs = self._seq_locs.get(trip.uid)
-        if locs is None:
-            locs = (
-                tuple(self.origin[q] for q in trip.requests),
-                tuple(self.dest[q] for q in trip.requests),
-            )
-            self._seq_locs[trip.uid] = locs
-        return locs
 
     def _nodes_of(self, rid: int):
         """((loc, starts, ends) pickup, (loc, starts, ends) delivery) for a request."""
@@ -320,6 +308,13 @@ class Simulator:
             self._node_data[rid] = data
         return data
 
+    def _trip_nodes(self, trip: Trip):
+        nodes = self._seq_nodes.get(trip.uid)
+        if nodes is None:
+            nodes = tuple(self.node_sequence(trip.requests))
+            self._seq_nodes[trip.uid] = nodes
+        return nodes
+
     def latest_starts(self, trip: Trip) -> tuple[int, ...]:
         """Per node: latest service start that can still finish the trip when
         driving takes exactly the matrix time (a no-breaks relaxation)."""
@@ -329,16 +324,12 @@ class Simulator:
         sigma = self.regs.sigma
         tau_n, tau_b = self.regs.tau_n, self.regs.tau_b
         time = self.time
-        seq = trip.requests
-        nodes = []
-        for rid in seq:
-            nodes.append((self.origin[rid], self.pw[rid][1]))
-            nodes.append((self.dest[rid], self.dw[rid][1][-1]))
+        nodes = self._trip_nodes(trip)
         out = [0] * len(nodes)
         nxt = None
         for i in range(len(nodes) - 1, -1, -1):
-            loc, last_end = nodes[i]
-            bound = last_end - sigma
+            loc, _starts, ends = nodes[i]
+            bound = ends[-1] - sigma
             if nxt is not None:
                 t = time[loc][nxt]
                 if t > tau_n:
@@ -359,7 +350,11 @@ class Simulator:
         return nodes
 
     def frontiers(self, requests: Sequence[int], trace: bool = False):
-        """Per-node label frontiers for a request sequence, or Infeasible."""
+        """Per-node label frontiers for a request sequence, or Infeasible.
+
+        The independent reference loop: it carries the step recipes that
+        simulate_trip replays, and tests compare _advance against it.
+        """
         nodes = self.node_sequence(requests)
         first_start = self.instance.request(requests[0]).pickup_window.start
         arrivals = [(first_start, 0, () if trace else None)]
@@ -404,13 +399,12 @@ class Simulator:
         seq = tuple(requests)
         if seq in self._trips:
             return self._trips[seq]
-        fronts = self.frontiers(seq)
-        if isinstance(fronts, Infeasible):
+        fronts = self._advance(None, None, self.node_sequence(seq))
+        if fronts is None:
             trip = None
         else:
             loaded, empty = trip_distances(self.instance, seq)
-            bare = tuple(tuple((s, c) for (s, c, _m) in f) for f in fronts)
-            trip = Trip(seq, loaded, empty, frontiers=bare)
+            trip = Trip(seq, loaded, empty, frontiers=tuple(fronts[0]))
         self._trips[seq] = trip
         return trip
 
@@ -439,38 +433,6 @@ class Simulator:
         next_o = self.origin[seq[pos]]
         return dist[prev_d][o] + direct + dist[d][next_o] - dist[prev_d][next_o]
 
-    def _position_plausible(self, trip: Trip, rid: int, pos: int) -> bool:
-        """O(1) necessary condition from the trip's earliest-start frontier
-        and its latest-start relaxation; never rejects a feasible splice."""
-        sigma = self.regs.sigma
-        tau_n, tau_b = self.regs.tau_n, self.regs.tau_b
-        time = self.time
-
-        def span(t):
-            return t if t <= tau_n else t + tau_b * ((t - 1) // tau_n)
-
-        o, d = self.origin[rid], self.dest[rid]
-        ps, pe = self.pw[rid]
-        dws, dwe = self.dw[rid]
-        seq = trip.requests
-        if pos > 0:
-            depart = trip.frontiers[2 * pos - 1][0][0] + sigma
-            arr_o = depart + span(time[self.dest[seq[pos - 1]]][o])
-        else:
-            arr_o = ps
-        s_o = arr_o if arr_o > ps else ps
-        if s_o + sigma > pe:
-            return False
-        arr_d = s_o + sigma + span(time[o][d])
-        s_d = arr_d if arr_d > dws[0] else dws[0]
-        if s_d + sigma > dwe[-1]:
-            return False
-        if pos < len(seq):
-            lat = self.latest_starts(trip)
-            if s_d + sigma + span(time[d][self.origin[seq[pos]]]) > lat[2 * pos]:
-                return False
-        return True
-
     def best_insertion(self, trip: Trip, rid: int, positions=None):
         """Cheapest schedulable splice of rid into trip: (delta_d10, pos) or None.
 
@@ -490,7 +452,7 @@ class Simulator:
         dws, dwe = self.dw[rid]
         dw0 = dws[0]
         dwl = dwe[-1]
-        origs, dests = self._locs(trip)
+        nodes = self._trip_nodes(trip)
         fronts = trip.frontiers
         lat = self.latest_starts(trip)
         dist_d = dist[d]
@@ -501,7 +463,7 @@ class Simulator:
         cands = []
         for pos in positions if positions is not None else range(n + 1):
             if pos > 0:
-                prev_d = dests[pos - 1]
+                prev_d = nodes[2 * pos - 1][0]
                 delta = dist[prev_d][o] + direct
                 t_in = time[prev_d][o]
                 if t_in > tau_n:
@@ -511,7 +473,7 @@ class Simulator:
                 delta = direct
                 arr_o = ps
             if pos < n:
-                next_o = origs[pos]
+                next_o = nodes[2 * pos][0]
                 delta += dist_d[next_o]
                 if pos > 0:
                     delta -= dist[prev_d][next_o]
@@ -524,7 +486,7 @@ class Simulator:
             if s_d + sigma > dwl:
                 continue
             if pos < n:
-                t_out = time_d[origs[pos]]
+                t_out = time_d[next_o]
                 if t_out > tau_n:
                     t_out += tau_b * ((t_out - 1) // tau_n)
                 if s_d + sigma + t_out > lat[2 * pos]:
@@ -532,62 +494,32 @@ class Simulator:
             cands.append((delta, pos))
         cands.sort()
         for delta, pos in cands:
-            if self._insertion_sim(trip, rid, pos):
+            if self._spliced(trip, rid, pos) is not None:
                 return delta, pos
         return None
 
-    def insertion_feasible(self, trip: Optional[Trip], rid: int, pos: int) -> bool:
-        """Exact feasibility of splicing request `rid` at `pos`.
+    def _advance(self, frontier, prev_loc, nodes, old=None, start=0):
+        """Propagate label frontiers through nodes[start:]: the one untraced
+        forward loop, behind build_trip, splice_trip and best_insertion.
 
-        Warm-starts from the trip's cached frontier before the splice point
-        and stops early once the propagated frontiers re-converge with the
-        cached suffix; the outcome equals full resimulation.
+        `frontier` holds the labels at prev_loc, or None for a fresh vehicle
+        that appears at the first node's window start.  `old`, when given,
+        holds cached frontiers index-aligned with `nodes`; propagation stops
+        at the first node whose frontier equals the cached one, because every
+        later frontier then equals its cached value too.  Returns None when
+        some node cannot be served, else (computed frontiers, re-converged).
         """
-        if trip is None or not trip.requests:
-            return self.single_trip(rid) is not None
-        if not self._position_plausible(trip, rid, pos):
-            return False
-        return self._insertion_sim(trip, rid, pos)
-
-    def _trip_nodes(self, trip: Trip):
-        nodes = self._seq_nodes.get(trip.uid)
-        if nodes is None:
-            nodes = []
-            for q in trip.requests:
-                qp, qd = self._nodes_of(q)
-                nodes.append(qp)
-                nodes.append(qd)
-            nodes = tuple(nodes)
-            self._seq_nodes[trip.uid] = nodes
-        return nodes
-
-    def _insertion_sim(self, trip: Trip, rid: int, pos: int) -> bool:
         regs, cal = self.regs, self.cal
         sigma = regs.sigma
         tau_n, tau_b, tau_s = regs.tau_n, regs.tau_b, cal.tau_s
         horizon_end = cal.horizon_end
         w_shift = cal.origin_weekday - SUNDAY
         time = self.time
-        pick, deliv = self._nodes_of(rid)
-        if pos > 0:
-            frontier = trip.frontiers[2 * pos - 1]
-            prev_loc = self.dest[trip.requests[pos - 1]]
-        else:
-            frontier = None
-            prev_loc = None
-        trip_nodes = self._trip_nodes(trip)
-        cached_offset = 2 * pos  # node index in the old trip matching i == 2
-        n_total = 2 + len(trip_nodes) - cached_offset
-        old_fronts = trip.frontiers
-        for i in range(n_total):
-            if i == 0:
-                loc, starts, ends = pick
-            elif i == 1:
-                loc, starts, ends = deliv
-            else:
-                loc, starts, ends = trip_nodes[cached_offset + i - 2]
+        computed = []
+        for i in range(start, len(nodes)):
+            loc, starts, ends = nodes[i]
             if frontier is None:
-                arrivals = [(pick[1][0], 0, None)]
+                arrivals = [(starts[0], 0, None)]
             else:
                 travel = time[prev_loc][loc]
                 if len(frontier) == 1:
@@ -607,7 +539,7 @@ class Simulator:
                     ):
                         s = _earliest_fit(arr, starts, ends, sigma, cal)
                         if s is None:
-                            return False
+                            return None
                         cc = c0 + travel
                         if cc == 0 or s - arr >= tau_b:
                             frontier = ((s, 0),)
@@ -617,10 +549,9 @@ class Simulator:
                                 frontier = ((s, 0),) if s2 == s else ((s, cc),)
                             else:
                                 frontier = ((s, cc), (s2, 0))
-                        if i >= 2:
-                            old = old_fronts[cached_offset + i - 2]
-                            if frontier == old:
-                                return True
+                        computed.append(frontier)
+                        if old is not None and frontier == old[i]:
+                            return computed, True
                         prev_loc = loc
                         continue
                     arrivals = _leg_arrivals(t0, c0, travel, regs, cal, False)
@@ -632,79 +563,57 @@ class Simulator:
                         )
                     arrivals = _pareto(merged)
                 if not arrivals:
-                    return False
-            frontier = _align(arrivals, starts, ends, regs, cal, False)
+                    return None
+            aligned = _align(arrivals, starts, ends, regs, cal, False)
+            frontier = tuple([(s, c) for s, c, _m in aligned])
             if not frontier:
-                return False
-            if i >= 2:
-                old = old_fronts[cached_offset + i - 2]
-                if len(old) == len(frontier) and all(
-                    (lab[0], lab[1]) == o for lab, o in zip(frontier, old)
-                ):
-                    return True
+                return None
+            computed.append(frontier)
+            if old is not None and frontier == old[i]:
+                return computed, True
             prev_loc = loc
-        return True
+        return computed, False
 
-    def splice_trip(self, trip: Optional[Trip], rid: int, pos: int) -> Optional[Trip]:
-        """The trip with rid spliced in at pos, or None when unschedulable.
+    def _spliced(self, trip: Trip, rid: int, pos: int) -> Optional[tuple]:
+        """Frontiers of the trip with rid spliced in at pos, or None when
+        unschedulable; equal to a from-scratch propagation of that sequence.
 
         Reuses the prefix frontiers and, once the propagated suffix
-        re-converges with the cached one, the remaining frontiers as well;
-        the resulting trip equals a from-scratch build of the sequence.
+        re-converges with the cached one, the remaining frontiers as well.
         """
+        nodes = self._trip_nodes(trip)
+        old = trip.frontiers
+        k = 2 * pos  # node index in the old trip of the first node after rid
+        pick_deliv = self._nodes_of(rid)
+        frontier, prev_loc = (old[k - 1], nodes[k - 1][0]) if k else (None, None)
+        head = self._advance(frontier, prev_loc, pick_deliv)
+        if head is None:
+            return None
+        new = head[0]
+        tail = self._advance(new[-1], pick_deliv[1][0], nodes, old, k)
+        if tail is None:
+            return None
+        computed, converged = tail
+        fronts = old[:k] + tuple(new) + tuple(computed)
+        return fronts + old[k + len(computed) :] if converged else fronts
+
+    def splice_trip(self, trip: Optional[Trip], rid: int, pos: int) -> Optional[Trip]:
+        """The trip with rid spliced in at pos, or None when unschedulable;
+        the result equals a from-scratch build of the sequence."""
         if trip is None or not trip.requests:
             return self.single_trip(rid)
         seq = trip.requests
         new_seq = seq[:pos] + (rid,) + seq[pos:]
         if new_seq in self._trips:
             return self._trips[new_seq]
-        regs, cal = self.regs, self.cal
-        sigma = regs.sigma
-        time = self.time
-        pick, deliv = self._nodes_of(rid)
-        if pos > 0:
-            frontier = trip.frontiers[2 * pos - 1]
-            prev_loc = self.dest[seq[pos - 1]]
+        fronts = self._spliced(trip, rid, pos)
+        if fronts is None:
+            out = None
         else:
-            frontier = None
-            prev_loc = None
-        new_nodes = [pick, deliv]
-        for q in seq[pos:]:
-            qp, qd = self._nodes_of(q)
-            new_nodes.append(qp)
-            new_nodes.append(qd)
-        cached_offset = 2 * pos
-        computed: list[tuple] = []
-        converged_at = None
-        for i, (loc, starts, ends) in enumerate(new_nodes):
-            if frontier is None:
-                arrivals = [(pick[1][0], 0, None)]
-            else:
-                travel = time[prev_loc][loc]
-                merged = []
-                for lab in frontier:
-                    merged.extend(_leg_arrivals(lab[0] + sigma, lab[1], travel, regs, cal, False))
-                arrivals = _pareto(merged)
-                if not arrivals:
-                    self._trips[new_seq] = None
-                    return None
-            frontier = _align(arrivals, starts, ends, regs, cal, False)
-            if not frontier:
-                self._trips[new_seq] = None
-                return None
-            bare = tuple((lab[0], lab[1]) for lab in frontier)
-            computed.append(bare)
-            if i >= 2 and bare == trip.frontiers[cached_offset + i - 2]:
-                converged_at = i
-                break
-            prev_loc = loc
-        new_fronts = trip.frontiers[: 2 * pos] + tuple(computed)
-        if converged_at is not None:
-            new_fronts += trip.frontiers[cached_offset + converged_at - 1 :]
-        delta = self.insertion_delta_d10(trip, rid, pos)
-        loaded = trip.loaded_d10 + self.direct[rid]
-        empty = trip.empty_d10 + delta - self.direct[rid]
-        out = Trip(new_seq, loaded, empty, frontiers=new_fronts)
+            delta = self.insertion_delta_d10(trip, rid, pos)
+            loaded = trip.loaded_d10 + self.direct[rid]
+            empty = trip.empty_d10 + delta - self.direct[rid]
+            out = Trip(new_seq, loaded, empty, frontiers=fronts)
         self._trips[new_seq] = out
         return out
 

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import random
 
 import pytest
@@ -124,18 +123,6 @@ class TestRun:
             assert abs(sum(probs) - 1.0) < 1e-12
         assert sum(s.uses for s in report.removal_stats) == 450
         assert sum(s.uses for s in report.insertion_stats) == 450
-
-    def test_threads_do_not_change_results(self):
-        inst = micro_instance(8)
-        cfg = AlnsConfig(max_iterations=200, seed=8)
-        os.environ["FTL_THREADS"] = "0"
-        try:
-            a, _ = run(inst, cfg)
-            os.environ["FTL_THREADS"] = "3"
-            b, _ = run(inst, cfg)
-        finally:
-            os.environ.pop("FTL_THREADS", None)
-        assert a == b
 
     def test_regret_literal_switch_runs(self):
         inst = micro_instance(9)

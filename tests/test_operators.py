@@ -327,22 +327,6 @@ class TestBuildInitial:
             assert out.cost_total <= sum(r.sm_price_cents for r in inst.requests)
 
 
-class TestCostMatrix:
-    def test_matrix_cells_exposed(self):
-        inst = line_instance(3, gap=10, sm_level=2.0)
-        sim = Simulator(inst)
-        ev = InsertionEvaluator(sim)
-        base = sim.build_trip((1,))
-        cells = ev.matrix([2, 3], [base])
-        assert len(cells) == 2
-        for cell in cells:
-            assert cell.trip_index == 0
-            if cell.feasible:
-                assert cell.delta_d10 == ev.cell(cell.request_id, base)[0]
-            else:
-                assert cell.position is None
-
-
 class TestEvaluatorConsistency:
     def test_cached_equals_fresh(self):
         for seed in range(10):

@@ -195,16 +195,22 @@ class TestCheckInsertion:
                 continue
             extra = seq[base_len]
             pos = rng.randint(0, len(base_seq))
-            fast = sim.insertion_feasible(trip, extra, pos)
-            full = simulate_trip(inst, base_seq[:pos] + (extra,) + base_seq[pos:])
+            new_seq = base_seq[:pos] + (extra,) + base_seq[pos:]
+            # the screen plus splice simulation that the search itself runs
+            fast = sim.best_insertion(trip, extra, (pos,)) is not None
+            full = simulate_trip(inst, new_seq)
             assert fast == (not isinstance(full, Infeasible)), (case, base_seq, extra, pos)
             spliced = sim.splice_trip(trip, extra, pos)
+            # a fresh simulator, so the build cannot hit the splice's trip cache
+            built = Simulator(inst).build_trip(new_seq)
             if isinstance(full, Infeasible):
                 assert spliced is None
+                assert built is None
             else:
-                rebuilt = sim.frontiers(base_seq[:pos] + (extra,) + base_seq[pos:])
-                bare = tuple(tuple((s, c) for s, c, _ in f) for f in rebuilt)
+                reference = sim.frontiers(new_seq, trace=True)
+                bare = tuple(tuple((s, c) for s, c, _ in f) for f in reference)
                 assert spliced.frontiers == bare
+                assert built.frontiers == bare
             checked += 1
 
     def test_adjacent_identical_neighbor_delta(self):
