@@ -23,6 +23,7 @@ from .operators import (
     build_initial,
     removal_count,
     repair,
+    roulette,
 )
 from .schedule import Simulator
 
@@ -33,6 +34,10 @@ class ConfigError(ValueError):
 
 DEFAULT_REMOVAL_OPS = ("rrr", "srr", "shaw", "shaw_tw", "tsr", "rsr")
 DEFAULT_INSERTION_OPS = ("greedy", "regret4", "regret5", "regret6")
+
+# Cached insertion cells, the largest cache, above which run() drops every
+# cache at the next segment end; caches are pure, so results do not change.
+MAX_CACHED_CELLS = 400_000
 
 
 @dataclass(frozen=True)
@@ -184,17 +189,6 @@ class RunReport:
         }
 
 
-def _roulette(stats: list[OperatorStats], rng: random.Random) -> int:
-    total = sum(s.weight for s in stats)
-    shot = rng.random() * total
-    acc = 0.0
-    for i, s in enumerate(stats):
-        acc += s.weight
-        if shot < acc:
-            return i
-    return len(stats) - 1
-
-
 def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution, RunReport]:
     """Execute the full search and return the best solution found."""
     config.check()
@@ -219,8 +213,8 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
 
     repair_memo: dict = {}
     for it in range(1, config.max_iterations + 1):
-        ri = _roulette(removal_stats, rng)
-        ii = _roulette(insertion_stats, rng)
+        ri = roulette([s.weight for s in removal_stats], rng)
+        ii = roulette([s.weight for s in insertion_stats], rng)
         q = removal_count(config.psi, xi, current.planned_count)
         name = config.removal_ops[ri]
         if name in ("shaw", "shaw_tw"):
@@ -280,14 +274,8 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
                     s.segment_score = 0
                     s.segment_uses = 0
             report.trace.append(TraceRow(it, current.cost_total, best.cost_total, temperature))
-            # caches are pure; the caps only bound memory
-            if len(ev.cells) > 400_000:
-                ev.cells.clear()
-                ev.lbs.clear()
-                ev.lineage.clear()
-            if len(sim._trips) > 150_000:
-                sim.clear_caches()
-            if len(repair_memo) > 50_000:
+            if len(ev.cells) > MAX_CACHED_CELLS:
+                ev.clear()
                 repair_memo.clear()
         if config.max_seconds is not None and time.perf_counter() - start > config.max_seconds:
             stopped_early = True

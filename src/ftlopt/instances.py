@@ -114,9 +114,9 @@ def parse_gh(text: str) -> GhInstance:
     return GhInstance(name, tuple(nodes))
 
 
-def _round_km(value: float) -> int:
-    """Round to the closest integer kilometre, halves up."""
-    return int(math.floor(value + 0.5))
+def _euclid_d10(a: tuple[float, float], b: tuple[float, float]) -> int:
+    """Euclidean distance in d10, rounded to the closest integer kilometre, halves up."""
+    return 10 * int(math.floor(math.hypot(a[0] - b[0], a[1] - b[1]) + 0.5))
 
 
 def transform(gh: GhInstance, cfg: TransformConfig = TransformConfig()) -> Instance:
@@ -143,13 +143,9 @@ def transform(gh: GhInstance, cfg: TransformConfig = TransformConfig()) -> Insta
     f = cfg.factor
     index = {node.id: k for k, node in enumerate(customers)}
     coords = tuple((f * node.x, f * node.y) for node in customers)
-    dist = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                dx = coords[a][0] - coords[b][0]
-                dy = coords[a][1] - coords[b][1]
-                dist[a][b] = 10 * _round_km(math.hypot(dx, dy))
+    dist = [
+        [0 if a == b else _euclid_d10(coords[a], coords[b]) for b in range(n)] for a in range(n)
+    ]
     matrix = TravelMatrix.from_distances(dist, cfg.regs.nu)
 
     ready_days = []
@@ -260,33 +256,40 @@ def write_instance(instance: Instance, path: str) -> None:
         fh.write("\n")
 
 
-def _need(obj: dict, key: str, where: str):
+def _need(obj: dict, key: str, where: str, conv=None):
+    """obj[key], passed through conv when given; a missing field, or one that
+    conv rejects, raises SchemaError with the field's pointer."""
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{where}/{key}", "missing")
-    return obj[key]
+    if conv is None:
+        return obj[key]
+    try:
+        return conv(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{where}/{key}", f"invalid value {obj[key]!r}") from None
 
 
 def _window(obj, where: str) -> TimeWindow:
-    return TimeWindow(int(_need(obj, "start", where)), int(_need(obj, "end", where)))
+    return TimeWindow(_need(obj, "start", where, int), _need(obj, "end", where, int))
 
 
 def instance_from_dict(doc: dict) -> Instance:
-    locations = _need(doc, "locations", "")
+    locations = _need(doc, "locations", "", list)
     n = len(locations)
-    coords = None
-    if locations and all("x" in loc and "y" in loc for loc in locations):
-        coords = tuple((float(loc["x"]), float(loc["y"])) for loc in locations)
     for i, loc in enumerate(locations):
         if _need(loc, "id", f"/locations/{i}") != i:
             raise SchemaError(f"/locations/{i}/id", "ids must be 0..n-1 in order")
+    coords = None
+    if locations and all("x" in loc and "y" in loc for loc in locations):
+        coords = tuple((float(loc["x"]), float(loc["y"])) for loc in locations)
 
     regs_doc = _need(doc, "regs", "")
     regs = RegParams(
-        int(_need(regs_doc, "tau_n", "/regs")),
-        int(_need(regs_doc, "tau_b", "/regs")),
-        int(_need(regs_doc, "tau_s", "/regs")),
-        int(_need(regs_doc, "sigma", "/regs")),
-        float(_need(regs_doc, "nu", "/regs")),
+        _need(regs_doc, "tau_n", "/regs", int),
+        _need(regs_doc, "tau_b", "/regs", int),
+        _need(regs_doc, "tau_s", "/regs", int),
+        _need(regs_doc, "sigma", "/regs", int),
+        _need(regs_doc, "nu", "/regs", float),
     )
 
     matrix_doc = _need(doc, "matrix", "")
@@ -294,11 +297,7 @@ def instance_from_dict(doc: dict) -> Instance:
         if coords is None:
             raise SchemaError("/matrix", "euclidean directive needs x/y on every location")
         dist = [
-            [
-                0 if a == b else 10 * _round_km(math.hypot(coords[a][0] - coords[b][0],
-                                                           coords[a][1] - coords[b][1]))
-                for b in range(n)
-            ]
+            [0 if a == b else _euclid_d10(coords[a], coords[b]) for b in range(n)]
             for a in range(n)
         ]
         matrix = TravelMatrix.from_distances(dist, regs.nu)
@@ -321,22 +320,22 @@ def instance_from_dict(doc: dict) -> Instance:
     explicit = {
         int(k): cents(v) for k, v in cost_doc.get("explicit_sm_prices", {}).items()
     }
-    cost = CostModel(cents(_need(cost_doc, "kappa", "/cost")), tiers, explicit)
+    cost = CostModel(_need(cost_doc, "kappa", "/cost", cents), tiers, explicit)
 
     requests = []
-    for i, rd in enumerate(_need(doc, "requests", "")):
+    for i, rd in enumerate(_need(doc, "requests", "", list)):
         where = f"/requests/{i}"
         requests.append(
             Request(
-                int(_need(rd, "id", where)),
-                int(_need(rd, "origin", where)),
-                int(_need(rd, "destination", where)),
+                _need(rd, "id", where, int),
+                _need(rd, "origin", where, int),
+                _need(rd, "destination", where, int),
                 _window(_need(rd, "pickup_window", where), f"{where}/pickup_window"),
                 tuple(
                     _window(w, f"{where}/delivery_windows/{k}")
-                    for k, w in enumerate(_need(rd, "delivery_windows", where))
+                    for k, w in enumerate(_need(rd, "delivery_windows", where, list))
                 ),
-                cents(_need(rd, "sm_price", where)),
+                _need(rd, "sm_price", where, cents),
             )
         )
 
@@ -346,10 +345,10 @@ def instance_from_dict(doc: dict) -> Instance:
         matrix=matrix,
         cost=cost,
         regs=regs,
-        mu_d10=d10_from_km(_need(doc, "mu", "")),
+        mu_d10=_need(doc, "mu", "", d10_from_km),
         horizon=Horizon(
-            int(_need(horizon_doc, "origin_weekday", "/horizon")),
-            int(_need(horizon_doc, "days", "/horizon")),
+            _need(horizon_doc, "origin_weekday", "/horizon", int),
+            _need(horizon_doc, "days", "/horizon", int),
         ),
         name=doc.get("name", ""),
         coords=coords,

@@ -7,7 +7,6 @@ distance is tenths of a kilometre (``d10``), money is euro cents.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -255,22 +254,20 @@ class Instance:
         return self.matrix.distance[r.origin][r.destination]
 
 
-_trip_uid = itertools.count(1)
-
-
 @dataclass(frozen=True)
 class Trip:
     """An ordered request sequence served by one vehicle.
 
     ``frontiers`` caches the per-node driver-state sets computed by the
     schedule module; a trip object is only ever built for a feasible sequence.
+    Everything derived from a trip is a pure function of ``requests``, which
+    is the key of every per-trip cache.
     """
 
     requests: tuple[int, ...]
     loaded_d10: int
     empty_d10: int
     frontiers: tuple = field(compare=False, repr=False, default=())
-    uid: int = field(compare=False, repr=False, default_factory=lambda: next(_trip_uid))
 
     @property
     def total_d10(self) -> int:

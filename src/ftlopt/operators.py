@@ -31,29 +31,23 @@ def removal_count(psi: int, xi: Fraction, planned: int) -> int:
 
 
 class InsertionEvaluator:
-    """Cached exact insertion costs per (request, trip version).
+    """Cached exact insertion costs per (request, trip sequence).
 
-    Cache entries are keyed by trip uid, so any change to a trip silently
-    invalidates its column; cached and fresh evaluations always agree
-    because both call the same pure feasibility check.
+    A changed trip has a new sequence and so a fresh column; cached and
+    fresh evaluations always agree because both call the same pure
+    feasibility check.  The evaluator owns the search's caches, the
+    simulator's included, and `clear` drops them all.
     """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.cells: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
-        self.lbs: dict[tuple[int, int], int] = {}
-        self.singles: dict[int, Optional[Trip]] = {}
-        # new trip uid -> (parent uid, splice position, monotone guard)
-        self.lineage: dict[int, tuple[int, int, bool]] = {}
-
-    def single(self, rid: int) -> Optional[Trip]:
-        """The one-request trip for rid, or None; request data never changes,
-        so this cache is never invalidated."""
-        if rid not in self.singles:
-            self.singles[rid] = self.sim.single_trip(rid)
-        return self.singles[rid]
+        self.cells: dict[tuple[int, tuple[int, ...]], Optional[tuple[int, int]]] = {}
+        self.lbs: dict[tuple[int, tuple[int, ...]], int] = {}
+        # new trip sequence -> (parent sequence, splice position, monotone guard)
+        self.lineage: dict[tuple[int, ...], tuple[tuple[int, ...], int, bool]] = {}
 
     def clear(self) -> None:
+        """Drop every cached value; later results are unchanged (bounds memory)."""
         self.cells.clear()
         self.lbs.clear()
         self.lineage.clear()
@@ -78,10 +72,10 @@ class InsertionEvaluator:
                 sim.time[a][o] + sim.time[o][d] + sim.time[d][b] + 2 * sim.regs.sigma
                 >= sim.time[a][b]
             )
-        self.lineage[new.uid] = (old.uid, pos, guard)
+        self.lineage[new.requests] = (old.requests, pos, guard)
 
     def lower_bound(self, rid: int, trip: Trip) -> int:
-        key = (rid, trip.uid)
+        key = (rid, trip.requests)
         v = self.lbs.get(key)
         if v is None:
             sim = self.sim
@@ -93,10 +87,10 @@ class InsertionEvaluator:
 
     def cell(self, rid: int, trip: Trip) -> Optional[tuple[int, int]]:
         """Best feasible (delta_d10, position) in this trip, or None."""
-        key = (rid, trip.uid)
+        key = (rid, trip.requests)
         if key in self.cells:
             return self.cells[key]
-        lin = self.lineage.get(trip.uid)
+        lin = self.lineage.get(trip.requests)
         if lin is not None and lin[2] and self.cells.get((rid, lin[0]), 1) is None:
             # rid fit nowhere in the parent trip: only the spliced request's
             # two flanks are new ground
@@ -128,7 +122,7 @@ class InsertionEvaluator:
             if best is not None and lb > best[0]:
                 break
             if ti == n_trips:
-                cell = (lb, 0) if self.single(rid) is not None else None
+                cell = (lb, 0) if self.sim.single_trip(rid) is not None else None
             else:
                 cell = self.cell(rid, trips[ti])
             if cell is None:
@@ -168,6 +162,20 @@ def _rebuild_without(
     return out, extra
 
 
+def roulette(weights: Sequence[float], rng: random.Random) -> int:
+    """One index drawn with probability proportional to its weight.
+
+    Consumes exactly one random number; the last index absorbs rounding.
+    """
+    shot = rng.random() * sum(weights)
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if shot < acc:
+            return i
+    return len(weights) - 1
+
+
 def _roulette_without_replacement(weights: list[float], rng: random.Random) -> Iterator[int]:
     """Indices drawn lazily by weight, no repeats; weights must be positive.
 
@@ -176,17 +184,7 @@ def _roulette_without_replacement(weights: list[float], rng: random.Random) -> I
     """
     alive = list(range(len(weights)))
     while alive:
-        total = sum(weights[i] for i in alive)
-        shot = rng.random() * total
-        acc = 0.0
-        chosen = alive[-1]
-        for i in alive:
-            acc += weights[i]
-            if shot < acc:
-                chosen = i
-                break
-        alive.remove(chosen)
-        yield chosen
+        yield alive.pop(roulette([weights[i] for i in alive], rng))
 
 
 def _route_travel_time(sim: Simulator, trip: Trip) -> int:
@@ -404,7 +402,7 @@ def repair(
                     hit = ev.best_greedy([cand], trips)
                     got = None if hit is None else (hit[0], hit[2], hit[3])
                     best_of[cand] = got
-                if spare and ev.single(cand) is not None:
+                if spare and sim.single_trip(cand) is not None:
                     alt = (sim.direct[cand], len(trips), 0)
                     if got is None or alt < got:
                         got = alt
@@ -431,7 +429,7 @@ def repair(
                         if best_cell is None or (got[0], ti) < (best_cell[0], best_cell[1]):
                             best_cell = (got[0], ti, got[1])
                 if spare:
-                    if ev.single(cand) is not None:
+                    if sim.single_trip(cand) is not None:
                         direct = sim.direct[cand]
                         values.append(kappa * direct)
                         if best_cell is None or (direct, n_trips) < (best_cell[0], best_cell[1]):
@@ -458,7 +456,7 @@ def repair(
         if cell is not None and cell[1] == len(trips):
             # spare-vehicle column won the matrix
             if kappa * cell[0] <= price10:
-                trips.append(ev.single(rid))
+                trips.append(sim.single_trip(rid))
                 changed_ti = -1  # appended
             else:
                 new_bank.append(rid)
@@ -470,7 +468,7 @@ def repair(
             trips[ti] = rebuilt
             changed_ti = ti
         else:
-            single = ev.single(rid) if spare else None
+            single = sim.single_trip(rid) if spare else None
             if single is not None and kappa * single.total_d10 <= price10:
                 trips.append(single)
                 changed_ti = -1

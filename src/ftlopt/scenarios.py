@@ -15,7 +15,7 @@ from typing import Optional
 
 from .engine import AlnsConfig, RunReport, run, write_report
 from .model import Instance, Solution, fmt_km, fmt_money
-from .schedule import Simulator
+from .schedule import Simulator, simulate_trip
 
 CSV_HEADER = (
     "scenario,total_cost,vehicle_cost,outsourced_cost,vehicles,loaded_km,"
@@ -237,7 +237,7 @@ def dump_schedules(instance: Instance, solution: Solution) -> str:
     sim = Simulator(instance)
     lines = ["trip,node,location,arrival,service_start,departure,segments"]
     for ti, trip in enumerate(solution.trips):
-        sched = sim.schedule_for(trip)
+        sched = simulate_trip(instance, trip.requests, simulator=sim)
         k = 0
         for ni, node in enumerate(sched.nodes):
             segs = []

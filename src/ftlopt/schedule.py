@@ -274,6 +274,7 @@ class Simulator:
         self.price10: dict[int, int] = {}
         self.pw: dict[int, tuple[int, int]] = {}
         self.dw: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._node_data: dict[int, tuple] = {}
         for r in instance.requests:
             self.origin[r.id] = r.origin
             self.dest[r.id] = r.destination
@@ -284,41 +285,33 @@ class Simulator:
                 tuple(w.start for w in r.delivery_windows),
                 tuple(w.end for w in r.delivery_windows),
             )
-        self._node_data: dict[int, tuple] = {}
-        self._schedules: dict[int, Schedule] = {}
-        self._latest: dict[int, tuple[int, ...]] = {}
-        self._seq_nodes: dict[int, tuple] = {}
+            # ((loc, starts, ends) of the pickup, the same of the delivery)
+            self._node_data[r.id] = (
+                (r.origin, (r.pickup_window.start,), (r.pickup_window.end,)),
+                (r.destination,) + self.dw[r.id],
+            )
+        # per-trip caches, keyed by request sequence
+        self._latest: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._seq_nodes: dict[tuple[int, ...], tuple] = {}
         self._trips: dict[tuple[int, ...], Optional[Trip]] = {}
 
     def clear_caches(self) -> None:
         """Drop memoised trips and per-trip derivatives (bounds memory)."""
         self._trips.clear()
-        self._schedules.clear()
         self._latest.clear()
         self._seq_nodes.clear()
 
-    def _nodes_of(self, rid: int):
-        """((loc, starts, ends) pickup, (loc, starts, ends) delivery) for a request."""
-        data = self._node_data.get(rid)
-        if data is None:
-            ps, pe = self.pw[rid]
-            pick = (self.origin[rid], (ps,), (pe,))
-            deliv = (self.dest[rid],) + self.dw[rid]
-            data = (pick, deliv)
-            self._node_data[rid] = data
-        return data
-
     def _trip_nodes(self, trip: Trip):
-        nodes = self._seq_nodes.get(trip.uid)
+        nodes = self._seq_nodes.get(trip.requests)
         if nodes is None:
             nodes = tuple(self.node_sequence(trip.requests))
-            self._seq_nodes[trip.uid] = nodes
+            self._seq_nodes[trip.requests] = nodes
         return nodes
 
     def latest_starts(self, trip: Trip) -> tuple[int, ...]:
         """Per node: latest service start that can still finish the trip when
         driving takes exactly the matrix time (a no-breaks relaxation)."""
-        lat = self._latest.get(trip.uid)
+        lat = self._latest.get(trip.requests)
         if lat is not None:
             return lat
         sigma = self.regs.sigma
@@ -338,15 +331,13 @@ class Simulator:
             out[i] = bound
             nxt = loc
         lat = tuple(out)
-        self._latest[trip.uid] = lat
+        self._latest[trip.requests] = lat
         return lat
 
     def node_sequence(self, requests: Sequence[int]):
         nodes = []
         for rid in requests:
-            pick, deliv = self._nodes_of(rid)
-            nodes.append(pick)
-            nodes.append(deliv)
+            nodes.extend(self._node_data[rid])
         return nodes
 
     def frontiers(self, requests: Sequence[int], trace: bool = False):
@@ -407,14 +398,6 @@ class Simulator:
             trip = Trip(seq, loaded, empty, frontiers=tuple(fronts[0]))
         self._trips[seq] = trip
         return trip
-
-    def schedule_for(self, trip: Trip) -> Schedule:
-        sched = self._schedules.get(trip.uid)
-        if sched is None:
-            sched = simulate_trip(self.instance, trip.requests, simulator=self)
-            assert isinstance(sched, Schedule)
-            self._schedules[trip.uid] = sched
-        return sched
 
     # -- insertion evaluation ----------------------------------------------
 
@@ -544,11 +527,9 @@ class Simulator:
                         if cc == 0 or s - arr >= tau_b:
                             frontier = ((s, 0),)
                         else:
+                            # s < arr + tau_b <= s2: the rested start is later
                             s2 = _earliest_fit(arr + tau_b, starts, ends, sigma, cal)
-                            if s2 is None or s2 == s:
-                                frontier = ((s, 0),) if s2 == s else ((s, cc),)
-                            else:
-                                frontier = ((s, cc), (s2, 0))
+                            frontier = ((s, cc),) if s2 is None else ((s, cc), (s2, 0))
                         computed.append(frontier)
                         if old is not None and frontier == old[i]:
                             return computed, True
@@ -584,7 +565,7 @@ class Simulator:
         nodes = self._trip_nodes(trip)
         old = trip.frontiers
         k = 2 * pos  # node index in the old trip of the first node after rid
-        pick_deliv = self._nodes_of(rid)
+        pick_deliv = self._node_data[rid]
         frontier, prev_loc = (old[k - 1], nodes[k - 1][0]) if k else (None, None)
         head = self._advance(frontier, prev_loc, pick_deliv)
         if head is None:
@@ -618,7 +599,10 @@ class Simulator:
         return out
 
     def single_trip(self, rid: int) -> Optional[Trip]:
-        return self.build_trip((rid,))
+        # repair asks for every candidate's single trip each round: answer
+        # memo hits without a build_trip call
+        seq = (rid,)
+        return self._trips[seq] if seq in self._trips else self.build_trip(seq)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Fixed-seed search results pinned to a recorded golden.
 
 `tests/data/golden_search.json` holds, per run, the best solution's trip
-sequences and bank, its cost and every trace row.  The `/segment5` runs end a
-segment every five iterations, the point where the search may drop its
-caches.  Regenerate the file only for a change that is meant to alter
-fixed-seed results, with
+sequences and bank, its cost and every trace row, recorded with the default
+cache bound.  The `/segment5` runs end a segment every five iterations, the
+point where the search may drop its caches; they are checked with every
+cache dropped at every segment end.  Regenerate the file only for a change
+that is meant to alter fixed-seed results, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,9 +14,13 @@ import json
 import os
 from dataclasses import replace
 
+from ftlopt import engine
 from ftlopt.engine import AlnsConfig
 from ftlopt.instances import parse_gh, transform
+from ftlopt.operators import InsertionEvaluator
 from ftlopt.scenarios import scenario_all_fct, scenario_mixed
+
+from helpers import micro_instance
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden_search.json")
@@ -59,6 +64,29 @@ def test_fixed_seed_results_match_golden():
     assert sorted(golden) == sorted(RUNS)
     for name in DEFAULT_RUNS:
         assert run_record(name) == golden[name], name
+
+
+def micro_records() -> list:
+    out = []
+    for seed in range(30):
+        instance = micro_instance(seed, "large" if seed % 2 else "small")
+        config = AlnsConfig(seed=seed, max_iterations=300, segment_length=5)
+        out.append(search_record(*engine.run(instance, config)))
+    return out
+
+
+def test_dropping_caches_at_every_segment_end_keeps_results(monkeypatch):
+    golden = load_golden()
+    micro = micro_records()
+    clears = []
+    clear = InsertionEvaluator.clear
+    monkeypatch.setattr(engine, "MAX_CACHED_CELLS", 0)
+    monkeypatch.setattr(InsertionEvaluator, "clear", lambda ev: clears.append(clear(ev)))
+    assert micro_records() == micro
+    for name in SEGMENT5_RUNS:
+        assert run_record(name) == golden[name], name
+    # one drop at every segment end: 60 per micro run, 12 and 30 on the desk
+    assert len(clears) == 30 * 60 + 12 + 30
 
 
 if __name__ == "__main__":

@@ -159,12 +159,21 @@ class TestNativeFormat:
         write_instance(inst, str(p))
         assert read_instance(str(p)) == inst
 
-    def test_missing_mu_pointer(self, tmp_path):
-        doc = instance_to_dict(transform(parse_gh(mini_text())))
-        del doc["mu"]
-        with pytest.raises(SchemaError) as err:
-            instance_from_dict(doc)
-        assert err.value.pointer == "/mu"
+    def test_missing_mu_pointer(self):
+        window = "/requests/0/pickup_window"
+        cases = (
+            ("/mu", lambda doc: doc.pop("mu")),
+            (f"{window}/start", lambda doc: doc["requests"][0]["pickup_window"].update(start="abc")),
+            (f"{window}/start", lambda doc: doc["requests"][0]["pickup_window"].update(start=None)),
+            ("/requests/0/sm_price", lambda doc: doc["requests"][0].update(sm_price=math.nan)),
+            ("/requests", lambda doc: doc.update(requests=5)),
+        )
+        for pointer, edit in cases:
+            doc = instance_to_dict(transform(parse_gh(mini_text())))
+            edit(doc)
+            with pytest.raises(SchemaError) as err:
+                instance_from_dict(doc)
+            assert err.value.pointer == pointer
 
     def test_euclidean_directive(self):
         doc = instance_to_dict(transform(parse_gh(mini_text())))

@@ -42,7 +42,7 @@ def reference_repair(sim, trips, bank, removed, mode):
                     key = (got[0], cand, ti, got[1])
                     if best is None or key < best:
                         best = key
-                if spare and ev.single(cand) is not None:
+                if spare and sim.single_trip(cand) is not None:
                     key = (sim.direct[cand], cand, len(trips), 0)
                     if best is None or key < best:
                         best = key
@@ -65,7 +65,7 @@ def reference_repair(sim, trips, bank, removed, mode):
                         if best_cell is None or (got[0], ti) < (best_cell[0], best_cell[1]):
                             best_cell = (got[0], ti, got[1])
                 if spare:
-                    if ev.single(cand) is not None:
+                    if sim.single_trip(cand) is not None:
                         direct = sim.direct[cand]
                         values.append(kappa * direct)
                         if best_cell is None or (direct, len(trips)) < (

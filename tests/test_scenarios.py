@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -237,6 +238,14 @@ class TestCli:
             "--config", str(bad_cfg), "--out", str(tmp_path / "y.json"),
         )
         assert r.returncode == 3
+        doc = json.loads(native.read_text())
+        doc["requests"][0]["sm_price"] = math.nan
+        bad_native = tmp_path / "bad_native.json"
+        bad_native.write_text(json.dumps(doc))
+        r = self.run_cli("solve", "--instance", str(bad_native), "--scenario", "mixed",
+                         "--out", str(tmp_path / "z.json"))
+        assert r.returncode == 2
+        assert "/requests/0/sm_price" in r.stderr
 
     def test_oracle_and_lp(self, tmp_path):
         native = tmp_path / "mini.json"
