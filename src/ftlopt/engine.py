@@ -21,6 +21,7 @@ from .operators import (
     REMOVAL_OPERATORS,
     InsertionEvaluator,
     build_initial,
+    insertion_k,
     removal_count,
     repair,
     roulette,
@@ -84,15 +85,10 @@ class AlnsConfig:
             if name not in REMOVAL_OPERATORS:
                 raise ConfigError(f"unknown removal operator {name!r}")
         for name in self.insertion_ops:
-            if name != "greedy":
-                if not name.startswith("regret"):
-                    raise ConfigError(f"unknown insertion operator {name!r}")
-                try:
-                    k = int(name[len("regret"):])
-                except ValueError:
-                    raise ConfigError(f"unknown insertion operator {name!r}") from None
-                if k < 2:
-                    raise ConfigError("regret operators need k >= 2")
+            try:
+                insertion_k(name)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if not self.removal_ops or not self.insertion_ops:
             raise ConfigError("need at least one operator per class")
 

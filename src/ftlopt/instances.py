@@ -256,17 +256,46 @@ def write_instance(instance: Instance, path: str) -> None:
         fh.write("\n")
 
 
+def _conv(value, pointer: str, conv):
+    """conv(value); a value that conv rejects raises SchemaError at pointer."""
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(pointer, f"invalid value {value!r}") from None
+
+
 def _need(obj: dict, key: str, where: str, conv=None):
     """obj[key], passed through conv when given; a missing field, or one that
     conv rejects, raises SchemaError with the field's pointer."""
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{where}/{key}", "missing")
-    if conv is None:
-        return obj[key]
-    try:
-        return conv(obj[key])
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{where}/{key}", f"invalid value {obj[key]!r}") from None
+    return obj[key] if conv is None else _conv(obj[key], f"{where}/{key}", conv)
+
+
+def _list(x) -> list:
+    if not isinstance(x, list):
+        raise TypeError(f"{x!r} is not a list")
+    return x
+
+
+def _finite(x) -> float:
+    v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"{x!r} is not finite")
+    return v
+
+
+def _grid(rows, where: str, conv, n: int) -> list[list]:
+    """An n x n list of lists with every cell through conv; a wrong shape or
+    a rejected cell raises SchemaError with its pointer."""
+    if len(_conv(rows, where, _list)) != n:
+        raise SchemaError(where, f"expected {n} rows")
+    out = []
+    for i, row in enumerate(rows):
+        if len(_conv(row, f"{where}/{i}", _list)) != n:
+            raise SchemaError(f"{where}/{i}", f"expected {n} cells")
+        out.append([_conv(v, f"{where}/{i}/{j}", conv) for j, v in enumerate(row)])
+    return out
 
 
 def _window(obj, where: str) -> TimeWindow:
@@ -274,14 +303,17 @@ def _window(obj, where: str) -> TimeWindow:
 
 
 def instance_from_dict(doc: dict) -> Instance:
-    locations = _need(doc, "locations", "", list)
+    locations = _need(doc, "locations", "", _list)
     n = len(locations)
     for i, loc in enumerate(locations):
         if _need(loc, "id", f"/locations/{i}") != i:
             raise SchemaError(f"/locations/{i}/id", "ids must be 0..n-1 in order")
     coords = None
     if locations and all("x" in loc and "y" in loc for loc in locations):
-        coords = tuple((float(loc["x"]), float(loc["y"])) for loc in locations)
+        coords = tuple(
+            tuple(_need(loc, axis, f"/locations/{i}", _finite) for axis in ("x", "y"))
+            for i, loc in enumerate(locations)
+        )
 
     regs_doc = _need(doc, "regs", "")
     regs = RegParams(
@@ -289,7 +321,7 @@ def instance_from_dict(doc: dict) -> Instance:
         _need(regs_doc, "tau_b", "/regs", int),
         _need(regs_doc, "tau_s", "/regs", int),
         _need(regs_doc, "sigma", "/regs", int),
-        _need(regs_doc, "nu", "/regs", float),
+        _need(regs_doc, "nu", "/regs", _finite),
     )
 
     matrix_doc = _need(doc, "matrix", "")
@@ -302,28 +334,32 @@ def instance_from_dict(doc: dict) -> Instance:
         ]
         matrix = TravelMatrix.from_distances(dist, regs.nu)
     else:
-        rows = _need(matrix_doc, "distance", "/matrix")
-        if len(rows) != n:
-            raise SchemaError("/matrix/distance", f"expected {n} rows")
-        dist = [[d10_from_km(v) for v in row] for row in rows]
+        dist = _grid(_need(matrix_doc, "distance", "/matrix"), "/matrix/distance", d10_from_km, n)
         if "time" in matrix_doc:
-            time = tuple(tuple(int(v) for v in row) for row in matrix_doc["time"])
-            matrix = TravelMatrix(n, tuple(tuple(r) for r in dist), time)
+            time = _grid(matrix_doc["time"], "/matrix/time", int, n)
+            matrix = TravelMatrix(n, tuple(map(tuple, dist)), tuple(map(tuple, time)))
         else:
             matrix = TravelMatrix.from_distances(dist, regs.nu)
 
     cost_doc = _need(doc, "cost", "")
-    tiers = tuple(
-        (None if b is None else d10_from_km(b), cents(r))
-        for b, r in _need(cost_doc, "sm_tiers", "/cost")
-    )
-    explicit = {
-        int(k): cents(v) for k, v in cost_doc.get("explicit_sm_prices", {}).items()
-    }
-    cost = CostModel(_need(cost_doc, "kappa", "/cost", cents), tiers, explicit)
+    tiers = []
+    for i, tier in enumerate(_need(cost_doc, "sm_tiers", "/cost", _list)):
+        where = f"/cost/sm_tiers/{i}"
+        if len(_conv(tier, where, _list)) != 2:
+            raise SchemaError(where, "expected [bound, rate]")
+        bound = None if tier[0] is None else _conv(tier[0], f"{where}/0", d10_from_km)
+        tiers.append((bound, _conv(tier[1], f"{where}/1", cents)))
+    explicit_doc = cost_doc.get("explicit_sm_prices", {})
+    if not isinstance(explicit_doc, dict):
+        raise SchemaError("/cost/explicit_sm_prices", "expected an object")
+    explicit = {}
+    for key, price in explicit_doc.items():
+        where = f"/cost/explicit_sm_prices/{key}"
+        explicit[_conv(key, where, int)] = _conv(price, where, cents)
+    cost = CostModel(_need(cost_doc, "kappa", "/cost", cents), tuple(tiers), explicit)
 
     requests = []
-    for i, rd in enumerate(_need(doc, "requests", "", list)):
+    for i, rd in enumerate(_need(doc, "requests", "", _list)):
         where = f"/requests/{i}"
         requests.append(
             Request(
@@ -333,7 +369,7 @@ def instance_from_dict(doc: dict) -> Instance:
                 _window(_need(rd, "pickup_window", where), f"{where}/pickup_window"),
                 tuple(
                     _window(w, f"{where}/delivery_windows/{k}")
-                    for k, w in enumerate(_need(rd, "delivery_windows", where, list))
+                    for k, w in enumerate(_need(rd, "delivery_windows", where, _list))
                 ),
                 _need(rd, "sm_price", where, cents),
             )

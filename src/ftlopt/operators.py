@@ -42,14 +42,12 @@ class InsertionEvaluator:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self.cells: dict[tuple[int, tuple[int, ...]], Optional[tuple[int, int]]] = {}
-        self.lbs: dict[tuple[int, tuple[int, ...]], int] = {}
         # new trip sequence -> (parent sequence, splice position, monotone guard)
         self.lineage: dict[tuple[int, ...], tuple[tuple[int, ...], int, bool]] = {}
 
     def clear(self) -> None:
         """Drop every cached value; later results are unchanged (bounds memory)."""
         self.cells.clear()
-        self.lbs.clear()
         self.lineage.clear()
         self.sim.clear_caches()
 
@@ -74,17 +72,6 @@ class InsertionEvaluator:
             )
         self.lineage[new.requests] = (old.requests, pos, guard)
 
-    def lower_bound(self, rid: int, trip: Trip) -> int:
-        key = (rid, trip.requests)
-        v = self.lbs.get(key)
-        if v is None:
-            sim = self.sim
-            v = min(
-                sim.insertion_delta_d10(trip, rid, pos) for pos in range(len(trip.requests) + 1)
-            )
-            self.lbs[key] = v
-        return v
-
     def cell(self, rid: int, trip: Trip) -> Optional[tuple[int, int]]:
         """Best feasible (delta_d10, position) in this trip, or None."""
         key = (rid, trip.requests)
@@ -101,36 +88,20 @@ class InsertionEvaluator:
         self.cells[key] = out
         return out
 
-    def best_greedy(self, s_in: Sequence[int], trips: Sequence[Trip], spare_vehicle: bool = False):
-        """Cheapest feasible cell as (delta, rid, trip_index, pos), or None.
+    def best_greedy(self, rid: int, trips: Sequence[Trip]) -> Optional[tuple[int, int, int]]:
+        """Cheapest feasible cell of one request over the trips as
+        (delta_d10, trip_index, pos), or None: a plain scan of its row."""
+        return _best_cell([self.cell(rid, trip) for trip in trips])
 
-        Resolves cells lazily in ascending distance-lower-bound order; exact
-        because a cell can never beat a bound below it.  With spare_vehicle
-        an empty route is one more candidate column, at index len(trips).
-        """
-        cands = [
-            (self.lower_bound(rid, trip), rid, ti)
-            for rid in s_in
-            for ti, trip in enumerate(trips)
-        ]
-        n_trips = len(trips)
-        if spare_vehicle:
-            cands.extend((self.sim.instance.direct_d10(rid), rid, n_trips) for rid in s_in)
-        cands.sort()
-        best = None
-        for lb, rid, ti in cands:
-            if best is not None and lb > best[0]:
-                break
-            if ti == n_trips:
-                cell = (lb, 0) if self.sim.single_trip(rid) is not None else None
-            else:
-                cell = self.cell(rid, trips[ti])
-            if cell is None:
-                continue
-            key = (cell[0], rid, ti, cell[1])
-            if best is None or key < best:
-                best = key
-        return best
+
+def _best_cell(row: Sequence[Optional[tuple[int, int]]]) -> Optional[tuple[int, int, int]]:
+    """Cheapest feasible cell of a row as (delta_d10, column, pos), or None;
+    ties go to the lowest column."""
+    best = None
+    for ti, got in enumerate(row):
+        if got is not None and (best is None or got[0] < best[0]):
+            best = (got[0], ti, got[1])
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +303,24 @@ def _regret_value(values: list[int], k: int, cap: int, literal: bool) -> int:
     return sum(ci - c[0] for ci in c[1:])
 
 
+def insertion_k(mode: str) -> int:
+    """k of an insertion operator name: 0 for "greedy", k for "regret<k>".
+
+    Raises ValueError for any other name and for k < 2.
+    """
+    if mode == "greedy":
+        return 0
+    try:
+        k = int(mode.removeprefix("regret")) if mode.startswith("regret") else None
+    except ValueError:
+        k = None
+    if k is None:
+        raise ValueError(f"unknown insertion operator {mode!r}")
+    if k < 2:
+        raise ValueError("regret operators need k >= 2")
+    return k
+
+
 def _ratio_pick(instance: Instance, s_in: list[int]) -> int:
     """Shipment with the least outsourcing cost per direct distance unit."""
     best = s_in[0]
@@ -341,10 +330,6 @@ def _ratio_pick(instance: Instance, s_in: list[int]) -> int:
         if rc * db < rb * dc:
             best = rid
     return best
-
-
-def _splice(trip: Trip, rid: int, pos: int) -> tuple[int, ...]:
-    return trip.requests[:pos] + (rid,) + trip.requests[pos:]
 
 
 def repair(
@@ -370,86 +355,42 @@ def repair(
     ev = evaluator or InsertionEvaluator(sim)
     kappa = instance.cost.kappa_cents
     mu = instance.mu_d10
-    k = 0
-    if mode != "greedy":
-        if not mode.startswith("regret"):
-            raise ValueError(f"unknown insertion mode {mode!r}")
-        k = int(mode[len("regret"):])
-        if k < 2:
-            raise ValueError("regret needs k >= 2")
+    k = insertion_k(mode)
 
     trips = list(trips)
     s_in = sorted(set(bank) | set(removed))
     new_bank: list[int] = []
-    # per-candidate state, maintained incrementally: only the column of a
-    # changed trip is re-evaluated, which matches recomputing the matrix
-    # every round because evaluation is pure
-    rows: Optional[dict[int, list]] = None
-    if mode != "greedy" and s_in:
-        rows = {cand: [ev.cell(cand, t) for t in trips] for cand in s_in}
-    best_of: dict[int, object] = dict.fromkeys(s_in, False)  # False = unresolved
+    # one row of cells per candidate and one column per trip, for every mode;
+    # a round re-evaluates only the changed trip's column, which matches
+    # rebuilding the matrix every round because cells are pure
+    rows = {cand: [ev.cell(cand, t) for t in trips] for cand in s_in}
     while s_in:
-        # a spare vehicle (empty route) joins the candidate columns only
-        # while every used vehicle is utilised up to the minimum distance
+        # a spare vehicle (empty route) is one more column, at index
+        # len(trips), while every used vehicle is utilised up to the minimum
+        # distance
         spare = all(t.total_d10 >= mu for t in trips)
-        rid = None
-        cell = None  # (delta_d10, trip_index, pos); trip_index == len(trips) = spare vehicle
-        if mode == "greedy":
-            found = None
-            for cand in s_in:
-                got = best_of[cand]
-                if got is False:
-                    hit = ev.best_greedy([cand], trips)
-                    got = None if hit is None else (hit[0], hit[2], hit[3])
-                    best_of[cand] = got
-                if spare and sim.single_trip(cand) is not None:
-                    alt = (sim.direct[cand], len(trips), 0)
-                    if got is None or alt < got:
-                        got = alt
-                if got is not None:
-                    key = (got[0], cand, got[1], got[2])
-                    if found is None or key < found:
-                        found = key
-            if found is not None:
-                delta, rid, ti, pos = found
-                cell = (delta, ti, pos)
-        else:
-            n_trips = len(trips)
-            best_key = None
-            any_feasible = False
-            for cand in s_in:
+        rid = cell = best_key = None
+        any_feasible = False
+        for cand in s_in:
+            row = rows[cand]
+            if spare:
+                row = row + [None if sim.single_trip(cand) is None else (sim.direct[cand], 0)]
+            best = _best_cell(row)  # (delta_d10, trip_index, pos)
+            if k:
+                # a candidate that fits nowhere can still win at regret 0
                 cap = sim.price10[cand]
-                values = []
-                best_cell = None
-                for ti, got in enumerate(rows[cand]):
-                    if got is None:
-                        values.append(cap)
-                    else:
-                        values.append(kappa * got[0])
-                        if best_cell is None or (got[0], ti) < (best_cell[0], best_cell[1]):
-                            best_cell = (got[0], ti, got[1])
-                if spare:
-                    if sim.single_trip(cand) is not None:
-                        direct = sim.direct[cand]
-                        values.append(kappa * direct)
-                        if best_cell is None or (direct, n_trips) < (best_cell[0], best_cell[1]):
-                            best_cell = (direct, n_trips, 0)
-                    else:
-                        values.append(cap)
-                regret = _regret_value(values, k, cap, regret_literal)
-                key = (-regret, cand)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    rid = cand
-                    cell = best_cell
-                if best_cell is not None:
-                    any_feasible = True
-            if not any_feasible:
-                rid = None  # no feasible insertion anywhere: use the cost ratio rule
-        if rid is None:
+                values = [cap if got is None else kappa * got[0] for got in row]
+                key = (-_regret_value(values, k, cap, regret_literal), cand)
+            elif best is not None:
+                key = (best[0], cand)
+            else:
+                continue
+            if best_key is None or key < best_key:
+                best_key, rid, cell = key, cand, best
+            any_feasible = any_feasible or best is not None
+        if not any_feasible:
             # nothing fits anywhere: take the worst outsourcing value per km first
-            rid = _ratio_pick(instance, s_in)
-            cell = None
+            rid, cell = _ratio_pick(instance, s_in), None
 
         price10 = sim.price10[rid]
         changed_ti = None
@@ -475,43 +416,14 @@ def repair(
             else:
                 new_bank.append(rid)
         s_in.remove(rid)
-        del best_of[rid]
-        if rows is not None:
-            del rows[rid]
-            if changed_ti == -1:
-                new_trip = trips[-1]
-                for cand in s_in:
-                    rows[cand].append(ev.cell(cand, new_trip))
-            elif changed_ti is not None:
-                new_trip = trips[changed_ti]
-                for cand in s_in:
-                    rows[cand][changed_ti] = ev.cell(cand, new_trip)
-        elif changed_ti == -1:
-            new_trip = trips[-1]
-            ti_new = len(trips) - 1
-            for cand in s_in:
-                got = best_of[cand]
-                if got is False:
-                    continue
-                c_new = ev.cell(cand, new_trip)
-                if c_new is not None:
-                    alt = (c_new[0], ti_new, c_new[1])
-                    if got is None or alt < got:
-                        best_of[cand] = alt
-        elif changed_ti is not None:
+        del rows[rid]
+        if changed_ti is not None:
             new_trip = trips[changed_ti]
             for cand in s_in:
-                got = best_of[cand]
-                if got is False:
-                    continue
-                if got is not None and got[1] == changed_ti:
-                    best_of[cand] = False  # its winner column changed: rescan
-                    continue
-                c_new = ev.cell(cand, new_trip)
-                if c_new is not None:
-                    alt = (c_new[0], changed_ti, c_new[1])
-                    if got is None or alt < got:
-                        best_of[cand] = alt
+                row = rows[cand]
+                if changed_ti == -1:
+                    row.append(None)
+                row[changed_ti] = ev.cell(cand, new_trip)
 
     # dissolve trips that ended below the minimum driven distance
     while True:
@@ -521,10 +433,10 @@ def repair(
             break
         trips = keep
         for rid in sorted(rid for t in drop for rid in t.requests):
-            found = ev.best_greedy([rid], trips) if trips else None
+            found = ev.best_greedy(rid, trips)
             price10 = sim.price10[rid]
             if found is not None and kappa * found[0] < price10:
-                delta, _rid, ti, pos = found
+                delta, ti, pos = found
                 rebuilt = sim.splice_trip(trips[ti], rid, pos)
                 assert rebuilt is not None
                 ev.note_splice(trips[ti], rebuilt, rid, pos)

@@ -167,6 +167,9 @@ class TestNativeFormat:
             (f"{window}/start", lambda doc: doc["requests"][0]["pickup_window"].update(start=None)),
             ("/requests/0/sm_price", lambda doc: doc["requests"][0].update(sm_price=math.nan)),
             ("/requests", lambda doc: doc.update(requests=5)),
+            ("/matrix/distance/0/1", lambda doc: doc["matrix"]["distance"][0].__setitem__(1, "x")),
+            ("/cost/sm_tiers/0/1", lambda doc: doc["cost"]["sm_tiers"][0].__setitem__(1, math.nan)),
+            ("/locations/0/x", lambda doc: doc["locations"][0].update(x="abc")),
         )
         for pointer, edit in cases:
             doc = instance_to_dict(transform(parse_gh(mini_text())))

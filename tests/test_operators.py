@@ -344,24 +344,55 @@ class TestEvaluatorConsistency:
 
     def test_matrix_matches_naive_scan(self):
         # the lazy/lineage-accelerated cells equal a brute position scan
-        from ftlopt.schedule import simulate_trip, Infeasible
-
         for seed in range(8):
             inst = micro_instance(seed)
             sim = Simulator(inst)
             ev = InsertionEvaluator(sim)
             sol = build_initial(inst)
-            planned = sol.planned_ids()
             for trip in sol.trips:
                 for r in inst.requests:
                     if r.id in trip.requests:
                         continue
-                    got = ev.cell(r.id, trip)
-                    best = None
-                    for pos in range(len(trip.requests) + 1):
-                        seq = trip.requests[:pos] + (r.id,) + trip.requests[pos:]
-                        if not isinstance(simulate_trip(inst, seq), Infeasible):
-                            delta = sim.insertion_delta_d10(trip, r.id, pos)
-                            if best is None or (delta, pos) < best:
-                                best = (delta, pos)
-                    assert got == best
+                    assert ev.cell(r.id, trip) == naive_cell(sim, trip, r.id)
+
+    def test_lineage_shortcut_finds_a_feasible_flank(self):
+        # non-metric times: R (3) cannot follow A (1) directly, since A's
+        # delivery to R's pickup takes 2,000 minutes, and cannot go first,
+        # since A's pickup closes before R's opens; R fits only after N (2)
+        # once N is spliced in behind A, which the lineage shortcut must find
+        time = [[0 if i == j else 30 for j in range(6)] for i in range(6)]
+        time[1][4] = 2000
+        dist = [[0 if i == j else 100 for j in range(6)] for i in range(6)]
+        matrix = TravelMatrix(6, tuple(map(tuple, dist)), tuple(map(tuple, time)))
+        wide = (TimeWindow(0, 4000),)
+        requests = (
+            Request(1, 0, 1, TimeWindow(360, 480), wide, 5000),
+            Request(2, 2, 3, TimeWindow(360, 1080), wide, 5000),
+            Request(3, 4, 5, TimeWindow(600, 1080), wide, 5000),
+        )
+        inst = Instance(requests, matrix, CostModel(), RegParams(), 0, Horizon(0, 3))
+        inst.check()
+        sim = Simulator(inst)
+        ev = InsertionEvaluator(sim)
+        a = sim.build_trip((1,))
+        assert ev.cell(3, a) is None
+        an = sim.splice_trip(a, 2, 1)
+        ev.note_splice(a, an, 2, 1)
+        assert ev.lineage[an.requests] == ((1,), 1, True)
+        want = naive_cell(sim, an, 3)
+        assert want is not None and want[1] == 2
+        assert ev.cell(3, an) == want
+
+
+def naive_cell(sim, trip, rid):
+    """Cheapest (delta_d10, pos) over a from-scratch simulation of every splice."""
+    from ftlopt.schedule import Infeasible, simulate_trip
+
+    best = None
+    for pos in range(len(trip.requests) + 1):
+        seq = trip.requests[:pos] + (rid,) + trip.requests[pos:]
+        if not isinstance(simulate_trip(sim.instance, seq), Infeasible):
+            delta = sim.insertion_delta_d10(trip, rid, pos)
+            if best is None or (delta, pos) < best:
+                best = (delta, pos)
+    return best

@@ -113,10 +113,14 @@ def reference_repair(sim, trips, bank, removed, mode):
         trips = keep
         ev = InsertionEvaluator(sim)
         for rid in sorted(r for t in drop for r in t.requests):
-            found = ev.best_greedy([rid], trips) if trips else None
+            found = None
+            for ti, trip in enumerate(trips):
+                got = ev.cell(rid, trip)
+                if got is not None and (found is None or (got[0], ti) < found[:2]):
+                    found = (got[0], ti, got[1])
             price10 = sim.price10[rid]
             if found is not None and kappa * found[0] < price10:
-                _delta, _rid, ti, pos = found
+                _delta, ti, pos = found
                 seq = trips[ti].requests[:pos] + (rid,) + trips[ti].requests[pos:]
                 trips[ti] = sim.build_trip(seq)
             else:
@@ -136,10 +140,10 @@ def test_repair_matches_reference_on_random_states():
         op = rng.choice(list(REMOVAL_OPERATORS))
         q = rng.randint(1, max(1, start.planned_count))
         trips, removed = REMOVAL_OPERATORS[op](sim, start, q, rng)
-        mode = rng.choice(("greedy", "regret2", "regret4", "regret6"))
-        warm = InsertionEvaluator(sim)
-        got = repair(sim, trips, start.bank, removed, mode=mode, evaluator=warm)
-        want = reference_repair(sim, trips, start.bank, removed, mode)
-        assert got == want, (case, op, mode)
-        again = repair(sim, trips, start.bank, removed, mode=mode, evaluator=warm)
-        assert again == got, (case, "warm cache changed the result")
+        for mode in ("greedy", "regret2", "regret4", "regret6"):
+            warm = InsertionEvaluator(sim)
+            got = repair(sim, trips, start.bank, removed, mode=mode, evaluator=warm)
+            want = reference_repair(sim, trips, start.bank, removed, mode)
+            assert got == want, (case, op, mode)
+            again = repair(sim, trips, start.bank, removed, mode=mode, evaluator=warm)
+            assert again == got, (case, mode, "warm cache changed the result")

@@ -198,8 +198,14 @@ class TestDumpSchedules:
 
 class TestCli:
     def run_cli(self, *args):
+        # the child needs the checkout's src on its path, as the pytest process has
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         return subprocess.run(
-            [sys.executable, "-m", "ftlopt.cli", *args], capture_output=True, text=True
+            [sys.executable, "-m", "ftlopt.cli", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
 
     def test_transform_solve_compare(self, tmp_path):
@@ -246,6 +252,13 @@ class TestCli:
                          "--out", str(tmp_path / "z.json"))
         assert r.returncode == 2
         assert "/requests/0/sm_price" in r.stderr
+        doc["requests"][0]["sm_price"] = 10
+        doc["matrix"]["distance"][0][1] = "x"
+        bad_native.write_text(json.dumps(doc))
+        r = self.run_cli("solve", "--instance", str(bad_native), "--scenario", "mixed",
+                         "--out", str(tmp_path / "w.json"))
+        assert r.returncode == 2
+        assert "/matrix/distance/0/1" in r.stderr
 
     def test_oracle_and_lp(self, tmp_path):
         native = tmp_path / "mini.json"
