@@ -96,19 +96,15 @@ def parse_gh(text: str) -> GhInstance:
                 raise ParseError(i + 1, f"expected 7 columns, got {len(tokens)}")
             continue
         try:
-            nodes.append(
-                GhNode(
-                    int(tokens[0]),
-                    float(tokens[1]),
-                    float(tokens[2]),
-                    int(float(tokens[3])),
-                    int(float(tokens[4])),
-                    int(float(tokens[5])),
-                    int(float(tokens[6])),
-                )
-            )
+            nums = [float(t) for t in tokens[1:]]
+            if not all(map(math.isfinite, nums)):
+                raise ValueError
+            x, y, *ints = nums
+            nodes.append(GhNode(int(tokens[0]), x, y, *map(int, ints)))
         except ValueError:
-            raise ParseError(i + 1, f"non-numeric field in {lines[i].strip()!r}") from None
+            raise ParseError(
+                i + 1, f"non-numeric or non-finite field in {lines[i].strip()!r}"
+            ) from None
     if not nodes:
         raise ParseError(1, "no node rows found")
     return GhInstance(name, tuple(nodes))
@@ -278,6 +274,13 @@ def _list(x) -> list:
     return x
 
 
+def _whole(x) -> int:
+    """int(x), except that a fractional number raises instead of truncating."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{x!r} is not a whole number")
+    return int(x)
+
+
 def _finite(x) -> float:
     v = float(x)
     if not math.isfinite(v):
@@ -299,7 +302,7 @@ def _grid(rows, where: str, conv, n: int) -> list[list]:
 
 
 def _window(obj, where: str) -> TimeWindow:
-    return TimeWindow(_need(obj, "start", where, int), _need(obj, "end", where, int))
+    return TimeWindow(_need(obj, "start", where, _whole), _need(obj, "end", where, _whole))
 
 
 def instance_from_dict(doc: dict) -> Instance:
@@ -317,10 +320,10 @@ def instance_from_dict(doc: dict) -> Instance:
 
     regs_doc = _need(doc, "regs", "")
     regs = RegParams(
-        _need(regs_doc, "tau_n", "/regs", int),
-        _need(regs_doc, "tau_b", "/regs", int),
-        _need(regs_doc, "tau_s", "/regs", int),
-        _need(regs_doc, "sigma", "/regs", int),
+        _need(regs_doc, "tau_n", "/regs", _whole),
+        _need(regs_doc, "tau_b", "/regs", _whole),
+        _need(regs_doc, "tau_s", "/regs", _whole),
+        _need(regs_doc, "sigma", "/regs", _whole),
         _need(regs_doc, "nu", "/regs", _finite),
     )
 
@@ -336,7 +339,7 @@ def instance_from_dict(doc: dict) -> Instance:
     else:
         dist = _grid(_need(matrix_doc, "distance", "/matrix"), "/matrix/distance", d10_from_km, n)
         if "time" in matrix_doc:
-            time = _grid(matrix_doc["time"], "/matrix/time", int, n)
+            time = _grid(matrix_doc["time"], "/matrix/time", _whole, n)
             matrix = TravelMatrix(n, tuple(map(tuple, dist)), tuple(map(tuple, time)))
         else:
             matrix = TravelMatrix.from_distances(dist, regs.nu)
@@ -355,7 +358,7 @@ def instance_from_dict(doc: dict) -> Instance:
     explicit = {}
     for key, price in explicit_doc.items():
         where = f"/cost/explicit_sm_prices/{key}"
-        explicit[_conv(key, where, int)] = _conv(price, where, cents)
+        explicit[_conv(key, where, _whole)] = _conv(price, where, cents)
     cost = CostModel(_need(cost_doc, "kappa", "/cost", cents), tuple(tiers), explicit)
 
     requests = []
@@ -363,9 +366,9 @@ def instance_from_dict(doc: dict) -> Instance:
         where = f"/requests/{i}"
         requests.append(
             Request(
-                _need(rd, "id", where, int),
-                _need(rd, "origin", where, int),
-                _need(rd, "destination", where, int),
+                _need(rd, "id", where, _whole),
+                _need(rd, "origin", where, _whole),
+                _need(rd, "destination", where, _whole),
                 _window(_need(rd, "pickup_window", where), f"{where}/pickup_window"),
                 tuple(
                     _window(w, f"{where}/delivery_windows/{k}")
@@ -383,8 +386,8 @@ def instance_from_dict(doc: dict) -> Instance:
         regs=regs,
         mu_d10=_need(doc, "mu", "", d10_from_km),
         horizon=Horizon(
-            _need(horizon_doc, "origin_weekday", "/horizon", int),
-            _need(horizon_doc, "days", "/horizon", int),
+            _need(horizon_doc, "origin_weekday", "/horizon", _whole),
+            _need(horizon_doc, "days", "/horizon", _whole),
         ),
         name=doc.get("name", ""),
         coords=coords,

@@ -91,21 +91,20 @@ def brute_force_schedule(
     horizon_end = instance.horizon.end_minute
 
     def expand(states: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        # closure under forced blackout waits and voluntary rests
-        seen = set(states)
+        # closure under forced blackout waits and voluntary rests; a state
+        # inside a blackout can only wait, so it gives way to its release
+        # state (else, at counter 0, it would prune that state away)
+        seen = set()
         queue = list(states)
         while queue:
             t, c = queue.pop()
             until = _blocked_until(t, blocks)
             if until is not None:
-                nxt = (until, 0 if until - t >= tau_b else c)
-            else:
-                t2 = t + tau_b
-                u2 = _blocked_until(t2, blocks)
-                nxt = (u2 if u2 is not None else t2, 0)
-            if nxt not in seen and nxt[0] <= horizon_end:
-                seen.add(nxt)
-                queue.append(nxt)
+                t, c = until, 0 if until - t >= tau_b else c
+            if (t, c) in seen or t > horizon_end:
+                continue
+            seen.add((t, c))
+            queue.append((t + tau_b, 0))
         return _prune(list(seen))
 
     def drive_leg(states: list[tuple[int, int]], minutes: int) -> list[tuple[int, int]]:
@@ -134,13 +133,10 @@ def brute_force_schedule(
                 base = t + tau_b if rest_first else t
                 for w in windows:
                     s = max(base, w.start)
-                    while True:
-                        until = _blocked_until(s, blocks)
-                        if until is None and sigma > 0:
-                            for bs, be in blocks:
-                                if s < bs < s + sigma:
-                                    until = be
-                                    break
+                    # the operation [s, s + sigma) must miss every blackout;
+                    # one of zero minutes occupies no minute at all
+                    while sigma > 0:
+                        until = next((be for bs, be in blocks if s < be and bs < s + sigma), None)
                         if until is None:
                             break
                         s = until

@@ -30,7 +30,6 @@ from .model import (
     SUNDAY,
     Instance,
     RegParams,
-    Request,
     TimeWindow,
     Trip,
     trip_distances,
@@ -82,15 +81,6 @@ class Calendar:
     origin_weekday: int
     tau_s: int
     horizon_end: int
-
-    def blackout_end_at(self, t: int) -> Optional[int]:
-        """End of the blackout containing minute t, or None."""
-        day = t // MINUTES_PER_DAY
-        since_sunday = (self.origin_weekday + day - SUNDAY) % 7
-        start = (day - since_sunday) * MINUTES_PER_DAY
-        if start <= t < start + self.tau_s:
-            return start + self.tau_s
-        return None
 
     def next_blackout_start(self, t: int) -> int:
         """First blackout start strictly after a non-blackout minute t."""
@@ -196,6 +186,16 @@ def _pareto(states: list) -> list:
         if best_c is None or s[1] < best_c:
             kept.append(s)
             best_c = s[1]
+    return kept
+
+
+def _pareto_pairs(pairs: list) -> list:
+    """_pareto on plain (t, c) pairs, which sort by (t, c) without a key."""
+    pairs.sort()
+    kept = [pairs[0]]
+    for p in pairs:
+        if p[1] < kept[-1][1]:
+            kept.append(p)
     return kept
 
 
@@ -491,6 +491,18 @@ class Simulator:
         at the first node whose frontier equals the cached one, because every
         later frontier then equals its cached value too.  Returns None when
         some node cannot be served, else (computed frontiers, re-converged).
+
+        Closed-form legs (Goel 2009 places rests the same way): with
+        dc = c0 + travel, a leg departing at t0 with counter c0 takes
+        k = (dc - 1) // tau_n rests, none when dc <= tau_n, and arrives at
+        t0 + travel + k*tau_b with counter dc - k*tau_n.  This holds when t0
+        is past its week's blackout and the arrival is at or before both the
+        next blackout start and the horizon end.  The result is then the
+        leg's whole frontier, a single state: one more rest would leave a
+        counter <= 0, and driving up to the blackout to rest through it
+        finishes the leg before the blackout.  Any other leg goes through
+        _leg_arrivals.  The arrivals of all labels are merged and aligned
+        with exactly the rules of _pareto and _align.
         """
         regs, cal = self.regs, self.cal
         sigma = regs.sigma
@@ -502,53 +514,51 @@ class Simulator:
         for i in range(start, len(nodes)):
             loc, starts, ends = nodes[i]
             if frontier is None:
-                arrivals = [(starts[0], 0, None)]
+                arrivals = ((starts[0], 0),)
             else:
                 travel = time[prev_loc][loc]
-                if len(frontier) == 1:
-                    lab = frontier[0]
-                    t0 = lab[0] + sigma
-                    c0 = lab[1]
-                    # fused fast path: one stint, then window alignment, all
-                    # exactly as the general machinery would produce
+                arrivals = []
+                for s0, c0 in frontier:
+                    t0 = s0 + sigma
+                    dc = c0 + travel
+                    arr = t0 + travel
+                    if dc > tau_n:
+                        k = (dc - 1) // tau_n
+                        arr += k * tau_b
+                        dc -= k * tau_n
                     day = t0 // MINUTES_PER_DAY
                     ss = (day - (w_shift + day) % 7) * MINUTES_PER_DAY
-                    arr = t0 + travel
-                    if (
-                        c0 + travel <= tau_n
-                        and arr <= horizon_end
-                        and t0 >= ss + tau_s
-                        and arr <= ss + WEEK
-                    ):
-                        s = _earliest_fit(arr, starts, ends, sigma, cal)
-                        if s is None:
-                            return None
-                        cc = c0 + travel
-                        if cc == 0 or s - arr >= tau_b:
-                            frontier = ((s, 0),)
-                        else:
-                            # s < arr + tau_b <= s2: the rested start is later
-                            s2 = _earliest_fit(arr + tau_b, starts, ends, sigma, cal)
-                            frontier = ((s, cc),) if s2 is None else ((s, cc), (s2, 0))
-                        computed.append(frontier)
-                        if old is not None and frontier == old[i]:
-                            return computed, True
-                        prev_loc = loc
-                        continue
-                    arrivals = _leg_arrivals(t0, c0, travel, regs, cal, False)
+                    if t0 >= ss + tau_s and arr <= ss + WEEK and arr <= horizon_end:
+                        arrivals.append((arr, dc))
+                    else:
+                        for t, c, _m in _leg_arrivals(t0, c0, travel, regs, cal, False):
+                            arrivals.append((t, c))
+                if len(arrivals) > 1:
+                    arrivals = _pareto_pairs(arrivals)
+            out = []
+            zero_s = None  # earliest known fresh-counter service start
+            for t, c in arrivals:
+                if zero_s is not None and t >= zero_s:
+                    break
+                s = _earliest_fit(t, starts, ends, sigma, cal)
+                if s is None:
+                    continue
+                if c == 0 or s - t >= tau_b:
+                    out.append((s, 0))
+                    if zero_s is None or s < zero_s:
+                        zero_s = s
                 else:
-                    merged = []
-                    for lab in frontier:
-                        merged.extend(
-                            _leg_arrivals(lab[0] + sigma, lab[1], travel, regs, cal, False)
-                        )
-                    arrivals = _pareto(merged)
-                if not arrivals:
-                    return None
-            aligned = _align(arrivals, starts, ends, regs, cal, False)
-            frontier = tuple([(s, c) for s, c, _m in aligned])
-            if not frontier:
+                    out.append((s, c))
+                    if zero_s is None:
+                        # s < t + tau_b <= s2: the rested start is later
+                        s2 = _earliest_fit(t + tau_b, starts, ends, sigma, cal)
+                        if s2 is not None:
+                            out.append((s2, 0))
+                            zero_s = s2
+            if not out:
                 return None
+            # from one arrival, out is already sorted and non-dominated
+            frontier = tuple(_pareto_pairs(out) if len(arrivals) > 1 else out)
             computed.append(frontier)
             if old is not None and frontier == old[i]:
                 return computed, True
@@ -758,13 +768,3 @@ def simulate_trip(instance: Instance, requests: Sequence[int], simulator: Simula
         prev_loc = loc
     return Schedule(tuple(timings), tuple(segments))
 
-
-def check_insertion(instance: Instance, trip: Trip, request: Request, position: int):
-    """Schedule of the trip with `request` spliced in at `position`.
-
-    Equivalent to simulating the spliced sequence from scratch.
-    """
-    if not 0 <= position <= len(trip.requests):
-        raise ValueError(f"position {position} out of range")
-    seq = trip.requests[:position] + (request.id,) + trip.requests[position:]
-    return simulate_trip(instance, seq)

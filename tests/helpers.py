@@ -8,6 +8,7 @@ import math
 import random
 
 from ftlopt.model import (
+    SUNDAY,
     CostModel,
     Horizon,
     Instance,
@@ -123,5 +124,97 @@ def trip_case(seed: int):
             wins = tuple(wins) if wins else (TimeWindow(0, horizon_end),)
         requests.append(Request(rid, o, d, pw, wins, 1000))
     instance = Instance(tuple(requests), matrix, CostModel(), REGS, 0, Horizon(0, days))
+    instance.check()
+    return instance, tuple(r.id for r in requests)
+
+
+def kernel_case(seed: int):
+    """Instance plus request sequence (2-5 requests) aimed at every branch of
+    the label kernel.
+
+    Leg times come from a small palette or a wide spread of short hops,
+    whole multiples of tau_n (give or take a minute) and lengths up to four
+    stints, with no triangle inequality; tau_b is 990 or 300 and sigma 120
+    or 0.  Each request's windows follow an anchor time that grows along
+    the sequence.  Half the instances use daily 06:00-18:00 windows with a
+    delivery window on every later day; the others mix daily windows, wide
+    windows, windows that reach the horizon end and windows that open
+    sigma before a Sunday blackout, so that a departure falls on its first
+    minute.
+    """
+    rng = random.Random(seed)
+    regs = RegParams(
+        tau_b=rng.choice((REGS.tau_b, 300)), sigma=rng.choice((REGS.sigma, REGS.sigma, 0))
+    )
+    tau_n, sigma = regs.tau_n, regs.sigma
+    days = rng.randint(7, 14)
+    weekday = rng.randint(0, 6)
+    horizon_end = days * 1440
+    sundays = [d * 1440 for d in range(days) if (weekday + d) % 7 == SUNDAY]
+    n_req = rng.randint(2, 5)
+    n_loc = rng.choice((3, rng.randint(3, 2 * n_req)))
+
+    def leg() -> int:
+        kind = rng.random()
+        if kind < 0.5:
+            return rng.randint(0, 150)
+        if kind < 0.8:
+            return rng.randint(1, 3) * tau_n + rng.randint(-1, 1)
+        return rng.randint(1, 4 * tau_n)
+
+    # a small palette makes equal counters common, and with them frontiers
+    # that share a first label but differ in the others
+    palette = [leg() for _ in range(rng.choice((3, 4, 100)))]
+    time = [[0] * n_loc for _ in range(n_loc)]
+    for i in range(n_loc):
+        for j in range(n_loc):
+            if i != j:
+                time[i][j] = rng.choice(palette)
+    dist = [[10 * t for t in row] for row in time]
+    matrix = TravelMatrix(n_loc, tuple(map(tuple, dist)), tuple(map(tuple, time)))
+
+    def window(lo: int) -> TimeWindow:
+        """A window opening at or after lo, or None past the horizon."""
+        near = [b - sigma for b in sundays if lo <= b - sigma <= lo + 2880]
+        if near and rng.random() < 0.3:
+            ws = rng.choice(near)  # service can end on a blackout's first minute
+        elif rng.random() < 0.5:
+            day = -(-lo // 1440)
+            ws = day * 1440 + 360  # a daily window, 06:00-18:00
+            we = ws + 720
+            return TimeWindow(ws, we) if we <= horizon_end else None
+        else:
+            ws = lo + rng.randint(0, 900)
+        we = ws + rng.randint(sigma, 2400)
+        if we > horizon_end or rng.random() < 0.1:
+            we = horizon_end
+        return TimeWindow(ws, we) if ws + sigma <= we else None
+
+    ladder = rng.random() < 0.5  # daily windows, deliveries on every later day
+    requests = []
+    anchor = rng.randint(0, horizon_end // 4)
+    for rid in range(1, n_req + 1):
+        o, d = rng.sample(range(n_loc), 2)
+        anchor = min(anchor + rng.randint(600, 3600), horizon_end * 3 // 5)
+        if ladder:
+            day = anchor // 1440
+            day += (weekday + day) % 7 == SUNDAY  # no pickup on a blackout day
+            pw = TimeWindow(day * 1440 + 360, day * 1440 + 1080)
+            wins = tuple(TimeWindow(dd * 1440 + 360, dd * 1440 + 1080) for dd in range(day, days))
+        else:
+            pw = window(anchor) or TimeWindow(anchor, horizon_end)
+            wins = []
+            lo = pw.start + rng.randint(0, 1500)
+            for _ in range(rng.randint(1, 4)):
+                w = window(lo)
+                if w is None:
+                    break
+                wins.append(w)
+                lo = w.end + rng.randint(1, 900)
+            wins = tuple(wins) if wins else (TimeWindow(pw.start, horizon_end),)
+        requests.append(Request(rid, o, d, pw, wins, 1000))
+    instance = Instance(
+        tuple(requests), matrix, CostModel(), regs, 0, Horizon(weekday, days)
+    )
     instance.check()
     return instance, tuple(r.id for r in requests)

@@ -170,6 +170,11 @@ class TestNativeFormat:
             ("/matrix/distance/0/1", lambda doc: doc["matrix"]["distance"][0].__setitem__(1, "x")),
             ("/cost/sm_tiers/0/1", lambda doc: doc["cost"]["sm_tiers"][0].__setitem__(1, math.nan)),
             ("/locations/0/x", lambda doc: doc["locations"][0].update(x="abc")),
+            # fractional minutes are rejected, not truncated
+            (f"{window}/start",
+             lambda doc: doc["requests"][0]["pickup_window"].update(start=360.9)),
+            ("/matrix/time/0/1", lambda doc: doc["matrix"]["time"][0].__setitem__(1, 12.7)),
+            ("/regs/tau_n", lambda doc: doc["regs"].update(tau_n=450.5)),
         )
         for pointer, edit in cases:
             doc = instance_to_dict(transform(parse_gh(mini_text())))

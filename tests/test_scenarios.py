@@ -259,6 +259,18 @@ class TestCli:
                          "--out", str(tmp_path / "w.json"))
         assert r.returncode == 2
         assert "/matrix/distance/0/1" in r.stderr
+        # non-finite numbers in a benchmark file name their line
+        with open(os.path.join(DATA, "gh_mini.txt"), "r", encoding="utf-8") as fh:
+            gh_lines = fh.read().splitlines()
+        row = next(i for i, line in enumerate(gh_lines) if line.split()[:1] == ["1"])
+        bad_gh = tmp_path / "bad_gh.txt"
+        for col, value in ((4, "inf"), (4, "1e400"), (1, "inf"), (1, "nan")):
+            tokens = gh_lines[row].split()
+            tokens[col] = value
+            bad_gh.write_text("\n".join(gh_lines[:row] + ["  ".join(tokens)] + gh_lines[row + 1 :]))
+            r = self.run_cli("transform", "--gh", str(bad_gh), "--out", str(tmp_path / "g.json"))
+            assert r.returncode == 2, (col, value, r.stderr)
+            assert f"line {row + 1}" in r.stderr
 
     def test_oracle_and_lp(self, tmp_path):
         native = tmp_path / "mini.json"

@@ -18,7 +18,6 @@ from ftlopt.schedule import (
     Label,
     Schedule,
     Simulator,
-    check_insertion,
     propagate,
     simulate_trip,
 )
@@ -77,16 +76,11 @@ class TestSundayRules:
     def test_blackout_bounds(self):
         cal = Calendar(0, 1320, 30 * 1440)
         sunday = 6 * 1440
-        assert cal.blackout_end_at(sunday) == sunday + 1320
-        assert cal.blackout_end_at(sunday + 1319) == sunday + 1320
-        assert cal.blackout_end_at(sunday + 1320) is None
-        assert cal.blackout_end_at(sunday - 1) is None
         assert cal.next_blackout_start(0) == sunday
         assert cal.next_blackout_start(sunday + 1320) == sunday + 7 * 1440
 
     def test_sunday_origin_weekday(self):
         cal = Calendar(6, 1320, 30 * 1440)  # horizon starts on a Sunday
-        assert cal.blackout_end_at(0) == 1320
         assert cal.next_blackout_start(1320) == 7 * 1440
 
     def test_drive_suspended_over_sunday(self):
@@ -167,17 +161,6 @@ class TestSimulateTrip:
 
 
 class TestCheckInsertion:
-    def test_insert_into_empty_equivalent_to_single(self):
-        inst = single_request_instance()
-        sim = Simulator(inst)
-        base = sim.build_trip((1,))
-        direct = simulate_trip(inst, (1,))
-        from ftlopt.model import Trip
-
-        empty = Trip((), 0, 0)
-        via = check_insertion(inst, empty, inst.requests[0], 0)
-        assert via == direct
-
     def test_prefix_reuse_equals_full_resimulation(self):
         rng = random.Random(2024)
         checked = 0
