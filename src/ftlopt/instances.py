@@ -30,6 +30,11 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
+
+    def __reduce__(self):
+        # pickle rebuilds from the constructor's arguments, not the text
+        return type(self), (self.line, self.message)
 
 
 class TransformError(ValueError):
@@ -40,6 +45,10 @@ class SchemaError(ValueError):
     def __init__(self, pointer: str, message: str = ""):
         super().__init__(f"{pointer}: {message}" if message else pointer)
         self.pointer = pointer
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.pointer, self.message)
 
 
 @dataclass(frozen=True)

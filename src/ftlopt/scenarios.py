@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -161,6 +162,89 @@ def solution_to_dict(instance: Instance, solution: Solution) -> dict:
     }
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_all_fct(instance: Instance, config: AlnsConfig) -> Optional[tuple[int, int]]:
+    """Start `scenario_all_fct` in a forked child; (pid, read end of its pipe),
+    or None when the process may use one core only or cannot fork.
+
+    The child sends `(True, result)` or `(False, exception)` through the
+    pipe with pickle and leaves by `os._exit`, so it never returns into the
+    caller's stack and never flushes the parent's buffers.
+    """
+    if not hasattr(os, "fork") or _usable_cores() < 2:
+        return None
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = (True, scenario_all_fct(instance, config))
+        except BaseException as exc:
+            payload = (False, exc)
+        # imported after the search, not at the top: it adds about 0.4 MB of
+        # resident memory to every process that loads this module
+        import pickle
+
+        try:
+            data = pickle.dumps(payload)
+        except Exception:  # an exception that does not pickle keeps its text
+            data = pickle.dumps((False, RuntimeError(f"all-fct search: {payload[1]!r}")))
+        with open(write_fd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_searches(instance: Instance, fct_config: AlnsConfig, mixed_config: AlnsConfig):
+    """The all-fct and mixed scenario results, computed at the same time
+    (all-fct in a forked child) when two cores are usable, else in turn.
+
+    An exception of either search is raised here.  When the mixed search
+    raises, the child is killed and reaped at once; no path leaves a child
+    behind.
+    """
+    child = _fork_all_fct(instance, fct_config)
+    if child is None:
+        return scenario_all_fct(instance, fct_config), scenario_mixed(instance, mixed_config)
+    pid, read_fd = child
+    status = None
+    try:
+        mixed = scenario_mixed(instance, mixed_config)
+        with open(read_fd, "rb", closefd=False) as fh:
+            data = fh.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        os.close(read_fd)
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code or not data:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise RuntimeError(f"the all-fct search {how} without a result")
+    import pickle
+
+    ok, payload = pickle.loads(data)
+    if not ok:
+        raise payload
+    return payload, mixed
+
+
 def compare(
     instance: Instance, config: AlnsConfig, out_dir: str, master_seed: Optional[int] = None
 ) -> list[ScenarioResult]:
@@ -168,16 +252,14 @@ def compare(
 
     Scenario seeds are derived from the master seed by fixed offsets
     (all-fct: +1, mixed: +2), so the three runs are independent and
-    reproducible.
+    reproducible, and the all-fct and mixed searches can run at the same
+    time (see `_run_searches`).
     """
     os.makedirs(out_dir, exist_ok=True)
     seed = config.seed if master_seed is None else master_seed
     sm_result, sm_solution = scenario_all_sm(instance)
-    fct_result, fct_solution, fct_report = scenario_all_fct(
-        instance, replace(config, seed=seed + 1)
-    )
-    mixed_result, mixed_solution, mixed_report = scenario_mixed(
-        instance, replace(config, seed=seed + 2)
+    (fct_result, fct_solution, fct_report), (mixed_result, mixed_solution, mixed_report) = (
+        _run_searches(instance, replace(config, seed=seed + 1), replace(config, seed=seed + 2))
     )
 
     rows = [sm_result, fct_result, mixed_result]

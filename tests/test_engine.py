@@ -153,3 +153,10 @@ class TestRun:
         inst = micro_instance(11)
         _best, report = run(inst, AlnsConfig(max_iterations=100_000, seed=11, max_seconds=0.3))
         assert report.stopped_early
+
+    def test_stop_on_a_segment_end_writes_one_row(self):
+        # the stop comes after iteration 1, which is also a segment end
+        cfg = AlnsConfig(max_iterations=50, segment_length=1, max_seconds=0.0, seed=1)
+        _best, report = run(micro_instance(3), cfg)
+        assert report.stopped_early and report.iterations == 1
+        assert [row.iteration for row in report.trace] == [0, 1]

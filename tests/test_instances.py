@@ -37,6 +37,17 @@ class TestParse:
             parse_gh("")
         assert err.value.line == 1
 
+    def test_errors_survive_pickling(self):
+        # compare sends a failed search's exception across a process boundary
+        import pickle
+
+        for err in (ParseError(3, "bad"), SchemaError("/a", "bad"), SchemaError("/b")):
+            back = pickle.loads(pickle.dumps(err))
+            assert type(back) is type(err) and str(back) == str(err)
+            assert vars(back) == vars(err)
+        assert pickle.loads(pickle.dumps(ParseError(3, "bad"))).line == 3
+        assert pickle.loads(pickle.dumps(SchemaError("/a", "bad"))).pointer == "/a"
+
     def test_non_numeric_coordinate(self):
         bad = mini_text().replace("    1       0          0", "    1       x          0")
         with pytest.raises(ParseError) as err:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 from ftlopt.model import (
@@ -26,7 +27,7 @@ from ftlopt.operators import (
 )
 from ftlopt.schedule import Simulator
 
-from helpers import micro_instance
+from helpers import kernel_case, micro_instance
 
 
 def line_instance(n_req=4, gap=50, sm_level=2.0, mu=0):
@@ -382,6 +383,38 @@ class TestEvaluatorConsistency:
         want = naive_cell(sim, an, 3)
         assert want is not None and want[1] == 2
         assert ev.cell(3, an) == want
+
+    def test_lineage_cells_match_naive_scan_on_generated_splices(self):
+        # every trip reachable by feasible splices from the single-request
+        # trips of a kernel case (time matrices without the triangle
+        # inequality), each noted with the parent that first produced it
+        reached = Counter()
+        for seed in range(600):
+            inst, _seq = kernel_case(seed)
+            sim = Simulator(inst)
+            ev = InsertionEvaluator(sim)
+            ids = [r.id for r in inst.requests]
+            todo = [t for t in map(sim.single_trip, ids) if t is not None]
+            while todo:
+                trip = todo.pop()
+                lin = ev.lineage.get(trip.requests)
+                for rid in ids:
+                    if rid in trip.requests:
+                        continue
+                    shortcut = lin is not None and lin[2] and ev.cells[(rid, lin[0])] is None
+                    want = naive_cell(sim, trip, rid)
+                    assert ev.cell(rid, trip) == want, (seed, trip.requests, rid)
+                    if lin is not None and not lin[2]:
+                        reached["unguarded"] += 1
+                    elif shortcut and want is not None:
+                        reached[f"flank {want[1] - lin[1]}"] += 1
+                    for pos in range(len(trip.requests) + 1):
+                        new = sim.splice_trip(trip, rid, pos)
+                        if new is not None and new.requests not in ev.lineage:
+                            ev.note_splice(trip, new, rid, pos)
+                            todo.append(new)
+        # the shortcut found a request on each flank of the spliced one
+        assert reached["flank 0"] and reached["flank 1"] and reached["unguarded"], reached
 
 
 def naive_cell(sim, trip, rid):

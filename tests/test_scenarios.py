@@ -1,11 +1,17 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
+from dataclasses import replace
 
-from ftlopt.engine import AlnsConfig
-from ftlopt.instances import parse_gh, transform
+import pytest
+
+from ftlopt import cli, scenarios
+from ftlopt.engine import AlnsConfig, ConfigError
+from ftlopt.instances import parse_gh, transform, write_instance
 from ftlopt.model import cents
 from ftlopt.scenarios import (
     CSV_HEADER,
@@ -167,6 +173,105 @@ class TestCompare:
 
         assert strip_cpu(a_dir / "compare.csv") == strip_cpu(b_dir / "compare.csv")
         assert (a_dir / "summary.csv").read_bytes() == (b_dir / "summary.csv").read_bytes()
+
+
+def cores(monkeypatch, n):
+    """Make compare see n usable cores; a list that counts its forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(n)))
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def outputs(out_dir):
+    """The nine compare files without their timing fields: the cpu_s column
+    of compare.csv and the reports' wall_s."""
+    names = sorted(os.listdir(out_dir))
+    assert len(names) == 9, names
+    out = {}
+    for name in names:
+        text = (out_dir / name).read_text()
+        if name == "compare.csv":
+            text = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
+        elif name.endswith(".report.json"):
+            doc = json.loads(text)
+            del doc["wall_s"]
+            text = json.dumps(doc)
+        out[name] = text
+    return out
+
+
+class TestParallelCompare:
+    """compare runs all-fct in a forked child and mixed in the parent when
+    two cores are usable, else both in turn; the outputs are the same."""
+
+    @pytest.mark.parametrize("case", ["micro", "gh_syn_mix"])
+    def test_parallel_equals_sequential(self, tmp_path, monkeypatch, case):
+        if case == "micro":
+            inst, cfg = micro_instance(24), AlnsConfig(max_iterations=150, seed=3)
+        else:
+            with open(os.path.join(DATA, "gh_syn_mix.txt"), "r", encoding="utf-8") as fh:
+                inst = transform(parse_gh(fh.read()))
+            cfg = AlnsConfig(max_iterations=25, seed=4)
+        forks = cores(monkeypatch, 2)
+        par = compare(inst, cfg, str(tmp_path / "par"))
+        assert forks == [1]
+        forks = cores(monkeypatch, 1)
+        seq = compare(inst, cfg, str(tmp_path / "seq"))
+        assert forks == []
+        assert [replace(r, cpu_s=0) for r in par] == [replace(r, cpu_s=0) for r in seq]
+        assert outputs(tmp_path / "par") == outputs(tmp_path / "seq")
+
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    def test_all_fct_error_keeps_its_exit_code(self, tmp_path, monkeypatch, n_cores):
+        def bad_config(_instance, _config):
+            raise ConfigError("all-fct refused")
+
+        path = str(tmp_path / "micro.json")
+        write_instance(micro_instance(25), path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"max_iterations": 50}))
+        forks = cores(monkeypatch, n_cores)
+        monkeypatch.setattr(scenarios, "scenario_all_fct", bad_config)  # the fork copies it
+        argv = ["compare", "--instance", path, "--config", str(tmp_path / "cfg.json"),
+                "--out-dir", str(tmp_path / "o")]
+        assert cli.main(argv) == 3
+        assert len(forks) == n_cores - 1
+
+    def test_mixed_error_kills_the_child(self, tmp_path, monkeypatch):
+        def mixed_fails(_instance, _config):
+            raise ValueError("mixed failed")
+
+        forks = cores(monkeypatch, 2)
+        monkeypatch.setattr(scenarios, "scenario_all_fct", lambda *_a: time.sleep(60))
+        monkeypatch.setattr(scenarios, "scenario_mixed", mixed_fails)
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="mixed failed"):
+            compare(micro_instance(26), AlnsConfig(max_iterations=10), str(tmp_path))
+        assert forks == [1]
+        assert time.perf_counter() - started < 30  # killed, not waited for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_killed_by_a_signal(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def killed(_instance, _config):
+            assert os.getpid() != parent, "all-fct ran in the test process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        forks = cores(monkeypatch, 2)
+        monkeypatch.setattr(scenarios, "scenario_all_fct", killed)
+        with pytest.raises(RuntimeError, match="all-fct search was killed by signal"):
+            compare(micro_instance(27), AlnsConfig(max_iterations=10), str(tmp_path))
+        assert forks == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestKpiClosure:
