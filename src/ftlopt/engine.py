@@ -93,7 +93,28 @@ class AlnsConfig:
             raise ConfigError("need at least one operator per class")
 
 
-_CONFIG_FIELDS = {f.name for f in AlnsConfig.__dataclass_fields__.values()}
+# config field -> its annotation, which names the JSON type the field takes
+_CONFIG_FIELDS = {f.name: f.type for f in AlnsConfig.__dataclass_fields__.values()}
+
+
+def _number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a finite number", _number),
+    "Optional[float]": ("a finite number or null", lambda v: v is None or _number(v)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "tuple[str, ...]": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    ),
+}
 
 
 def load_config(path: str) -> AlnsConfig:
@@ -103,13 +124,19 @@ def load_config(path: str) -> AlnsConfig:
 
 
 def config_from_dict(doc: dict) -> AlnsConfig:
-    unknown = set(doc) - _CONFIG_FIELDS
+    """A checked config from a JSON object; the object itself is not changed."""
+    if not isinstance(doc, dict):
+        raise ConfigError("a run configuration must be a JSON object")
+    unknown = set(doc) - set(_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key in ("removal_ops", "insertion_ops"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
-    cfg = AlnsConfig(**doc)
+    values = {}
+    for key, value in doc.items():
+        what, fits = _JSON_TYPES[_CONFIG_FIELDS[key]]
+        if not fits(value):
+            raise ConfigError(f"{key} must be {what}, not {value!r}")
+        values[key] = tuple(value) if isinstance(value, list) else value
+    cfg = AlnsConfig(**values)
     cfg.check()
     return cfg
 

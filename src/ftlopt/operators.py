@@ -1,7 +1,8 @@
 """Removal and insertion machinery for the search engine.
 
-Six removal operators (random/time/stop route removal, random/time shipment
-removal, two similarity-removal variants) and the insertion procedure that
+Seven removal operators (random/time/stop route removal, random/time shipment
+removal, two similarity-removal variants; the run config's default list
+leaves out time route removal, "trr") and the insertion procedure that
 re-plans unassigned shipments: insert where profitable, open a vehicle only
 when the existing fleet is well utilised, otherwise leave the shipment to
 the spot market.

@@ -99,27 +99,16 @@ def calendar_for(instance: Instance) -> Calendar:
 # leg propagation
 
 
-def _leg_arrivals(t0: int, c0: int, drive: int, regs: RegParams, cal: Calendar, trace: bool):
-    """Pareto states (arrival, counter) after driving `drive` minutes from (t0, c0).
-
-    With trace=True each state also carries the step recipe needed to
-    materialise its segment timeline.
+def _leg_arrivals(t0: int, c0: int, drive: int, regs: RegParams, cal: Calendar):
+    """Pareto states (arrival, counter, steps) after driving `drive` minutes
+    from (t0, c0); `steps` is the recipe that materialises the leg's segments.
     """
     tau_n, tau_b = regs.tau_n, regs.tau_b
     tau_s = cal.tau_s
     horizon_end = cal.horizon_end
     w_shift = cal.origin_weekday - SUNDAY
-    if t0 <= horizon_end:
-        if drive == 0:
-            return [(t0, c0, () if trace else None)]
-        if c0 + drive <= tau_n and t0 + drive <= horizon_end:
-            day = t0 // MINUTES_PER_DAY
-            sunday_start = (day - (w_shift + day) % 7) * MINUTES_PER_DAY
-            if t0 >= sunday_start + tau_s and t0 + drive <= sunday_start + WEEK:
-                # common case: one uninterrupted stint, nothing else non-dominated
-                return [(t0 + drive, c0 + drive, (("drive", 0),) if trace else None)]
     out = []
-    stack = [(t0, c0, drive, () if trace else None)]
+    stack = [(t0, c0, drive, ())]
     while stack:
         t, c, rem, steps = stack.pop()
         if t > horizon_end:
@@ -132,7 +121,7 @@ def _leg_arrivals(t0: int, c0: int, drive: int, regs: RegParams, cal: Calendar, 
         if t < sunday_start + tau_s:
             be = sunday_start + tau_s
             c2 = 0 if be - t >= tau_b else c
-            stack.append((be, c2, rem, steps + (("wait", be),) if trace else None))
+            stack.append((be, c2, rem, steps + (("wait", be),)))
             continue
         nb = sunday_start + WEEK
         # complete the leg before the next blackout, with k rests inside
@@ -145,7 +134,7 @@ def _leg_arrivals(t0: int, c0: int, drive: int, regs: RegParams, cal: Calendar, 
             arr = t + rem + k * tau_b
             if arr > nb or arr > horizon_end:
                 break
-            out.append((arr, counter, steps + (("drive", k),) if trace else None))
+            out.append((arr, counter, steps + (("drive", k),)))
             k += 1
         # or drive as far as possible, rest through the blackout, continue
         avail = nb - t
@@ -164,14 +153,7 @@ def _leg_arrivals(t0: int, c0: int, drive: int, regs: RegParams, cal: Calendar, 
                 avail -= tau_b
                 cc = 0
         if drove < rem:
-            stack.append(
-                (
-                    nb + cal.tau_s,
-                    0,
-                    rem - drove,
-                    steps + (("spill", drove),) if trace else None,
-                )
-            )
+            stack.append((nb + tau_s, 0, rem - drove, steps + (("spill", drove),)))
     return _pareto(out)
 
 
@@ -227,18 +209,19 @@ def _earliest_fit(
     return None
 
 
-def _align(arrivals, starts, ends, regs: RegParams, cal: Calendar, trace: bool):
+def _align(arrivals, starts, ends, regs: RegParams, cal: Calendar):
     """Service-start labels at a node from its arrival states.
 
     Each arrival yields the as-soon-as-possible service (waiting >= tau_b
-    resets the counter) and, for tired drivers, a rest-first variant.
+    resets the counter) and, for tired drivers, a rest-first variant.  Each
+    label carries (arrival index, arrival time, arrival counter).
     """
     out = []
     zero_s = None  # earliest known fresh-counter service start
     for idx, (t, c, _steps) in enumerate(arrivals):
         if zero_s is not None and t >= zero_s:
             break  # every later variant starts no earlier and rests no better
-        meta = (idx, t, c) if trace else None
+        meta = (idx, t, c)
         s = _earliest_fit(t, starts, ends, regs.sigma, cal)
         if s is not None:
             rested = s - t >= regs.tau_b
@@ -272,23 +255,20 @@ class Simulator:
         self.dest: dict[int, int] = {}
         self.direct: dict[int, int] = {}
         self.price10: dict[int, int] = {}
-        self.pw: dict[int, tuple[int, int]] = {}
-        self.dw: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._node_data: dict[int, tuple] = {}
         for r in instance.requests:
             self.origin[r.id] = r.origin
             self.dest[r.id] = r.destination
             self.direct[r.id] = instance.matrix.distance[r.origin][r.destination]
             self.price10[r.id] = r.sm_price_cents * 10
-            self.pw[r.id] = (r.pickup_window.start, r.pickup_window.end)
-            self.dw[r.id] = (
-                tuple(w.start for w in r.delivery_windows),
-                tuple(w.end for w in r.delivery_windows),
-            )
             # ((loc, starts, ends) of the pickup, the same of the delivery)
             self._node_data[r.id] = (
                 (r.origin, (r.pickup_window.start,), (r.pickup_window.end,)),
-                (r.destination,) + self.dw[r.id],
+                (
+                    r.destination,
+                    tuple(w.start for w in r.delivery_windows),
+                    tuple(w.end for w in r.delivery_windows),
+                ),
             )
         # per-trip caches, keyed by request sequence
         self._latest: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -340,15 +320,16 @@ class Simulator:
             nodes.extend(self._node_data[rid])
         return nodes
 
-    def frontiers(self, requests: Sequence[int], trace: bool = False):
+    def frontiers(self, requests: Sequence[int]):
         """Per-node label frontiers for a request sequence, or Infeasible.
 
-        The independent reference loop: it carries the step recipes that
-        simulate_trip replays, and tests compare _advance against it.
+        The independent reference loop: each label (s, c, meta) carries its
+        _align meta and its leg parentage (prev label index, step recipe),
+        which simulate_trip replays; tests compare _advance against it.
         """
         nodes = self.node_sequence(requests)
         first_start = self.instance.request(requests[0]).pickup_window.start
-        arrivals = [(first_start, 0, () if trace else None)]
+        arrivals = [(first_start, 0, ())]
         result = []
         prev_loc = None
         for i, (loc, starts, ends) in enumerate(nodes):
@@ -357,30 +338,15 @@ class Simulator:
                 merged = []
                 for j, (s, c, _m) in enumerate(result[-1]):
                     depart = s + self.regs.sigma
-                    for t, cc, steps in _leg_arrivals(
-                        depart, c, travel, self.regs, self.cal, trace
-                    ):
-                        merged.append((t, cc, (j, steps) if trace else None))
+                    for t, cc, steps in _leg_arrivals(depart, c, travel, self.regs, self.cal):
+                        merged.append((t, cc, (j, steps)))
                 arrivals = _pareto(merged)
                 if not arrivals:
                     return Infeasible(HORIZON, i)
-            frontier = _align(
-                arrivals,
-                starts,
-                ends,
-                self.regs,
-                self.cal,
-                trace,
-            )
+            frontier = _align(arrivals, starts, ends, self.regs, self.cal)
             if not frontier:
                 return Infeasible(NO_WINDOW, i)
-            if trace:
-                # meta: (arrival index, arrival time, arrival counter) + leg parentage
-                frontier = [
-                    (s, c, (meta, arrivals[meta[0]][2]) if meta else None)
-                    for (s, c, meta) in frontier
-                ]
-            result.append(frontier)
+            result.append([(s, c, (meta, arrivals[meta[0]][2])) for (s, c, meta) in frontier])
             prev_loc = loc
         return result
 
@@ -401,21 +367,6 @@ class Simulator:
 
     # -- insertion evaluation ----------------------------------------------
 
-    def insertion_delta_d10(self, trip: Optional[Trip], rid: int, pos: int) -> int:
-        dist = self.dist
-        o, d = self.origin[rid], self.dest[rid]
-        direct = self.direct[rid]
-        if trip is None or not trip.requests:
-            return direct
-        seq = trip.requests
-        if pos == 0:
-            return direct + dist[d][self.origin[seq[0]]]
-        if pos == len(seq):
-            return dist[self.dest[seq[-1]]][o] + direct
-        prev_d = self.dest[seq[pos - 1]]
-        next_o = self.origin[seq[pos]]
-        return dist[prev_d][o] + direct + dist[d][next_o] - dist[prev_d][next_o]
-
     def best_insertion(self, trip: Trip, rid: int, positions=None):
         """Cheapest schedulable splice of rid into trip: (delta_d10, pos) or None.
 
@@ -429,10 +380,8 @@ class Simulator:
         time = self.time
         sigma = self.regs.sigma
         tau_n, tau_b = self.regs.tau_n, self.regs.tau_b
-        o, d = self.origin[rid], self.dest[rid]
+        (o, (ps,), (pe,)), (d, dws, dwe) = self._node_data[rid]
         direct = self.direct[rid]
-        ps, pe = self.pw[rid]
-        dws, dwe = self.dw[rid]
         dw0 = dws[0]
         dwl = dwe[-1]
         nodes = self._trip_nodes(trip)
@@ -531,7 +480,7 @@ class Simulator:
                     if t0 >= ss + tau_s and arr <= ss + WEEK and arr <= horizon_end:
                         arrivals.append((arr, dc))
                     else:
-                        for t, c, _m in _leg_arrivals(t0, c0, travel, regs, cal, False):
+                        for t, c, _m in _leg_arrivals(t0, c0, travel, regs, cal):
                             arrivals.append((t, c))
                 if len(arrivals) > 1:
                     arrivals = _pareto_pairs(arrivals)
@@ -601,9 +550,7 @@ class Simulator:
         if fronts is None:
             out = None
         else:
-            delta = self.insertion_delta_d10(trip, rid, pos)
-            loaded = trip.loaded_d10 + self.direct[rid]
-            empty = trip.empty_d10 + delta - self.direct[rid]
+            loaded, empty = trip_distances(self.instance, new_seq)
             out = Trip(new_seq, loaded, empty, frontiers=fronts)
         self._trips[new_seq] = out
         return out
@@ -633,12 +580,12 @@ def propagate(
     reachable state frontier; rests may be scheduled before the nonstop
     counter is full when that pays off.
     """
-    arrivals = _leg_arrivals(depart_time, label.nonstop_drive, drive_minutes, regs, calendar, False)
+    arrivals = _leg_arrivals(depart_time, label.nonstop_drive, drive_minutes, regs, calendar)
     if not arrivals:
         return Infeasible(HORIZON)
     starts = tuple(w.start for w in target_windows)
     ends = tuple(w.end for w in target_windows)
-    frontier = _align(arrivals, starts, ends, regs, calendar, False)
+    frontier = _align(arrivals, starts, ends, regs, calendar)
     if not frontier:
         return Infeasible(NO_WINDOW)
     s, c, _meta = frontier[0]
@@ -721,7 +668,7 @@ def simulate_trip(instance: Instance, requests: Sequence[int], simulator: Simula
     if len(set(requests)) != len(requests):
         raise ValueError("duplicate requests in sequence")
     sim = simulator or Simulator(instance)
-    fronts = sim.frontiers(requests, trace=True)
+    fronts = sim.frontiers(requests)
     if isinstance(fronts, Infeasible):
         return fronts
 

@@ -39,6 +39,29 @@ class TestConfig:
             AlnsConfig(insertion_ops=("regret1",)).check()
         with pytest.raises(ConfigError):
             config_from_dict({"unknown_key": 1})
+        # values of the wrong JSON type are named, never passed through
+        for doc in (
+            {"max_iterations": "abc"},
+            {"max_iterations": 1.5},
+            {"segment_length": True},
+            {"seed": "x"},
+            {"xi": "0.3"},
+            {"xi": math.nan},
+            {"rho": math.inf},
+            {"removal_ops": 5},
+            {"removal_ops": ["rrr", 3]},
+            {"insertion_ops": "greedy"},
+            {"regret_literal": 1},
+            {"max_seconds": "10"},
+        ):
+            with pytest.raises(ConfigError, match=next(iter(doc))):
+                config_from_dict(doc)
+        with pytest.raises(ConfigError):
+            config_from_dict(["max_iterations"])
+        doc = {"removal_ops": ["nope"]}
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+        assert doc == {"removal_ops": ["nope"]}
 
     def test_config_file_round_trip(self, tmp_path):
         p = tmp_path / "cfg.json"

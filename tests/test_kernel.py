@@ -3,9 +3,9 @@
 build_trip, splice_trip and best_insertion all run _advance, which takes a
 closed form for legs that cross no blackout and stay inside the horizon and
 merges multi-label frontiers inline.  Each is checked here against the
-traced reference loop (frontiers(..., trace=True)), against simulate_trip
-and, on sequences of up to three requests, against the minute-level oracle.
-kernel_case aims its instances at the branches that matter: frontiers of two
+reference loop (Simulator.frontiers, which has no closed form and carries
+the step recipes), against simulate_trip and, on sequences of up to three
+requests, against the minute-level oracle.  kernel_case aims its instances at the branches that matter: frontiers of two
 or three labels at the splice point, legs with one to three rests or a whole
 multiple of tau_n of driving, departures on a blackout's first minute, legs
 across a blackout or past the horizon, and multi-window deliveries.
@@ -26,6 +26,7 @@ from ftlopt.model import (
     Request,
     TimeWindow,
     TravelMatrix,
+    trip_distances,
 )
 from ftlopt.oracle import brute_force_schedule
 from ftlopt.schedule import HORIZON, Infeasible, Simulator, simulate_trip
@@ -69,7 +70,7 @@ def check_case(inst, seq, extra_at, seen, oracle=False):
     extra = seq[extra_at]
     base = seq[:extra_at] + seq[extra_at + 1 :]
     trip = sim.build_trip(base)
-    ref = sim.frontiers(base, trace=True)
+    ref = sim.frontiers(base)
     if isinstance(ref, Infeasible):
         assert trip is None
         return
@@ -77,7 +78,7 @@ def check_case(inst, seq, extra_at, seen, oracle=False):
     feasible = []
     for pos in range(len(base) + 1):
         new_seq = base[:pos] + (extra,) + base[pos:]
-        ref = sim.frontiers(new_seq, trace=True)
+        ref = sim.frontiers(new_seq)
         full = simulate_trip(inst, new_seq, sim)
         fits = sim.best_insertion(trip, extra, (pos,)) is not None
         spliced = sim.splice_trip(trip, extra, pos)
@@ -98,7 +99,7 @@ def check_case(inst, seq, extra_at, seen, oracle=False):
         assert fits, (seq, pos)
         assert spliced.frontiers == bare(ref), (seq, pos)
         assert built.frontiers == bare(ref), (seq, pos)
-        feasible.append((sim.insertion_delta_d10(trip, extra, pos), pos))
+        feasible.append((sum(trip_distances(inst, new_seq)) - trip.total_d10, pos))
         tally_legs(inst, sim, new_seq, ref, seen)
         k = 2 * pos
         labels = max(len(ref[k - 1]) if k else 0, len(ref[k + 1]))
@@ -152,7 +153,7 @@ def test_suffix_reconverges_only_on_the_whole_frontier():
     inst = Instance((a, b, x), matrix, CostModel(), RegParams(), 0, Horizon(0, 7))
     inst.check()
     sim = Simulator(inst)
-    old, new = (bare(sim.frontiers(seq, trace=True)) for seq in ((1, 2), (1, 3, 2)))
+    old, new = (bare(sim.frontiers(seq)) for seq in ((1, 2), (1, 3, 2)))
     assert (old[2], new[4]) == (((2700, 300), (3210, 0)), ((2700, 300), (3450, 0)))
     assert old[3] != new[5]
     check_case(inst, (1, 3, 2), 1, Counter(), oracle=True)

@@ -10,6 +10,7 @@ from ftlopt.model import (
     Request,
     TimeWindow,
     TravelMatrix,
+    trip_distances,
 )
 from ftlopt.operators import (
     REMOVAL_OPERATORS,
@@ -384,6 +385,37 @@ class TestEvaluatorConsistency:
         assert want is not None and want[1] == 2
         assert ev.cell(3, an) == want
 
+    def test_lineage_guard_keeps_the_full_scan(self):
+        # non-metric times: A (1) ends at location 1, from which B's pickup (4)
+        # and R's pickup (6) take 2,000 minutes, as does R's delivery (7) to
+        # B's pickup.  R (4) fits nowhere in [A, B], but once X (3) sits
+        # between them the detour A -> X -> B is far shorter than A -> B, so R
+        # fits after B.  That splice fails the guard, and the cell must come
+        # from a scan of every position, not of X's two flanks.
+        time = [[0 if i == j else 30 for j in range(8)] for i in range(8)]
+        time[1][4] = time[1][6] = time[7][4] = 2000
+        dist = [[0 if i == j else 100 for j in range(8)] for i in range(8)]
+        matrix = TravelMatrix(8, tuple(map(tuple, dist)), tuple(map(tuple, time)))
+        week = (TimeWindow(0, 10080),)
+        requests = (
+            Request(1, 0, 1, TimeWindow(360, 480), week, 5000),
+            Request(2, 4, 5, TimeWindow(360, 7000), week, 5000),
+            Request(3, 2, 3, TimeWindow(360, 1080), week, 5000),
+            Request(4, 6, 7, TimeWindow(1200, 2000), week, 5000),
+        )
+        inst = Instance(requests, matrix, CostModel(), RegParams(), 0, Horizon(0, 7))
+        inst.check()
+        sim = Simulator(inst)
+        ev = InsertionEvaluator(sim)
+        ab = sim.build_trip((1, 2))
+        assert ev.cell(4, ab) is None
+        axb = sim.splice_trip(ab, 3, 1)
+        ev.note_splice(ab, axb, 3, 1)
+        assert ev.lineage[axb.requests] == ((1, 2), 1, False)
+        assert sim.best_insertion(axb, 4, (1, 2)) is None
+        assert naive_cell(sim, axb, 4) == (200, 3)
+        assert ev.cell(4, axb) == (200, 3)
+
     def test_lineage_cells_match_naive_scan_on_generated_splices(self):
         # every trip reachable by feasible splices from the single-request
         # trips of a kernel case (time matrices without the triangle
@@ -425,7 +457,7 @@ def naive_cell(sim, trip, rid):
     for pos in range(len(trip.requests) + 1):
         seq = trip.requests[:pos] + (rid,) + trip.requests[pos:]
         if not isinstance(simulate_trip(sim.instance, seq), Infeasible):
-            delta = sim.insertion_delta_d10(trip, rid, pos)
+            delta = sum(trip_distances(sim.instance, seq)) - trip.total_d10
             if best is None or (delta, pos) < best:
                 best = (delta, pos)
     return best

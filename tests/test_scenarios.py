@@ -349,6 +349,13 @@ class TestCli:
             "--config", str(bad_cfg), "--out", str(tmp_path / "y.json"),
         )
         assert r.returncode == 3
+        bad_cfg.write_text(json.dumps({"max_iterations": "abc"}))
+        r = self.run_cli(
+            "solve", "--instance", str(native), "--scenario", "mixed",
+            "--config", str(bad_cfg), "--out", str(tmp_path / "y.json"),
+        )
+        assert r.returncode == 3
+        assert "max_iterations" in r.stderr and "Traceback" not in r.stderr
         doc = json.loads(native.read_text())
         doc["requests"][0]["sm_price"] = math.nan
         bad_native = tmp_path / "bad_native.json"

@@ -190,22 +190,11 @@ class TestCheckInsertion:
                 assert spliced is None
                 assert built is None
             else:
-                reference = sim.frontiers(new_seq, trace=True)
+                reference = sim.frontiers(new_seq)
                 bare = tuple(tuple((s, c) for s, c, _ in f) for f in reference)
                 assert spliced.frontiers == bare
                 assert built.frontiers == bare
             checked += 1
-
-    def test_adjacent_identical_neighbor_delta(self):
-        inst, seq = trip_case(4242)
-        sim = Simulator(inst)
-        trip = sim.build_trip(seq[:1])
-        if trip is None:
-            pytest.skip("base infeasible for this seed")
-        rid = seq[0]
-        o, d = sim.origin[rid], sim.dest[rid]
-        twin_delta = sim.insertion_delta_d10(trip, rid, 1)
-        assert twin_delta == inst.matrix.distance[d][o] + inst.matrix.distance[o][d]
 
 
 class TestScheduleShape:
