@@ -303,13 +303,11 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
         if config.max_seconds is not None and time.perf_counter() - start > config.max_seconds:
             stopped_early = True
             report.iterations = it
-            if report.trace[-1].iteration != it:  # a segment end already wrote it
-                report.trace.append(TraceRow(it, current.cost_total, best.cost_total, temperature))
             break
 
-    if config.max_iterations % config.segment_length and not stopped_early:
+    if report.trace[-1].iteration != report.iterations:  # no segment end wrote it
         report.trace.append(
-            TraceRow(config.max_iterations, current.cost_total, best.cost_total, temperature)
+            TraceRow(report.iterations, current.cost_total, best.cost_total, temperature)
         )
     report.best_cents = best.cost_total
     report.removal_stats = removal_stats

@@ -119,9 +119,14 @@ def parse_gh(text: str) -> GhInstance:
     return GhInstance(name, tuple(nodes))
 
 
-def _euclid_d10(a: tuple[float, float], b: tuple[float, float]) -> int:
-    """Euclidean distance in d10, rounded to the closest integer kilometre, halves up."""
-    return 10 * int(math.floor(math.hypot(a[0] - b[0], a[1] - b[1]) + 0.5))
+def _euclid_matrix(coords: tuple[tuple[float, float], ...], nu: float) -> TravelMatrix:
+    """Euclidean distances in d10, each rounded to the closest integer
+    kilometre (halves up), with travel times at speed nu."""
+    dist = [
+        [10 * int(math.floor(math.hypot(xa - xb, ya - yb) + 0.5)) for xb, yb in coords]
+        for xa, ya in coords
+    ]
+    return TravelMatrix.from_distances(dist, nu)
 
 
 def transform(gh: GhInstance, cfg: TransformConfig = TransformConfig()) -> Instance:
@@ -148,10 +153,7 @@ def transform(gh: GhInstance, cfg: TransformConfig = TransformConfig()) -> Insta
     f = cfg.factor
     index = {node.id: k for k, node in enumerate(customers)}
     coords = tuple((f * node.x, f * node.y) for node in customers)
-    dist = [
-        [0 if a == b else _euclid_d10(coords[a], coords[b]) for b in range(n)] for a in range(n)
-    ]
-    matrix = TravelMatrix.from_distances(dist, cfg.regs.nu)
+    matrix = _euclid_matrix(coords, cfg.regs.nu)
 
     ready_days = []
     for i in range(1, half + 1):
@@ -172,7 +174,7 @@ def transform(gh: GhInstance, cfg: TransformConfig = TransformConfig()) -> Insta
             TimeWindow(d * MINUTES_PER_DAY + cfg.day_open, d * MINUTES_PER_DAY + cfg.day_close)
             for d in range(day, horizon.days)
         )
-        direct = dist[pickup][delivery]
+        direct = matrix.distance[pickup][delivery]
         # co-located pairs exist in some benchmark files; a request still
         # needs a positive outsourcing price
         price = max(1, cost.sm_price(direct, i))
@@ -340,11 +342,7 @@ def instance_from_dict(doc: dict) -> Instance:
     if matrix_doc == "euclidean":
         if coords is None:
             raise SchemaError("/matrix", "euclidean directive needs x/y on every location")
-        dist = [
-            [0 if a == b else _euclid_d10(coords[a], coords[b]) for b in range(n)]
-            for a in range(n)
-        ]
-        matrix = TravelMatrix.from_distances(dist, regs.nu)
+        matrix = _euclid_matrix(coords, regs.nu)
     else:
         dist = _grid(_need(matrix_doc, "distance", "/matrix"), "/matrix/distance", d10_from_km, n)
         if "time" in matrix_doc:

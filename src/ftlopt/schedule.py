@@ -82,12 +82,6 @@ class Calendar:
     tau_s: int
     horizon_end: int
 
-    def next_blackout_start(self, t: int) -> int:
-        """First blackout start strictly after a non-blackout minute t."""
-        day = t // MINUTES_PER_DAY
-        since_sunday = (self.origin_weekday + day - SUNDAY) % 7
-        return (day - since_sunday) * MINUTES_PER_DAY + WEEK
-
 
 def calendar_for(instance: Instance) -> Calendar:
     return Calendar(
@@ -100,61 +94,47 @@ def calendar_for(instance: Instance) -> Calendar:
 
 
 def _leg_arrivals(t0: int, c0: int, drive: int, regs: RegParams, cal: Calendar):
-    """Pareto states (arrival, counter, steps) after driving `drive` minutes
-    from (t0, c0); `steps` is the recipe that materialises the leg's segments.
+    """The state (arrival, counter, segments) after driving `drive` minutes
+    from (t0, c0), as a list that is empty when the arrival is past the
+    horizon; `segments` holds the leg's (kind, start, end) drive, break and
+    wait segments in time order.
+
+    Stints of at most tau_n alternate with rests.  A leg that cannot end
+    before the next blackout drives up to it, or until a full stint leaves
+    no room for a rest before it, and waits through it.
     """
     tau_n, tau_b = regs.tau_n, regs.tau_b
     tau_s = cal.tau_s
-    horizon_end = cal.horizon_end
     w_shift = cal.origin_weekday - SUNDAY
-    out = []
-    stack = [(t0, c0, drive, ())]
-    while stack:
-        t, c, rem, steps = stack.pop()
-        if t > horizon_end:
-            continue
-        if rem == 0:
-            out.append((t, c, steps))
-            continue
+    t, c, left = t0, c0, drive
+    segs = ()
+    while left:
         day = t // MINUTES_PER_DAY
         sunday_start = (day - (w_shift + day) % 7) * MINUTES_PER_DAY
-        if t < sunday_start + tau_s:
+        if t < sunday_start + tau_s:  # inside a blackout: wait for its end
             be = sunday_start + tau_s
-            c2 = 0 if be - t >= tau_b else c
-            stack.append((be, c2, rem, steps + (("wait", be),)))
-            continue
+            if be - t >= tau_b:
+                c = 0
+            segs += (("wait", t, be),)
+            t = be
         nb = sunday_start + WEEK
-        # complete the leg before the next blackout, with k rests inside
-        k_min = max(0, -(-(rem - (tau_n - c)) // tau_n))
-        k = k_min
         while True:
-            counter = rem + c - k * tau_n
-            if counter <= 0:
+            stint = min(tau_n - c, left, nb - t)
+            if stint > 0:
+                segs += (("drive", t, t + stint),)
+                t += stint
+                c += stint
+                left -= stint
+            if left == 0 or nb - t <= tau_b:
                 break
-            arr = t + rem + k * tau_b
-            if arr > nb or arr > horizon_end:
-                break
-            out.append((arr, counter, steps + (("drive", k),)))
-            k += 1
-        # or drive as far as possible, rest through the blackout, continue
-        avail = nb - t
-        drove = 0
-        cc = c
-        while avail > 0 and drove < rem:
-            stint = min(tau_n - cc, rem - drove, avail)
-            drove += stint
-            avail -= stint
-            cc += stint
-            if drove == rem or avail == 0:
-                break
-            if cc == tau_n:
-                if avail <= tau_b:
-                    break
-                avail -= tau_b
-                cc = 0
-        if drove < rem:
-            stack.append((nb + tau_s, 0, rem - drove, steps + (("spill", drove),)))
-    return _pareto(out)
+            segs += (("break", t, t + tau_b),)
+            t += tau_b
+            c = 0
+        if left:  # rest through the next blackout
+            segs += (("wait", t, nb + tau_s),)
+            t = nb + tau_s
+            c = 0
+    return [(t, c, segs)] if t <= cal.horizon_end else []
 
 
 def _pareto(states: list) -> list:
@@ -218,7 +198,7 @@ def _align(arrivals, starts, ends, regs: RegParams, cal: Calendar):
     """
     out = []
     zero_s = None  # earliest known fresh-counter service start
-    for idx, (t, c, _steps) in enumerate(arrivals):
+    for idx, (t, c, _segs) in enumerate(arrivals):
         if zero_s is not None and t >= zero_s:
             break  # every later variant starts no earlier and rests no better
         meta = (idx, t, c)
@@ -324,8 +304,9 @@ class Simulator:
         """Per-node label frontiers for a request sequence, or Infeasible.
 
         The independent reference loop: each label (s, c, meta) carries its
-        _align meta and its leg parentage (prev label index, step recipe),
-        which simulate_trip replays; tests compare _advance against it.
+        _align meta and its leg parentage (prev label index, leg segments),
+        from which simulate_trip emits the schedule; tests compare _advance
+        against it.
         """
         nodes = self.node_sequence(requests)
         first_start = self.instance.request(requests[0]).pickup_window.start
@@ -338,8 +319,8 @@ class Simulator:
                 merged = []
                 for j, (s, c, _m) in enumerate(result[-1]):
                     depart = s + self.regs.sigma
-                    for t, cc, steps in _leg_arrivals(depart, c, travel, self.regs, self.cal):
-                        merged.append((t, cc, (j, steps)))
+                    for t, cc, segs in _leg_arrivals(depart, c, travel, self.regs, self.cal):
+                        merged.append((t, cc, (j, segs)))
                 arrivals = _pareto(merged)
                 if not arrivals:
                     return Infeasible(HORIZON, i)
@@ -592,71 +573,6 @@ def propagate(
     return Label(s, c)
 
 
-def _materialize_leg(t0, c0, drive, steps, regs: RegParams, cal: Calendar):
-    """Replay one leg's recipe into (segments, arrival, counter)."""
-    tau_n, tau_b = regs.tau_n, regs.tau_b
-    segs: list[Segment] = []
-    t, c, rem = t0, c0, drive
-    for op, arg in steps:
-        if op == "wait":
-            if arg > t:
-                segs.append(Segment("wait", t, arg))
-            c = 0 if arg - t >= tau_b else c
-            t = arg
-        elif op == "spill":
-            # drive as far as the recipe says, then rest through the blackout
-            nb = cal.next_blackout_start(t)
-            avail = nb - t
-            left = arg
-            while avail > 0 and left > 0:
-                stint = min(tau_n - c, left, avail)
-                if stint > 0:
-                    segs.append(Segment("drive", t, t + stint))
-                    t += stint
-                    c += stint
-                    left -= stint
-                    avail -= stint
-                if left == 0 or avail == 0:
-                    break
-                if c == tau_n:
-                    if avail <= tau_b:
-                        break
-                    segs.append(Segment("break", t, t + tau_b))
-                    t += tau_b
-                    avail -= tau_b
-                    c = 0
-            if left:
-                raise AssertionError("spill replay drove less than recorded")
-            rem -= arg
-            end = nb + cal.tau_s
-            segs.append(Segment("wait", t, end))
-            t = end
-            c = 0
-        else:  # ("drive", k): finish the leg with k rests inside
-            k = arg
-            last = rem + c - k * tau_n if k else rem
-            left = rem - last
-            breaks = 0
-            while left > 0 or breaks < k:
-                stint = min(tau_n - c, left)
-                if stint > 0:
-                    segs.append(Segment("drive", t, t + stint))
-                    t += stint
-                    c += stint
-                    left -= stint
-                if breaks < k:
-                    segs.append(Segment("break", t, t + tau_b))
-                    t += tau_b
-                    c = 0
-                    breaks += 1
-            if last > 0:
-                segs.append(Segment("drive", t, t + last))
-                t += last
-                c += last
-            rem = 0
-    return segs, t, c
-
-
 def simulate_trip(instance: Instance, requests: Sequence[int], simulator: Simulator = None):
     """Full earliest-completion schedule for a request sequence, or Infeasible.
 
@@ -675,43 +591,21 @@ def simulate_trip(instance: Instance, requests: Sequence[int], simulator: Simula
     # pick the earliest-finishing label at the last node and walk parents back
     chain = []
     pick = min(range(len(fronts[-1])), key=lambda i: fronts[-1][i][:2])
-    for i in range(len(fronts) - 1, -1, -1):
-        s, c, meta = fronts[i][pick]
-        (arr_idx, arr_t, arr_c), leg = meta
-        parent_and_steps = leg  # (prev label index, leg steps) or () at node 0
-        if i == 0:
-            chain.append((s, c, arr_t, arr_c, None, ()))
-            break
-        prev_idx, steps = parent_and_steps
-        chain.append((s, c, arr_t, arr_c, prev_idx, steps))
-        pick = prev_idx
+    for front in reversed(fronts):
+        s, _c, ((_idx, arrival, _arr_c), leg) = front[pick]
+        chain.append((s, arrival, leg[1] if leg else ()))
+        if leg:
+            pick = leg[0]
     chain.reverse()
 
-    nodes = sim.node_sequence(requests)
     sigma = instance.regs.sigma
     timings = []
     segments: list[Segment] = []
-    prev_depart = None
-    prev_loc = None
-    for i, ((loc, _st, _en), (s, c, arr_t, arr_c, _parent, steps)) in enumerate(zip(nodes, chain)):
-        if i == 0:
-            arrival = arr_t
-        else:
-            travel = instance.matrix.time[prev_loc][loc]
-            prev_label = chain[i - 1]
-            legs, t_end, c_end = _materialize_leg(
-                prev_depart, prev_label[1], travel, steps, instance.regs, sim.cal
-            )
-            if t_end != arr_t or c_end != arr_c:
-                raise AssertionError("leg replay mismatch")
-            segments.extend(legs)
-            arrival = arr_t
+    for (loc, _st, _en), (s, arrival, leg) in zip(sim.node_sequence(requests), chain):
+        segments.extend(Segment(*seg) for seg in leg)
         if s > arrival:
             segments.append(Segment("wait", arrival, s))
         if sigma > 0:
             segments.append(Segment("service", s, s + sigma))
         timings.append(NodeTiming(loc, arrival, s, s + sigma))
-        prev_depart = s + sigma
-        prev_loc = loc
     return Schedule(tuple(timings), tuple(segments))
-

@@ -64,28 +64,6 @@ def micro_instance(seed: int, mu_mode: str = "small") -> Instance:
     return instance
 
 
-def leg_case(seed: int):
-    """A single propagate call: start label, drive length, target windows."""
-    rng = random.Random(seed)
-    days = rng.randint(4, 14)
-    horizon_end = days * 1440
-    depart = rng.randint(0, horizon_end // 3)
-    counter = rng.randint(0, REGS.tau_n)
-    drive = rng.randint(0, 3 * REGS.tau_n)
-    windows = []
-    t = rng.randint(0, horizon_end // 2)
-    for _ in range(rng.randint(1, 4)):
-        ws = t + rng.randint(0, 900)
-        we = ws + rng.randint(REGS.sigma, 1800)
-        if we > horizon_end:
-            break
-        windows.append(TimeWindow(ws, we))
-        t = we + rng.randint(1, 500)
-    if not windows:
-        windows = [TimeWindow(0, horizon_end)]
-    return depart, counter, drive, tuple(windows), days
-
-
 def trip_case(seed: int):
     """Instance plus request sequence (1-3 requests) for trip-level checks."""
     rng = random.Random(seed)

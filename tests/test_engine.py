@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +63,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
         assert doc == {"removal_ops": ["nope"]}
+
+    def test_readme_example_is_the_default_config(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("Run configuration is a JSON file", 1)[1]
+        example = example.split("```json", 1)[1].split("```", 1)[0]
+        assert config_from_dict(json.loads(example)) == AlnsConfig()
 
     def test_config_file_round_trip(self, tmp_path):
         p = tmp_path / "cfg.json"

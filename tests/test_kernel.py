@@ -4,11 +4,13 @@ build_trip, splice_trip and best_insertion all run _advance, which takes a
 closed form for legs that cross no blackout and stay inside the horizon and
 merges multi-label frontiers inline.  Each is checked here against the
 reference loop (Simulator.frontiers, which has no closed form and carries
-the step recipes), against simulate_trip and, on sequences of up to three
-requests, against the minute-level oracle.  kernel_case aims its instances at the branches that matter: frontiers of two
-or three labels at the splice point, legs with one to three rests or a whole
-multiple of tau_n of driving, departures on a blackout's first minute, legs
-across a blackout or past the horizon, and multi-window deliveries.
+each leg's segments), against simulate_trip, whose schedules must pass the
+oracle's rule checks, and, on sequences of up to three requests, against
+the minute-level oracle.  kernel_case aims its instances at the branches
+that matter: frontiers of two or three labels at the splice point, legs
+with one to three rests or a whole multiple of tau_n of driving,
+departures on a blackout's first minute, legs across a blackout or past
+the horizon, and multi-window deliveries.
 """
 
 import random
@@ -28,7 +30,7 @@ from ftlopt.model import (
     TravelMatrix,
     trip_distances,
 )
-from ftlopt.oracle import brute_force_schedule
+from ftlopt.oracle import brute_force_schedule, check_schedule_rules, check_sunday_rests
 from ftlopt.schedule import HORIZON, Infeasible, Simulator, simulate_trip
 
 from helpers import kernel_case
@@ -55,12 +57,16 @@ def tally_legs(inst, sim, seq, fronts, seen):
                 seen["whole stints"] += 1
             if is_blackout_start(inst, s + regs.sigma):
                 seen["departs into blackout"] += 1
-        for _s, _c, (_arrival, (_parent, steps)) in fronts[i]:
-            for op, arg in steps:
-                if op == "drive" and arg:
-                    seen[f"{min(arg, 3)} rests"] += 1
-                elif op in ("wait", "spill"):
+        for _s, _c, (_arrival, (_parent, segs)) in fronts[i]:
+            rests = 0  # the rests after the leg's last blackout
+            for kind, _start, _end in segs:
+                if kind == "wait":
                     seen["blackout"] += 1
+                    rests = 0
+                elif kind == "break":
+                    rests += 1
+            if rests:
+                seen[f"{min(rests, 3)} rests"] += 1
 
 
 def check_case(inst, seq, extra_at, seen, oracle=False):
@@ -96,6 +102,8 @@ def check_case(inst, seq, extra_at, seen, oracle=False):
             continue
         assert not isinstance(full, Infeasible)
         assert full.nodes[-1].service_start == min(ref[-1])[0]
+        assert check_schedule_rules(inst, new_seq, full) == [], (seq, pos)
+        assert check_sunday_rests(inst, full) == [], (seq, pos)
         assert fits, (seq, pos)
         assert spliced.frontiers == bare(ref), (seq, pos)
         assert built.frontiers == bare(ref), (seq, pos)

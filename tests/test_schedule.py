@@ -75,13 +75,19 @@ class TestPropagate:
 class TestSundayRules:
     def test_blackout_bounds(self):
         cal = Calendar(0, 1320, 30 * 1440)
-        sunday = 6 * 1440
-        assert cal.next_blackout_start(0) == sunday
-        assert cal.next_blackout_start(sunday + 1320) == sunday + 7 * 1440
+        wide = (TimeWindow(0, 40_000),)
+        # a drive that reaches the first or the second Sunday 00:00 stops
+        # there and resumes at 22:00
+        for sunday in (6 * 1440, 13 * 1440):
+            lab = propagate(Label(0, 0), sunday - 60, 120, wide, REGS, cal)
+            assert lab == Label(sunday + 1320 + 60, 60)
 
     def test_sunday_origin_weekday(self):
         cal = Calendar(6, 1320, 30 * 1440)  # horizon starts on a Sunday
-        assert cal.next_blackout_start(1320) == 7 * 1440
+        wide = (TimeWindow(0, 40_000),)
+        assert propagate(Label(0, 0), 0, 60, wide, REGS, cal) == Label(1380, 60)
+        lab = propagate(Label(0, 0), 7 * 1440 - 60, 120, wide, REGS, cal)
+        assert lab == Label(7 * 1440 + 1380, 60)
 
     def test_drive_suspended_over_sunday(self):
         cal = Calendar(0, REGS.tau_s, 30 * 1440)
