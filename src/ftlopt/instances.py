@@ -301,14 +301,23 @@ def _finite(x) -> float:
 
 def _grid(rows, where: str, conv, n: int) -> list[list]:
     """An n x n list of lists with every cell through conv; a wrong shape or
-    a rejected cell raises SchemaError with its pointer."""
+    a rejected cell raises SchemaError with its pointer.
+
+    Rows are converted whole; only a row with a rejected cell is scanned
+    again, cell by cell, to name that cell.
+    """
     if len(_conv(rows, where, _list)) != n:
         raise SchemaError(where, f"expected {n} rows")
     out = []
     for i, row in enumerate(rows):
         if len(_conv(row, f"{where}/{i}", _list)) != n:
             raise SchemaError(f"{where}/{i}", f"expected {n} cells")
-        out.append([_conv(v, f"{where}/{i}/{j}", conv) for j, v in enumerate(row)])
+        try:
+            out.append(list(map(conv, row)))
+        except (TypeError, ValueError, OverflowError):
+            for j, v in enumerate(row):
+                _conv(v, f"{where}/{i}/{j}", conv)
+            raise
     return out
 
 

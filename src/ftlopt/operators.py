@@ -55,10 +55,13 @@ class InsertionEvaluator:
     def note_splice(self, old: Trip, new: Trip, rid: int, pos: int) -> None:
         """Record that `new` is `old` with `rid` spliced at `pos`.
 
-        When the detour via the new request cannot shorten the timeline
-        (always true once two service operations outweigh any rounding in
-        the time matrix), a request that fit nowhere in the old trip can
-        only fit next to the fresh one, which makes its re-evaluation O(1).
+        When the detour a -> o -> d -> b via the new request drives at least
+        as many minutes as the direct leg a -> b it replaces, it cannot
+        shorten the timeline, so a request that fit nowhere in the old trip
+        can only fit next to the fresh one, which makes its re-evaluation
+        O(1).  The detour's two service operations do not count toward that
+        guard: they add wall time but no driving, and a direct leg that
+        drives more minutes can need one more shift break than the detour.
         """
         sim = self.sim
         guard = True
@@ -67,10 +70,7 @@ class InsertionEvaluator:
             a = sim.dest[seq[pos - 1]]
             b = sim.origin[seq[pos]]
             o, d = sim.origin[rid], sim.dest[rid]
-            guard = (
-                sim.time[a][o] + sim.time[o][d] + sim.time[d][b] + 2 * sim.regs.sigma
-                >= sim.time[a][b]
-            )
+            guard = sim.time[a][o] + sim.time[o][d] + sim.time[d][b] >= sim.time[a][b]
         self.lineage[new.requests] = (old.requests, pos, guard)
 
     def cell(self, rid: int, trip: Trip) -> Optional[tuple[int, int]]:

@@ -189,6 +189,38 @@ def _earliest_fit(
     return None
 
 
+def _fit_table(starts: Sequence[int], ends: Sequence[int], sigma: int, cal: Calendar):
+    """The service starts that _earliest_fit accepts, compiled to two sorted
+    tuples (firsts, lasts): s is valid exactly when firsts[j] <= s <= lasts[j]
+    for some j, so the earliest fit at or after t is max(t, firsts[j]) for
+    j = bisect_left(lasts, t), and there is none when j == len(lasts).
+
+    Each window contributes its starts up to min(end, horizon_end) - sigma;
+    for sigma > 0 these are cut to the spans [sunday + tau_s, next sunday -
+    sigma] between blackouts.  Windows are sorted and disjoint, so the
+    spans are too.
+    """
+    tau_s = cal.tau_s
+    w_shift = cal.origin_weekday - SUNDAY
+    firsts, lasts = [], []
+    for lo, end in zip(starts, ends):
+        hi = min(end, cal.horizon_end) - sigma
+        if sigma == 0:
+            spans = ((lo, hi),)
+        else:
+            day = lo // MINUTES_PER_DAY
+            sunday = (day - (w_shift + day) % 7) * MINUTES_PER_DAY
+            spans = []
+            while sunday + tau_s <= hi:
+                spans.append((max(lo, sunday + tau_s), min(hi, sunday + WEEK - sigma)))
+                sunday += WEEK
+        for a, b in spans:
+            if a <= b:
+                firsts.append(a)
+                lasts.append(b)
+    return tuple(firsts), tuple(lasts)
+
+
 def _align(arrivals, starts, ends, regs: RegParams, cal: Calendar):
     """Service-start labels at a node from its arrival states.
 
@@ -235,20 +267,28 @@ class Simulator:
         self.dest: dict[int, int] = {}
         self.direct: dict[int, int] = {}
         self.price10: dict[int, int] = {}
+        # per request: ((loc, starts, ends) of the pickup, the same of the
+        # delivery) for the reference loop, and ((loc, firsts, lasts), ...)
+        # fit tables (see _fit_table) for _advance and best_insertion
+        self._windows: dict[int, tuple] = {}
         self._node_data: dict[int, tuple] = {}
         for r in instance.requests:
             self.origin[r.id] = r.origin
             self.dest[r.id] = r.destination
             self.direct[r.id] = instance.matrix.distance[r.origin][r.destination]
             self.price10[r.id] = r.sm_price_cents * 10
-            # ((loc, starts, ends) of the pickup, the same of the delivery)
-            self._node_data[r.id] = (
+            windows = (
                 (r.origin, (r.pickup_window.start,), (r.pickup_window.end,)),
                 (
                     r.destination,
                     tuple(w.start for w in r.delivery_windows),
                     tuple(w.end for w in r.delivery_windows),
                 ),
+            )
+            self._windows[r.id] = windows
+            self._node_data[r.id] = tuple(
+                (loc, *_fit_table(starts, ends, self.regs.sigma, self.cal))
+                for loc, starts, ends in windows
             )
         # per-trip caches, keyed by request sequence
         self._latest: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -261,10 +301,14 @@ class Simulator:
         self._latest.clear()
         self._seq_nodes.clear()
 
+    def _fit_nodes(self, requests: Sequence[int]) -> tuple:
+        """(loc, firsts, lasts) fit tables of a sequence's nodes, in order."""
+        return tuple(node for rid in requests for node in self._node_data[rid])
+
     def _trip_nodes(self, trip: Trip):
         nodes = self._seq_nodes.get(trip.requests)
         if nodes is None:
-            nodes = tuple(self.node_sequence(trip.requests))
+            nodes = self._fit_nodes(trip.requests)
             self._seq_nodes[trip.requests] = nodes
         return nodes
 
@@ -281,8 +325,8 @@ class Simulator:
         out = [0] * len(nodes)
         nxt = None
         for i in range(len(nodes) - 1, -1, -1):
-            loc, _starts, ends = nodes[i]
-            bound = ends[-1] - sigma
+            loc, _firsts, lasts = nodes[i]
+            bound = lasts[-1]
             if nxt is not None:
                 t = time[loc][nxt]
                 if t > tau_n:
@@ -295,9 +339,10 @@ class Simulator:
         return lat
 
     def node_sequence(self, requests: Sequence[int]):
+        """(loc, starts, ends) windows of a sequence's nodes, in order."""
         nodes = []
         for rid in requests:
-            nodes.extend(self._node_data[rid])
+            nodes.extend(self._windows[rid])
         return nodes
 
     def frontiers(self, requests: Sequence[int]):
@@ -337,7 +382,7 @@ class Simulator:
         seq = tuple(requests)
         if seq in self._trips:
             return self._trips[seq]
-        fronts = self._advance(None, None, self.node_sequence(seq))
+        fronts = self._advance(None, None, self._fit_nodes(seq))
         if fronts is None:
             trip = None
         else:
@@ -351,9 +396,14 @@ class Simulator:
     def best_insertion(self, trip: Trip, rid: int, positions=None):
         """Cheapest schedulable splice of rid into trip: (delta_d10, pos) or None.
 
-        One fused sweep computes the distance delta and the O(1) incompatibility
-        screen per position; only surviving positions are simulated, cheapest
-        delta first.
+        One fused sweep computes the distance delta and a screen per
+        position; only surviving positions are simulated, cheapest delta
+        first.  The screen fits the pickup and then the delivery to their fit
+        tables (one bisect each, so window gaps and Sunday blackouts count)
+        from lower bounds on their arrivals: the previous node's earliest
+        label plus the travel time with its unavoidable rests.  Fits are
+        monotone, so a position the screen drops has no schedule; the next
+        node must then still be reachable by its latest_starts bound.
         """
         seq = trip.requests
         n = len(seq)
@@ -361,10 +411,11 @@ class Simulator:
         time = self.time
         sigma = self.regs.sigma
         tau_n, tau_b = self.regs.tau_n, self.regs.tau_b
-        (o, (ps,), (pe,)), (d, dws, dwe) = self._node_data[rid]
+        (o, o_firsts, o_lasts), (d, d_firsts, d_lasts) = self._node_data[rid]
+        if not o_lasts or not d_lasts:
+            return None
+        n_o, n_d = len(o_lasts), len(d_lasts)
         direct = self.direct[rid]
-        dw0 = dws[0]
-        dwl = dwe[-1]
         nodes = self._trip_nodes(trip)
         fronts = trip.frontiers
         lat = self.latest_starts(trip)
@@ -384,20 +435,25 @@ class Simulator:
                 arr_o = fronts[2 * pos - 1][0][0] + sigma + t_in
             else:
                 delta = direct
-                arr_o = ps
+                arr_o = o_firsts[0]
             if pos < n:
                 next_o = nodes[2 * pos][0]
                 delta += dist_d[next_o]
                 if pos > 0:
                     delta -= dist[prev_d][next_o]
-            s_o = arr_o if arr_o > ps else ps
-            if s_o + sigma > pe:
+            j = bisect_left(o_lasts, arr_o)
+            if j == n_o:
                 continue
-            s_d = s_o + sigma + t_od
-            if s_d < dw0:
-                s_d = dw0
-            if s_d + sigma > dwl:
+            s_o = o_firsts[j]
+            if s_o < arr_o:
+                s_o = arr_o
+            arr_d = s_o + sigma + t_od
+            j = bisect_left(d_lasts, arr_d)
+            if j == n_d:
                 continue
+            s_d = d_firsts[j]
+            if s_d < arr_d:
+                s_d = arr_d
             if pos < n:
                 t_out = time_d[next_o]
                 if t_out > tau_n:
@@ -415,6 +471,7 @@ class Simulator:
         """Propagate label frontiers through nodes[start:]: the one untraced
         forward loop, behind build_trip, splice_trip and best_insertion.
 
+        `nodes` holds (loc, firsts, lasts) fit tables (_fit_table).
         `frontier` holds the labels at prev_loc, or None for a fresh vehicle
         that appears at the first node's window start.  `old`, when given,
         holds cached frontiers index-aligned with `nodes`; propagation stops
@@ -432,7 +489,8 @@ class Simulator:
         counter <= 0, and driving up to the blackout to rest through it
         finishes the leg before the blackout.  Any other leg goes through
         _leg_arrivals.  The arrivals of all labels are merged and aligned
-        with exactly the rules of _pareto and _align.
+        with exactly the rules of _pareto and _align, each _earliest_fit
+        answered by one bisect of the node's fit table.
         """
         regs, cal = self.regs, self.cal
         sigma = regs.sigma
@@ -442,9 +500,10 @@ class Simulator:
         time = self.time
         computed = []
         for i in range(start, len(nodes)):
-            loc, starts, ends = nodes[i]
-            if frontier is None:
-                arrivals = ((starts[0], 0),)
+            loc, firsts, lasts = nodes[i]
+            n_fit = len(lasts)
+            if frontier is None:  # the window start fits to firsts[0]
+                arrivals = ((firsts[0], 0),) if n_fit else ()
             else:
                 travel = time[prev_loc][loc]
                 arrivals = []
@@ -470,9 +529,10 @@ class Simulator:
             for t, c in arrivals:
                 if zero_s is not None and t >= zero_s:
                     break
-                s = _earliest_fit(t, starts, ends, sigma, cal)
-                if s is None:
+                j = bisect_left(lasts, t)
+                if j == n_fit:
                     continue
+                s = firsts[j] if firsts[j] > t else t
                 if c == 0 or s - t >= tau_b:
                     out.append((s, 0))
                     if zero_s is None or s < zero_s:
@@ -481,8 +541,10 @@ class Simulator:
                     out.append((s, c))
                     if zero_s is None:
                         # s < t + tau_b <= s2: the rested start is later
-                        s2 = _earliest_fit(t + tau_b, starts, ends, sigma, cal)
-                        if s2 is not None:
+                        t2 = t + tau_b
+                        j = bisect_left(lasts, t2, j)
+                        if j < n_fit:
+                            s2 = firsts[j] if firsts[j] > t2 else t2
                             out.append((s2, 0))
                             zero_s = s2
             if not out:

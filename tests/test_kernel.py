@@ -1,19 +1,24 @@
 """Differential tests of the untraced label kernel (Simulator._advance).
 
 build_trip, splice_trip and best_insertion all run _advance, which takes a
-closed form for legs that cross no blackout and stay inside the horizon and
-merges multi-label frontiers inline.  Each is checked here against the
-reference loop (Simulator.frontiers, which has no closed form and carries
-each leg's segments), against simulate_trip, whose schedules must pass the
-oracle's rule checks, and, on sequences of up to three requests, against
-the minute-level oracle.  kernel_case aims its instances at the branches
+closed form for legs that cross no blackout and stay inside the horizon,
+merges multi-label frontiers inline and fits service starts with one bisect
+of a per-node fit table, as best_insertion's screen does.  The fit tables
+are checked minute by minute against _earliest_fit, and each entry point
+against the reference loop (Simulator.frontiers, which has no closed form,
+reads the raw windows and carries each leg's segments), against
+simulate_trip, whose schedules must pass the oracle's rule checks, and, on
+sequences of up to three requests, against the minute-level oracle.
+kernel_case aims its instances at the branches
 that matter: frontiers of two or three labels at the splice point, legs
 with one to three rests or a whole multiple of tau_n of driving,
 departures on a blackout's first minute, legs across a blackout or past
-the horizon, and multi-window deliveries.
+the horizon, multi-window deliveries, fits that a blackout or a window end
+pushes on, and requests with no valid start.
 """
 
 import random
+from bisect import bisect_left
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
@@ -31,7 +36,15 @@ from ftlopt.model import (
     trip_distances,
 )
 from ftlopt.oracle import brute_force_schedule, check_schedule_rules, check_sunday_rests
-from ftlopt.schedule import HORIZON, Infeasible, Simulator, simulate_trip
+from ftlopt.schedule import (
+    HORIZON,
+    Calendar,
+    Infeasible,
+    Simulator,
+    _earliest_fit,
+    _fit_table,
+    simulate_trip,
+)
 
 from helpers import kernel_case
 
@@ -69,6 +82,21 @@ def tally_legs(inst, sim, seq, fronts, seen):
                 seen[f"{min(rests, 3)} rests"] += 1
 
 
+def tally_fits(inst, sim, seq, k, fronts, seen):
+    """Count the fits at the pickup (node k) and delivery (k + 1) of a
+    spliced request that a blackout or the end of a window pushes on from
+    the arrival's window: the fits that best_insertion's screen tells
+    apart from a check against the first window start and last window end."""
+    sigma = inst.regs.sigma
+    for i in (k, k + 1):
+        _loc, starts, ends = sim.node_sequence(seq)[i]
+        for _s, _c, ((_idx, t, _ac), _leg) in fronts[i]:
+            s = _earliest_fit(t, starts, ends, sigma, sim.cal)
+            w = next(j for j, end in enumerate(ends) if t <= end)
+            if s > max(t, starts[w]):
+                seen["fit jumps a blackout" if s <= ends[w] else "fit skips a window"] += 1
+
+
 def check_case(inst, seq, extra_at, seen, oracle=False):
     """Splice seq[extra_at] into the rest of seq at every position; every
     kernel entry point must agree with the references."""
@@ -80,6 +108,8 @@ def check_case(inst, seq, extra_at, seen, oracle=False):
     if isinstance(ref, Infeasible):
         assert trip is None
         return
+    if not all(lasts for _loc, _firsts, lasts in sim._node_data[extra]):
+        seen["no valid start"] += 1  # every splice of extra is unschedulable
     assert trip.frontiers == bare(ref)
     feasible = []
     for pos in range(len(base) + 1):
@@ -110,6 +140,7 @@ def check_case(inst, seq, extra_at, seen, oracle=False):
         feasible.append((sum(trip_distances(inst, new_seq)) - trip.total_d10, pos))
         tally_legs(inst, sim, new_seq, ref, seen)
         k = 2 * pos
+        tally_fits(inst, sim, new_seq, k, ref, seen)
         labels = max(len(ref[k - 1]) if k else 0, len(ref[k + 1]))
         if labels > 1:
             seen[f"{min(labels, 3)} labels at splice"] += 1
@@ -136,6 +167,9 @@ def test_kernel_matches_references_on_generated_cases():
         "blackout",
         "horizon",
         "later delivery window",
+        "fit jumps a blackout",
+        "fit skips a window",
+        "no valid start",
     ):
         assert seen[branch] >= 5, (branch, seen)
 
@@ -193,6 +227,65 @@ def test_departures_at_blackout_edges():
         trip = Simulator(inst).build_trip((1,))
         assert trip.frontiers[1][0][0] == arrive, depart
         assert brute_force_schedule((1,), inst, granularity=1) == arrive, depart
+
+
+def fit_node(rng, weekday, sigma, tau_s, horizon_end):
+    """Sorted, disjoint windows whose ends sit on or near the minutes where a
+    fit changes: a blackout's first and last minute, sigma before a blackout
+    and the horizon end."""
+    sundays = [d * 1440 for d in range(horizon_end // 1440) if (weekday + d) % 7 == SUNDAY]
+    marks = [horizon_end]
+    for b in sundays:
+        marks += [b, b - sigma, b + tau_s, b + tau_s - sigma]
+    points = []
+    for _ in range(2 * rng.randint(1, 4)):
+        if rng.random() < 0.6:
+            p = rng.choice(marks) + rng.choice((-1, 0, 0, 1))
+        else:
+            p = rng.randint(0, horizon_end)
+        points.append(min(max(p, 0), horizon_end))
+    points.sort()
+    starts, ends = [], []
+    for ws, we in zip(points[::2], points[1::2]):
+        if not ends or ws > ends[-1]:
+            starts.append(ws)
+            ends.append(we)
+    return starts, ends
+
+
+def test_fit_tables_match_earliest_fit_minute_by_minute():
+    # every minute from before the first window to past the last one: the
+    # fit read from the table equals _earliest_fit, on every origin weekday
+    rng = random.Random(10)
+    seen = Counter()
+    for weekday in range(7):
+        for sigma in (0, 1, 120, 600):
+            for tau_s in (990, 1320):
+                horizon_end = rng.randint(8, 11) * 1440
+                cal = Calendar(weekday, tau_s, horizon_end)
+                sundays = [
+                    d * 1440 for d in range(horizon_end // 1440) if (weekday + d) % 7 == SUNDAY
+                ]
+                for _ in range(4):
+                    starts, ends = fit_node(rng, weekday, sigma, tau_s, horizon_end)
+                    firsts, lasts = _fit_table(starts, ends, sigma, cal)
+                    for t in range(starts[0] - 30, ends[-1] + 2):
+                        j = bisect_left(lasts, t)
+                        got = None if j == len(lasts) else max(t, firsts[j])
+                        assert got == _earliest_fit(t, starts, ends, sigma, cal), (
+                            weekday, sigma, tau_s, horizon_end, starts, ends, t
+                        )
+                    seen["empty" if not lasts else "sigma > 0" if sigma else "sigma 0"] += 1
+                    for ws, we in zip(starts, ends):
+                        for b in sundays:
+                            seen["starts in a blackout"] += b <= ws < b + tau_s
+                            seen["ends at a blackout"] += we in (b, b + sigma)
+                        seen["ends at the horizon"] += we == horizon_end
+    for branch in (
+        "empty", "sigma 0", "sigma > 0", "starts in a blackout", "ends at a blackout",
+        "ends at the horizon",
+    ):
+        assert seen[branch] >= 5, (branch, seen)
 
 
 @settings(max_examples=60, deadline=None)

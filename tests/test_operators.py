@@ -416,6 +416,42 @@ class TestEvaluatorConsistency:
         assert naive_cell(sim, axb, 4) == (200, 3)
         assert ev.cell(4, axb) == (200, 3)
 
+    def test_lineage_guard_counts_driving_minutes_only(self):
+        # R (4) fits nowhere in [A, C] (1, 3).  Splicing B (2) between them
+        # replaces the leg 1 -> 4 (685 minutes) with 1 -> 2 -> 3 -> 4 (100 +
+        # 90 + 275 minutes): no shorter in wall time once B's two 120-minute
+        # operations count, but 220 minutes less driving.  Behind R, the
+        # direct leg takes two 990-minute rests and the detour one, so R
+        # fits first in [A, B, C] and that splice must fail the guard.
+        time = (
+            (0, 67, 258, 356, 29, 250, 78, 271),
+            (124, 0, 100, 107, 685, 233, 37, 464),
+            (495, 383, 0, 90, 592, 70, 163, 89),
+            (136, 288, 275, 0, 315, 146, 488, 47),
+            (166, 485, 204, 33, 0, 121, 456, 75),
+            (362, 173, 483, 422, 263, 0, 318, 317),
+            (421, 188, 93, 326, 339, 233, 0, 208),
+            (49, 50, 454, 201, 528, 331, 155, 0),
+        )
+        matrix = TravelMatrix(8, time, time)
+        windows = ((2060, 3258, 2807, 3043), (2949, 4112, 3356, 4447),
+                   (4132, 5429, 5746, 6535), (1719, 2402, 2215, 3583))
+        requests = tuple(
+            Request(k, 2 * k - 2, 2 * k - 1, TimeWindow(ps, pe), (TimeWindow(ds, de),), 5000)
+            for k, (ps, pe, ds, de) in enumerate(windows, 1)
+        )
+        inst = Instance(requests, matrix, CostModel(), RegParams(), 0, Horizon(0, 6))
+        inst.check()
+        sim = Simulator(inst)
+        ev = InsertionEvaluator(sim)
+        ac = sim.build_trip((1, 3))
+        assert ev.cell(4, ac) is None
+        abc = sim.splice_trip(ac, 2, 1)
+        ev.note_splice(ac, abc, 2, 1)
+        assert ev.lineage[abc.requests] == ((1, 3), 1, False)
+        assert naive_cell(sim, abc, 4) == (257, 0)
+        assert ev.cell(4, abc) == (257, 0)
+
     def test_lineage_cells_match_naive_scan_on_generated_splices(self):
         # every trip reachable by feasible splices from the single-request
         # trips of a kernel case (time matrices without the triangle
