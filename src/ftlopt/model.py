@@ -374,6 +374,7 @@ def validate_solution(instance: Instance, solution: Solution) -> list[Violation]
     from . import schedule  # local import keeps module dependencies one-way
 
     out = [Violation("partition", p) for p in _check_partition(instance, solution)]
+    sim = schedule.Simulator(instance)  # compiles every request once
     for i, trip in enumerate(solution.trips):
         loaded, empty = trip_distances(instance, trip.requests)
         if (loaded, empty) != (trip.loaded_d10, trip.empty_d10):
@@ -386,7 +387,7 @@ def validate_solution(instance: Instance, solution: Solution) -> list[Violation]
                     i,
                 )
             )
-        result = schedule.simulate_trip(instance, trip.requests)
+        result = schedule.simulate_trip(instance, trip.requests, sim)
         if isinstance(result, schedule.Infeasible):
             out.append(Violation("schedule", f"trip {i}: {result.reason} at node {result.node}", i))
     return out

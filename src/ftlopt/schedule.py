@@ -205,19 +205,20 @@ def _fit_table(starts: Sequence[int], ends: Sequence[int], sigma: int, cal: Cale
     firsts, lasts = [], []
     for lo, end in zip(starts, ends):
         hi = min(end, cal.horizon_end) - sigma
-        if sigma == 0:
-            spans = ((lo, hi),)
-        else:
-            day = lo // MINUTES_PER_DAY
-            sunday = (day - (w_shift + day) % 7) * MINUTES_PER_DAY
-            spans = []
-            while sunday + tau_s <= hi:
-                spans.append((max(lo, sunday + tau_s), min(hi, sunday + WEEK - sigma)))
-                sunday += WEEK
-        for a, b in spans:
+        if sigma == 0:  # an empty operation may start inside a blackout
+            if lo <= hi:
+                firsts.append(lo)
+                lasts.append(hi)
+            continue
+        day = lo // MINUTES_PER_DAY
+        sunday = (day - (w_shift + day) % 7) * MINUTES_PER_DAY
+        while sunday + tau_s <= hi:
+            a = max(lo, sunday + tau_s)
+            b = min(hi, sunday + WEEK - sigma)
             if a <= b:
                 firsts.append(a)
                 lasts.append(b)
+            sunday += WEEK
     return tuple(firsts), tuple(lasts)
 
 
