@@ -314,8 +314,11 @@ class Simulator:
         return nodes
 
     def latest_starts(self, trip: Trip) -> tuple[int, ...]:
-        """Per node: latest service start that can still finish the trip when
-        driving takes exactly the matrix time (a no-breaks relaxation)."""
+        """Per node: latest service start that can still finish the trip.
+
+        It is the node's last valid start, or less when the next node's bound
+        leaves less room after sigma and the travel time with its unavoidable
+        rests (a relaxation: no carried counter, no blackouts on the way)."""
         lat = self._latest.get(trip.requests)
         if lat is not None:
             return lat
