@@ -9,12 +9,12 @@ against the reference loop (Simulator.frontiers, which has no closed form,
 reads the raw windows and carries each leg's segments), against
 simulate_trip, whose schedules must pass the oracle's rule checks, and, on
 sequences of up to three requests, against the minute-level oracle.
-kernel_case aims its instances at the branches
-that matter: frontiers of two or three labels at the splice point, legs
-with one to three rests or a whole multiple of tau_n of driving,
-departures on a blackout's first minute, legs across a blackout or past
-the horizon, multi-window deliveries, fits that a blackout or a window end
-pushes on, and requests with no valid start.
+kernel_case aims its instances at the branches that matter: frontiers of
+two or three labels at the splice point, legs with one to three rests or a
+whole multiple of tau_n of driving, departures on a blackout's first
+minute, legs across a blackout or past the horizon, multi-window
+deliveries, fits that a blackout or a window end pushes on, and requests
+with no valid start.
 """
 
 import random
@@ -229,11 +229,10 @@ def test_departures_at_blackout_edges():
         assert brute_force_schedule((1,), inst, granularity=1) == arrive, depart
 
 
-def fit_node(rng, weekday, sigma, tau_s, horizon_end):
+def fit_node(rng, sundays, sigma, tau_s, horizon_end):
     """Sorted, disjoint windows whose ends sit on or near the minutes where a
     fit changes: a blackout's first and last minute, sigma before a blackout
     and the horizon end."""
-    sundays = [d * 1440 for d in range(horizon_end // 1440) if (weekday + d) % 7 == SUNDAY]
     marks = [horizon_end]
     for b in sundays:
         marks += [b, b - sigma, b + tau_s, b + tau_s - sigma]
@@ -267,7 +266,7 @@ def test_fit_tables_match_earliest_fit_minute_by_minute():
                     d * 1440 for d in range(horizon_end // 1440) if (weekday + d) % 7 == SUNDAY
                 ]
                 for _ in range(4):
-                    starts, ends = fit_node(rng, weekday, sigma, tau_s, horizon_end)
+                    starts, ends = fit_node(rng, sundays, sigma, tau_s, horizon_end)
                     firsts, lasts = _fit_table(starts, ends, sigma, cal)
                     for t in range(starts[0] - 30, ends[-1] + 2):
                         j = bisect_left(lasts, t)
