@@ -58,7 +58,6 @@ class AlnsConfig:
     removal_ops: tuple[str, ...] = DEFAULT_REMOVAL_OPS
     insertion_ops: tuple[str, ...] = DEFAULT_INSERTION_OPS
     shaw_p: int = 6
-    regret_literal: bool = False
     max_seconds: Optional[float] = None
     strict_validation: bool = False
 
@@ -254,13 +253,7 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
         candidate = repair_memo.get(memo_key)
         if candidate is None:
             candidate = repair(
-                sim,
-                trips,
-                current.bank,
-                removed,
-                mode=config.insertion_ops[ii],
-                evaluator=ev,
-                regret_literal=config.regret_literal,
+                sim, trips, current.bank, removed, mode=config.insertion_ops[ii], evaluator=ev
             )
             repair_memo[memo_key] = candidate
         ok = accept(current.cost_total, candidate.cost_total, temperature, rng)

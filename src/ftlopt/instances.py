@@ -346,6 +346,10 @@ def instance_from_dict(doc: dict) -> Instance:
         _need(regs_doc, "sigma", "/regs", _whole),
         _need(regs_doc, "nu", "/regs", _finite),
     )
+    try:
+        regs.check()
+    except ValueError as exc:
+        raise SchemaError("/regs", str(exc)) from None
 
     matrix_doc = _need(doc, "matrix", "")
     if matrix_doc == "euclidean":

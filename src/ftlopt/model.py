@@ -72,6 +72,10 @@ class RegParams:
             raise ValueError("need tau_s >= tau_b > 0")
         if self.tau_n <= 0 or self.sigma < 0 or self.nu <= 0:
             raise ValueError("need tau_n > 0, sigma >= 0, nu > 0")
+        # each week must leave time to drive and room for one whole operation
+        week = 7 * MINUTES_PER_DAY
+        if self.tau_s >= week or self.sigma > week - self.tau_s:
+            raise ValueError("need tau_s < 10080 and sigma <= 10080 - tau_s")
 
 
 #: (upper bound in d10 or None for the open tier, rate in cents/km)

@@ -109,29 +109,32 @@ def _best_cell(row: Sequence[Optional[tuple[int, int]]]) -> Optional[tuple[int, 
 # removal operators
 
 
-def _rebuild_without(
-    sim: Simulator, trips: Sequence[Trip], removed: set[int]
+def _take_out(
+    sim: Simulator, solution: Solution, removed: list[int]
 ) -> tuple[list[Trip], list[int]]:
-    """Drop removed ids from all trips, re-simulating the survivors.
+    """The solution's trips without the removed requests, and every request
+    taken out: `removed`, then the leftovers of trips that dissolved.
 
-    A shortened sequence that turns out unschedulable (possible with
+    A trip that holds no removed request passes through as it is.  A
+    shortened sequence that turns out unschedulable (possible with
     non-metric matrices) dissolves entirely; its leftovers join the removal.
     """
-    out: list[Trip] = []
+    gone = set(removed)
+    trips: list[Trip] = []
     extra: list[int] = []
-    for trip in trips:
-        keep = tuple(rid for rid in trip.requests if rid not in removed)
-        if not keep:
+    for trip in solution.trips:
+        if gone.isdisjoint(trip.requests):
+            trips.append(trip)
             continue
-        if len(keep) == len(trip.requests):
-            out.append(trip)
+        keep = tuple(rid for rid in trip.requests if rid not in gone)
+        if not keep:
             continue
         rebuilt = sim.build_trip(keep)
         if rebuilt is None:
             extra.extend(keep)
         else:
-            out.append(rebuilt)
-    return out, extra
+            trips.append(rebuilt)
+    return trips, removed + extra
 
 
 def roulette(weights: Sequence[float], rng: random.Random) -> int:
@@ -160,31 +163,21 @@ def _roulette_without_replacement(weights: list[float], rng: random.Random) -> I
 
 
 def _route_travel_time(sim: Simulator, trip: Trip) -> int:
-    time = sim.time
-    total = 0
-    prev_dest = None
-    for rid in trip.requests:
-        r = sim.instance.request(rid)
-        if prev_dest is not None:
-            total += time[prev_dest][r.origin]
-        total += time[r.origin][r.destination]
-        prev_dest = r.destination
-    return total
+    time, origin, dest = sim.time, sim.origin, sim.dest
+    seq = trip.requests
+    loaded = sum(time[origin[rid]][dest[rid]] for rid in seq)
+    return loaded + sum(time[dest[a]][origin[b]] for a, b in zip(seq, seq[1:]))
 
 
-def _remove_routes(sim, solution, q, rng, weigher) -> tuple[list[Trip], list[int]]:
-    trips = list(solution.trips)
-    if not trips or q <= 0:
-        return trips, []
+def _remove_routes(sim, solution, q, rng, weigher):
+    trips = solution.trips
     removed: list[int] = []
-    chosen: set[int] = set()
-    for pick in _roulette_without_replacement([weigher(t) for t in trips], rng):
-        chosen.add(pick)
-        removed.extend(trips[pick].requests)
-        if len(removed) >= q:
-            break
-    survivors = [t for i, t in enumerate(trips) if i not in chosen]
-    return survivors, removed
+    if q > 0:
+        for pick in _roulette_without_replacement([weigher(t) for t in trips], rng):
+            removed.extend(trips[pick].requests)
+            if len(removed) >= q:
+                break
+    return _take_out(sim, solution, removed)
 
 
 def remove_random_routes(sim: Simulator, solution: Solution, q: int, rng: random.Random):
@@ -201,33 +194,24 @@ def remove_stop_routes(sim: Simulator, solution: Solution, q: int, rng: random.R
 
 def remove_random_shipments(sim: Simulator, solution: Solution, q: int, rng: random.Random):
     planned = solution.planned_ids()
-    if not planned or q <= 0:
-        return list(solution.trips), []
-    q = min(q, len(planned))
-    removed = rng.sample(planned, q)
-    trips, extra = _rebuild_without(sim, solution.trips, set(removed))
-    return trips, removed + extra
+    return _take_out(sim, solution, rng.sample(planned, min(max(q, 0), len(planned))))
 
 
 def remove_time_shipments(sim: Simulator, solution: Solution, q: int, rng: random.Random):
-    planned = solution.planned_ids()
-    if not planned or q <= 0:
-        return list(solution.trips), []
-    time = sim.time
+    time, origin, dest = sim.time, sim.origin, sim.dest
     weights = []
     for trip in solution.trips:
-        reqs = [sim.instance.request(rid) for rid in trip.requests]
-        for i, r in enumerate(reqs):
+        seq = trip.requests
+        for i, rid in enumerate(seq):
             w = 1  # keeps every weight positive for the roulette
             if i > 0:
-                w += time[reqs[i - 1].destination][r.origin]
-            if i + 1 < len(reqs):
-                w += time[r.destination][reqs[i + 1].origin]
+                w += time[dest[seq[i - 1]]][origin[rid]]
+            if i + 1 < len(seq):
+                w += time[dest[rid]][origin[seq[i + 1]]]
             weights.append(float(w))
-    picked = islice(_roulette_without_replacement(weights, rng), q)
-    removed = [planned[i] for i in picked]
-    trips, extra = _rebuild_without(sim, solution.trips, set(removed))
-    return trips, removed + extra
+    planned = solution.planned_ids()
+    picked = islice(_roulette_without_replacement(weights, rng), max(q, 0))
+    return _take_out(sim, solution, [planned[i] for i in picked])
 
 
 def shaw_relatedness(
@@ -252,26 +236,25 @@ def remove_shaw(
     p: int = 6,
 ):
     """Remove mutually similar shipments; low relatedness value = similar."""
-    planned = solution.planned_ids()
-    if not planned or q <= 0:
-        return list(solution.trips), []
     instance = sim.instance
     d_max = instance.matrix.max_distance()
     horizon_minutes = instance.horizon.end_minute
-    removed = [planned[rng.randrange(len(planned))]]
-    pool = [rid for rid in planned if rid != removed[0]]
+    removed: list[int] = []
+    pool = solution.planned_ids()
     while pool and len(removed) < q:
-        ref = removed[rng.randrange(len(removed))]
-        pool.sort(
-            key=lambda rid: (
-                shaw_relatedness(instance, d_max, horizon_minutes, ref, rid, variant),
-                rid,
+        if removed:
+            ref = removed[rng.randrange(len(removed))]
+            pool.sort(
+                key=lambda rid: (
+                    shaw_relatedness(instance, d_max, horizon_minutes, ref, rid, variant),
+                    rid,
+                )
             )
-        )
-        rank = int(rng.random() ** p * len(pool))
-        removed.append(pool.pop(min(rank, len(pool) - 1)))
-    trips, extra = _rebuild_without(sim, solution.trips, set(removed))
-    return trips, removed + extra
+            rank = min(int(rng.random() ** p * len(pool)), len(pool) - 1)
+        else:
+            rank = rng.randrange(len(pool))
+        removed.append(pool.pop(rank))
+    return _take_out(sim, solution, removed)
 
 
 REMOVAL_OPERATORS = {
@@ -289,8 +272,9 @@ REMOVAL_OPERATORS = {
 # insertion procedure
 
 
-def _regret_value(values: list[int], k: int, cap: int, literal: bool) -> int:
-    """Regret of a shipment given its per-route insertion costs.
+def _regret_value(values: list[int], k: int, cap: int) -> int:
+    """Regret-k of a shipment given its per-route insertion costs: the sum of
+    the k-1 next-cheapest costs' gaps to the cheapest.
 
     Routes with no feasible position, and missing routes when fewer than k
     exist, count at the outsourcing price cap.
@@ -298,10 +282,7 @@ def _regret_value(values: list[int], k: int, cap: int, literal: bool) -> int:
     c = sorted(values)
     while len(c) < k:
         c.append(cap)
-    c = c[:k]
-    if literal:
-        return (k - 1) * (c[-1] - c[0])
-    return sum(ci - c[0] for ci in c[1:])
+    return sum(ci - c[0] for ci in c[1:k])
 
 
 def insertion_k(mode: str) -> int:
@@ -322,13 +303,12 @@ def insertion_k(mode: str) -> int:
     return k
 
 
-def _ratio_pick(instance: Instance, s_in: list[int]) -> int:
+def _ratio_pick(sim: Simulator, s_in: list[int]) -> int:
     """Shipment with the least outsourcing cost per direct distance unit."""
+    price10, direct = sim.price10, sim.direct
     best = s_in[0]
     for rid in s_in[1:]:
-        rb, db = instance.request(best).sm_price_cents, instance.direct_d10(best)
-        rc, dc = instance.request(rid).sm_price_cents, instance.direct_d10(rid)
-        if rc * db < rb * dc:
+        if price10[rid] * direct[best] < price10[best] * direct[rid]:
             best = rid
     return best
 
@@ -340,7 +320,6 @@ def repair(
     removed: Sequence[int],
     mode: str = "greedy",
     evaluator: Optional[InsertionEvaluator] = None,
-    regret_literal: bool = False,
 ) -> Solution:
     """Re-plan every unassigned shipment and return a complete solution.
 
@@ -361,6 +340,17 @@ def repair(
     trips = list(trips)
     s_in = sorted(set(bank) | set(removed))
     new_bank: list[int] = []
+
+    def commit(ti: int, rid: int, pos: int) -> None:
+        """Splice rid into trips[ti] at pos; ti == len(trips) opens a new trip."""
+        if ti == len(trips):
+            trips.append(sim.single_trip(rid))
+            return
+        rebuilt = sim.splice_trip(trips[ti], rid, pos)
+        assert rebuilt is not None
+        ev.note_splice(trips[ti], rebuilt, rid, pos)
+        trips[ti] = rebuilt
+
     # one row of cells per candidate and one column per trip, for every mode;
     # a round re-evaluates only the changed trip's column, which matches
     # rebuilding the matrix every round because cells are pure
@@ -368,7 +358,7 @@ def repair(
     while s_in:
         # a spare vehicle (empty route) is one more column, at index
         # len(trips), while every used vehicle is utilised up to the minimum
-        # distance
+        # distance; its cell is the single trip's (direct, 0)
         spare = all(t.total_d10 >= mu for t in trips)
         rid = cell = best_key = None
         any_feasible = False
@@ -381,7 +371,7 @@ def repair(
                 # a candidate that fits nowhere can still win at regret 0
                 cap = sim.price10[cand]
                 values = [cap if got is None else kappa * got[0] for got in row]
-                key = (-_regret_value(values, k, cap, regret_literal), cand)
+                key = (-_regret_value(values, k, cap), cand)
             elif best is not None:
                 key = (best[0], cand)
             else:
@@ -391,40 +381,29 @@ def repair(
             any_feasible = any_feasible or best is not None
         if not any_feasible:
             # nothing fits anywhere: take the worst outsourcing value per km first
-            rid, cell = _ratio_pick(instance, s_in), None
+            rid, cell = _ratio_pick(sim, s_in), None
 
+        # a spare column that won, or the fallback of a dear or missing cell,
+        # both open a vehicle exactly when kappa * direct <= price10
         price10 = sim.price10[rid]
-        changed_ti = None
-        if cell is not None and cell[1] == len(trips):
-            # spare-vehicle column won the matrix
-            if kappa * cell[0] <= price10:
-                trips.append(sim.single_trip(rid))
-                changed_ti = -1  # appended
-            else:
-                new_bank.append(rid)
-        elif cell is not None and kappa * cell[0] < price10:
-            delta, ti, pos = cell
-            rebuilt = sim.splice_trip(trips[ti], rid, pos)
-            assert rebuilt is not None
-            ev.note_splice(trips[ti], rebuilt, rid, pos)
-            trips[ti] = rebuilt
-            changed_ti = ti
+        if cell is not None and kappa * cell[0] < price10:
+            ti = cell[1]
+            commit(ti, rid, cell[2])
+        elif spare and kappa * sim.direct[rid] <= price10 and sim.single_trip(rid) is not None:
+            ti = len(trips)
+            commit(ti, rid, 0)
         else:
-            single = sim.single_trip(rid) if spare else None
-            if single is not None and kappa * single.total_d10 <= price10:
-                trips.append(single)
-                changed_ti = -1
-            else:
-                new_bank.append(rid)
+            ti = None
+            new_bank.append(rid)
         s_in.remove(rid)
         del rows[rid]
-        if changed_ti is not None:
-            new_trip = trips[changed_ti]
+        if ti is not None:
+            new_trip = trips[ti]
             for cand in s_in:
                 row = rows[cand]
-                if changed_ti == -1:
+                if ti == len(row):
                     row.append(None)
-                row[changed_ti] = ev.cell(cand, new_trip)
+                row[ti] = ev.cell(cand, new_trip)
 
     # dissolve trips that ended below the minimum driven distance
     while True:
@@ -435,19 +414,14 @@ def repair(
         trips = keep
         for rid in sorted(rid for t in drop for rid in t.requests):
             found = ev.best_greedy(rid, trips)
-            price10 = sim.price10[rid]
-            if found is not None and kappa * found[0] < price10:
-                delta, ti, pos = found
-                rebuilt = sim.splice_trip(trips[ti], rid, pos)
-                assert rebuilt is not None
-                ev.note_splice(trips[ti], rebuilt, rid, pos)
-                trips[ti] = rebuilt
+            if found is not None and kappa * found[0] < sim.price10[rid]:
+                commit(found[1], rid, found[2])
             else:
                 new_bank.append(rid)
 
     total_d10 = sum(t.total_d10 for t in trips)
     cost_vehicles = instance.cost.vehicle_cost(total_d10)
-    cost_out = sum(instance.request(rid).sm_price_cents for rid in new_bank)
+    cost_out = sum(sim.price10[rid] for rid in new_bank) // 10
     return Solution(
         tuple(trips), frozenset(new_bank), cost_vehicles, cost_out, cost_vehicles + cost_out
     )

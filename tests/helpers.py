@@ -32,11 +32,14 @@ def euclid_d10(points):
     return dist
 
 
-def micro_instance(seed: int, mu_mode: str = "small") -> Instance:
+def micro_instance(
+    seed: int, mu_mode: str = "small", levels: tuple = (0.8, 1.0, 1.3, 1.8)
+) -> Instance:
     """Euclidean micro-instance with 3-7 requests and mixed price levels.
 
     mu_mode "small" keeps the minimum distance below the shortest request
     (every single-request trip stays admissible); "large" forces bundling.
+    Each request's price is its tier price times one of `levels`.
     """
     rng = random.Random(seed)
     n_req = rng.randint(3, 7)
@@ -52,7 +55,7 @@ def micro_instance(seed: int, mu_mode: str = "small") -> Instance:
         day = rng.randint(0, 2)
         pw = TimeWindow(day * 1440 + 360, day * 1440 + 1080)
         dws = tuple(TimeWindow(dd * 1440 + 360, dd * 1440 + 1080) for dd in range(day, days))
-        level = rng.choice((0.8, 1.0, 1.3, 1.8))
+        level = rng.choice(levels)
         price = max(1, int(cost.sm_price(dist[o][d]) * level))
         requests.append(Request(rid, o, d, pw, dws, price))
     if mu_mode == "small":
@@ -118,7 +121,8 @@ def kernel_case(seed: int):
     delivery window on every later day; the others mix daily windows, wide
     windows, windows that reach the horizon end and windows that open
     sigma before a Sunday blackout, so that a departure falls on its first
-    minute.
+    minute; some of their requests drive from the pickup's opening straight
+    to a delivery one minute after its last start before a blackout.
     """
     rng = random.Random(seed)
     regs = RegParams(
@@ -168,6 +172,22 @@ def kernel_case(seed: int):
             we = horizon_end
         return TimeWindow(ws, we) if ws + sigma <= we else None
 
+    def pushed(lo: int, leg: int):
+        """A pickup window opening at or after lo and a first delivery window
+        such that a service at the pickup's opening, driven straight to the
+        delivery, arrives one minute after the delivery's last start before
+        a blackout; or None when no such pair fits."""
+        arrivals = [b - sigma + 1 for b in sundays if b - 2 * sigma + 1 - leg >= lo]
+        if not sigma or leg > tau_n or not arrivals:
+            return None
+        t = arrivals[0]
+        ps = t - sigma - leg
+        we = t + sigma + rng.choice((0, regs.tau_s + rng.randint(0, 900)))
+        return (
+            TimeWindow(ps, ps + rng.randint(sigma, 900)),
+            TimeWindow(t - rng.randint(0, 600), min(we, horizon_end)),
+        )
+
     ladder = rng.random() < 0.5  # daily windows, deliveries on every later day
     requests = []
     anchor = rng.randint(0, horizon_end // 4)
@@ -180,9 +200,10 @@ def kernel_case(seed: int):
             pw = TimeWindow(day * 1440 + 360, day * 1440 + 1080)
             wins = tuple(TimeWindow(dd * 1440 + 360, dd * 1440 + 1080) for dd in range(day, days))
         else:
-            pw = window(anchor) or TimeWindow(anchor, horizon_end)
-            wins = []
-            lo = pw.start + rng.randint(0, 1500)
+            pair = pushed(anchor, time[o][d]) if rng.random() < 0.3 else None
+            pw = pair[0] if pair else window(anchor) or TimeWindow(anchor, horizon_end)
+            wins = [pair[1]] if pair else []
+            lo = wins[-1].end + rng.randint(1, 900) if wins else pw.start + rng.randint(0, 1500)
             for _ in range(rng.randint(1, 4)):
                 w = window(lo)
                 if w is None:

@@ -52,7 +52,7 @@ class TestConfig:
             {"removal_ops": 5},
             {"removal_ops": ["rrr", 3]},
             {"insertion_ops": "greedy"},
-            {"regret_literal": 1},
+            {"strict_validation": 1},
             {"max_seconds": "10"},
         ):
             with pytest.raises(ConfigError, match=next(iter(doc))):
@@ -67,8 +67,13 @@ class TestConfig:
     def test_readme_example_is_the_default_config(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         example = readme.split("Run configuration is a JSON file", 1)[1]
-        example = example.split("```json", 1)[1].split("```", 1)[0]
-        assert config_from_dict(json.loads(example)) == AlnsConfig()
+        example, rest = example.split("```json", 1)[1].split("```", 1)
+        doc = json.loads(example)
+        assert config_from_dict(doc) == AlnsConfig()
+        # the sample and the two extras named after it cover every field
+        extras = ("max_seconds", "strict_validation")
+        assert all(f"`{key}`" in rest.split("##", 1)[0] for key in extras)
+        assert sorted([*doc, *extras]) == sorted(AlnsConfig.__dataclass_fields__)
 
     def test_config_file_round_trip(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -153,11 +158,6 @@ class TestRun:
             assert abs(sum(probs) - 1.0) < 1e-12
         assert sum(s.uses for s in report.removal_stats) == 450
         assert sum(s.uses for s in report.insertion_stats) == 450
-
-    def test_regret_literal_switch_runs(self):
-        inst = micro_instance(9)
-        best, _ = run(inst, AlnsConfig(max_iterations=150, seed=9, regret_literal=True))
-        assert validate_solution(inst, best) == []
 
     def test_report_files(self, tmp_path):
         inst = micro_instance(10)

@@ -13,8 +13,9 @@ kernel_case aims its instances at the branches that matter: frontiers of
 two or three labels at the splice point, legs with one to three rests or a
 whole multiple of tau_n of driving, departures on a blackout's first
 minute, legs across a blackout or past the horizon, multi-window
-deliveries, fits that a blackout or a window end pushes on, and requests
-with no valid start.
+deliveries, fits that a blackout or a window end pushes on, arrivals one
+minute after the last start before a blackout, and requests with no valid
+start.
 """
 
 import random
@@ -86,7 +87,9 @@ def tally_fits(inst, sim, seq, k, fronts, seen):
     """Count the fits at the pickup (node k) and delivery (k + 1) of a
     spliced request that a blackout or the end of a window pushes on from
     the arrival's window: the fits that best_insertion's screen tells
-    apart from a check against the first window start and last window end."""
+    apart from a check against the first window start and last window end.
+    Also count arrivals one minute after the last start before a blackout,
+    where a fit table whose spans end a minute late would accept a start."""
     sigma = inst.regs.sigma
     for i in (k, k + 1):
         _loc, starts, ends = sim.node_sequence(seq)[i]
@@ -95,6 +98,8 @@ def tally_fits(inst, sim, seq, k, fronts, seen):
             w = next(j for j, end in enumerate(ends) if t <= end)
             if s > max(t, starts[w]):
                 seen["fit jumps a blackout" if s <= ends[w] else "fit skips a window"] += 1
+            if sigma and is_blackout_start(inst, t + sigma - 1):
+                seen["one minute past the last start"] += 1
 
 
 def check_case(inst, seq, extra_at, seen, oracle=False):
@@ -169,6 +174,7 @@ def test_kernel_matches_references_on_generated_cases():
         "later delivery window",
         "fit jumps a blackout",
         "fit skips a window",
+        "one minute past the last start",
         "no valid start",
     ):
         assert seen[branch] >= 5, (branch, seen)

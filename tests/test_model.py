@@ -42,6 +42,16 @@ def three_request_instance():
     return inst
 
 
+class TestRegParams:
+    def test_week_bounds(self):
+        # the largest blackout and operation that still leave a week schedulable
+        RegParams(tau_s=10079, sigma=1).check()
+        RegParams(sigma=10080 - 1320).check()
+        for bad in (RegParams(tau_s=10080, sigma=0), RegParams(sigma=10080 - 1320 + 1)):
+            with pytest.raises(ValueError, match="tau_s < 10080"):
+                bad.check()
+
+
 class TestSmPrice:
     def test_tier_below_150(self):
         cost = CostModel()

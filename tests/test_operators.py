@@ -253,9 +253,8 @@ class TestRepair:
         assert 2 in out.bank
 
     def test_regret_formula_example(self):
-        assert _regret_value([10, 14, 19], k=3, cap=100, literal=False) == (14 - 10) + (19 - 10)
-        assert _regret_value([10, 14, 19], k=3, cap=100, literal=True) == 2 * (19 - 10)
-        assert _regret_value([10], k=3, cap=100, literal=False) == (100 - 10) * 2
+        assert _regret_value([10, 14, 19], k=3, cap=100) == (14 - 10) + (19 - 10)
+        assert _regret_value([10], k=3, cap=100) == (100 - 10) * 2
 
     def test_never_inserts_at_delta_equal_to_price(self):
         # craft delta == s_r exactly: must go to the new-trip/bank branch

@@ -1,22 +1,53 @@
-"""The incremental repair must match a plain per-round rescan exactly."""
+"""The incremental repair must match a plain per-round rescan exactly.
+
+The reference below transcribes the insertion procedure on its own: it
+spells out the regret value and the ratio rule instead of importing them,
+keeps the spare-vehicle column and the open-a-vehicle fallback as separate
+branches, and tallies which branch every shipment took, so the test also
+shows that the random states reach each of them.
+"""
 
 import random
+from collections import Counter
 
 from ftlopt.model import Solution
-from ftlopt.operators import (
-    REMOVAL_OPERATORS,
-    InsertionEvaluator,
-    _ratio_pick,
-    _regret_value,
-    build_initial,
-    repair,
-)
+from ftlopt.operators import REMOVAL_OPERATORS, InsertionEvaluator, build_initial, repair
 from ftlopt.schedule import Simulator
 
 from helpers import micro_instance
 
+# every way a shipment can leave the reference procedure
+OUTCOMES = {
+    "splice",
+    "spare open",
+    "bank with a dear cell",
+    "bank with no cell",
+    "spare column dearer than outsourcing",
+    "dissolve splice",
+    "dissolve bank",
+    "ratio pick",
+}
 
-def reference_repair(sim, trips, bank, removed, mode):
+
+def regret(values, k, cap):
+    """Sum-form regret-k: the gaps of the k-1 next-cheapest values to the
+    cheapest, with missing values (fewer than k) counted at cap."""
+    c = sorted(values) + [cap] * k
+    return sum(ci - c[0] for ci in c[1:k])
+
+
+def ratio_pick(instance, s_in):
+    """The shipment with the least outsourcing price per direct distance;
+    ties go to the first in s_in."""
+    price, direct = instance.request, instance.direct_d10
+    best = s_in[0]
+    for rid in s_in[1:]:
+        if price(rid).sm_price_cents * direct(best) < price(best).sm_price_cents * direct(rid):
+            best = rid
+    return best
+
+
+def reference_repair(sim, trips, bank, removed, mode, outcomes):
     """Straight transcription of the insertion procedure: fresh cost matrix
     every round, no caching, no incremental bookkeeping."""
     instance = sim.instance
@@ -75,8 +106,7 @@ def reference_repair(sim, trips, bank, removed, mode):
                             best_cell = (direct, len(trips), 0)
                     else:
                         values.append(cap)
-                regret = _regret_value(values, k, cap, False)
-                key = (-regret, cand)
+                key = (-regret(values, k, cap), cand)
                 if best_key is None or key < best_key:
                     best_key = key
                     rid = cand
@@ -85,25 +115,35 @@ def reference_repair(sim, trips, bank, removed, mode):
                     any_feasible = True
             if not any_feasible:
                 rid = None
-        if rid is None:
-            rid = _ratio_pick(instance, s_in)
+        ratio = rid is None
+        if ratio:
+            rid = ratio_pick(instance, s_in)
             cell = None
+            outcomes["ratio pick"] += 1
         price10 = sim.price10[rid]
         if cell is not None and cell[1] == len(trips):
             if kappa * cell[0] <= price10:
                 trips.append(sim.single_trip(rid))
+                outcomes["spare open"] += 1
             else:
                 new_bank.append(rid)
+                outcomes["spare column dearer than outsourcing"] += 1
         elif cell is not None and kappa * cell[0] < price10:
             _delta, ti, pos = cell
             seq = trips[ti].requests[:pos] + (rid,) + trips[ti].requests[pos:]
             trips[ti] = sim.build_trip(seq)
+            outcomes["splice"] += 1
         else:
             single = sim.single_trip(rid) if spare else None
             if single is not None and kappa * single.total_d10 <= price10:
                 trips.append(single)
+                outcomes["open after a dear cell"] += 1
             else:
                 new_bank.append(rid)
+                if cell is not None:
+                    outcomes["bank with a dear cell"] += 1
+                elif not ratio:
+                    outcomes["bank with no cell"] += 1
         s_in.remove(rid)
     while True:
         keep = [t for t in trips if t.total_d10 >= mu]
@@ -123,18 +163,35 @@ def reference_repair(sim, trips, bank, removed, mode):
                 _delta, ti, pos = found
                 seq = trips[ti].requests[:pos] + (rid,) + trips[ti].requests[pos:]
                 trips[ti] = sim.build_trip(seq)
+                outcomes["dissolve splice"] += 1
             else:
                 new_bank.append(rid)
+                outcomes["dissolve bank"] += 1
     total = sum(t.total_d10 for t in trips)
     veh = instance.cost.vehicle_cost(total)
     out = sum(sim.price10[r] // 10 for r in new_bank)
     return Solution(tuple(trips), frozenset(new_bank), veh, out, veh + out)
 
 
+def test_regret_transcription_examples():
+    assert regret([10, 14, 19], 3, 100) == (14 - 10) + (19 - 10)
+    assert regret([10], 3, 100) == (100 - 10) * 2
+    assert regret([150], 2, 100) == 100 - 150  # padding comes after the sort
+
+
+# states past the first 40 price shipments below kappa per km, where a
+# spare vehicle can cost more than outsourcing
+CHEAP_CASES = 10
+
+
 def test_repair_matches_reference_on_random_states():
     rng = random.Random(55)
-    for case in range(40):
-        instance = micro_instance(rng.randrange(1_000_000), mu_mode=rng.choice(("small", "large")))
+    outcomes = Counter()
+    for case in range(40 + CHEAP_CASES):
+        levels = (0.8, 1.0, 1.3, 1.8) if case < 40 else (0.5, 0.7, 0.9, 1.3)
+        instance = micro_instance(
+            rng.randrange(1_000_000), mu_mode=rng.choice(("small", "large")), levels=levels
+        )
         sim = Simulator(instance)
         start = build_initial(instance, sim)
         op = rng.choice(list(REMOVAL_OPERATORS))
@@ -143,7 +200,8 @@ def test_repair_matches_reference_on_random_states():
         for mode in ("greedy", "regret2", "regret4", "regret6"):
             warm = InsertionEvaluator(sim)
             got = repair(sim, trips, start.bank, removed, mode=mode, evaluator=warm)
-            want = reference_repair(sim, trips, start.bank, removed, mode)
+            want = reference_repair(sim, trips, start.bank, removed, mode, outcomes)
             assert got == want, (case, op, mode)
             again = repair(sim, trips, start.bank, removed, mode=mode, evaluator=warm)
             assert again == got, (case, mode, "warm cache changed the result")
+    assert OUTCOMES <= set(outcomes), outcomes

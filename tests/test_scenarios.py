@@ -302,7 +302,7 @@ class TestDumpSchedules:
 
 
 class TestCli:
-    def run_cli(self, *args):
+    def run_cli(self, *args, timeout=None):
         # the child needs the checkout's src on its path, as the pytest process has
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -311,6 +311,7 @@ class TestCli:
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
+            timeout=timeout,
         )
 
     def test_transform_solve_compare(self, tmp_path):
@@ -383,6 +384,20 @@ class TestCli:
             r = self.run_cli("transform", "--gh", str(bad_gh), "--out", str(tmp_path / "g.json"))
             assert r.returncode == 2, (col, value, r.stderr)
             assert f"line {row + 1}" in r.stderr
+
+    def test_regs_that_would_hang_the_scheduler_exit_2(self, tmp_path):
+        # a blackout covering the whole week, and an operation that fits in
+        # no gap between two blackouts
+        native = tmp_path / "mini.json"
+        self.run_cli("transform", "--gh", os.path.join(DATA, "gh_mini.txt"), "--out", str(native))
+        doc = json.loads(native.read_text())
+        for regs in ({"tau_s": 10080, "sigma": 0}, {"sigma": 9000}):
+            bad = tmp_path / "bad_regs.json"
+            bad.write_text(json.dumps({**doc, "regs": {**doc["regs"], **regs}}))
+            r = self.run_cli("solve", "--instance", str(bad), "--scenario", "mixed",
+                             "--out", str(tmp_path / "r.json"), timeout=10)
+            assert r.returncode == 2, (regs, r.stderr)
+            assert "/regs" in r.stderr and "Traceback" not in r.stderr, regs
 
     def test_oracle_and_lp(self, tmp_path):
         native = tmp_path / "mini.json"
