@@ -19,7 +19,7 @@ from .model import (
     solution_cost,
     validate_solution,
 )
-from .schedule import Label, Schedule, Simulator, propagate, simulate_trip
+from .schedule import Schedule, Simulator, simulate_trip
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "CostModel",
     "Horizon",
     "Instance",
-    "Label",
     "RegParams",
     "Request",
     "Schedule",
@@ -36,7 +35,6 @@ __all__ = [
     "TimeWindow",
     "TravelMatrix",
     "Trip",
-    "propagate",
     "simulate_trip",
     "solution_cost",
     "validate_solution",

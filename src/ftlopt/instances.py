@@ -151,6 +151,8 @@ def transform(gh: GhInstance, cfg: TransformConfig = TransformConfig()) -> Insta
             raise TransformError(f"node {i} missing; ids must be consecutive")
 
     f = cfg.factor
+    if f < 1:
+        raise TransformError(f"factor {f} must be at least 1")
     index = {node.id: k for k, node in enumerate(customers)}
     coords = tuple((f * node.x, f * node.y) for node in customers)
     matrix = _euclid_matrix(coords, cfg.regs.nu)
@@ -191,7 +193,10 @@ def transform(gh: GhInstance, cfg: TransformConfig = TransformConfig()) -> Insta
         name=gh.name,
         coords=coords,
     )
-    instance.check()
+    try:
+        instance.check()
+    except ValueError as exc:
+        raise TransformError(f"factor {f}: {exc}") from None
     return instance
 
 
@@ -271,6 +276,15 @@ def _conv(value, pointer: str, conv):
         raise SchemaError(pointer, f"invalid value {value!r}") from None
 
 
+def _checked(part, pointer: str):
+    """part, after part.check(); a failed check raises SchemaError at pointer."""
+    try:
+        part.check()
+    except ValueError as exc:
+        raise SchemaError(pointer, str(exc)) from None
+    return part
+
+
 def _need(obj: dict, key: str, where: str, conv=None):
     """obj[key], passed through conv when given; a missing field, or one that
     conv rejects, raises SchemaError with the field's pointer."""
@@ -339,17 +353,16 @@ def instance_from_dict(doc: dict) -> Instance:
         )
 
     regs_doc = _need(doc, "regs", "")
-    regs = RegParams(
-        _need(regs_doc, "tau_n", "/regs", _whole),
-        _need(regs_doc, "tau_b", "/regs", _whole),
-        _need(regs_doc, "tau_s", "/regs", _whole),
-        _need(regs_doc, "sigma", "/regs", _whole),
-        _need(regs_doc, "nu", "/regs", _finite),
+    regs = _checked(
+        RegParams(
+            _need(regs_doc, "tau_n", "/regs", _whole),
+            _need(regs_doc, "tau_b", "/regs", _whole),
+            _need(regs_doc, "tau_s", "/regs", _whole),
+            _need(regs_doc, "sigma", "/regs", _whole),
+            _need(regs_doc, "nu", "/regs", _finite),
+        ),
+        "/regs",
     )
-    try:
-        regs.check()
-    except ValueError as exc:
-        raise SchemaError("/regs", str(exc)) from None
 
     matrix_doc = _need(doc, "matrix", "")
     if matrix_doc == "euclidean":
@@ -381,42 +394,42 @@ def instance_from_dict(doc: dict) -> Instance:
         explicit[_conv(key, where, _whole)] = _conv(price, where, cents)
     cost = CostModel(_need(cost_doc, "kappa", "/cost", cents), tuple(tiers), explicit)
 
+    horizon_doc = _need(doc, "horizon", "")
+    horizon = _checked(
+        Horizon(
+            _need(horizon_doc, "origin_weekday", "/horizon", _whole),
+            _need(horizon_doc, "days", "/horizon", _whole),
+        ),
+        "/horizon",
+    )
+
     requests = []
     for i, rd in enumerate(_need(doc, "requests", "", _list)):
         where = f"/requests/{i}"
-        requests.append(
-            Request(
-                _need(rd, "id", where, _whole),
-                _need(rd, "origin", where, _whole),
-                _need(rd, "destination", where, _whole),
-                _window(_need(rd, "pickup_window", where), f"{where}/pickup_window"),
-                tuple(
-                    _window(w, f"{where}/delivery_windows/{k}")
-                    for k, w in enumerate(_need(rd, "delivery_windows", where, _list))
-                ),
-                _need(rd, "sm_price", where, cents),
-            )
+        request = Request(
+            _need(rd, "id", where, _whole),
+            _need(rd, "origin", where, _whole),
+            _need(rd, "destination", where, _whole),
+            _window(_need(rd, "pickup_window", where), f"{where}/pickup_window"),
+            tuple(
+                _window(w, f"{where}/delivery_windows/{k}")
+                for k, w in enumerate(_need(rd, "delivery_windows", where, _list))
+            ),
+            _need(rd, "sm_price", where, cents),
         )
+        requests.append(_checked(request, where))
 
-    horizon_doc = _need(doc, "horizon", "")
     instance = Instance(
         requests=tuple(requests),
         matrix=matrix,
         cost=cost,
         regs=regs,
         mu_d10=_need(doc, "mu", "", d10_from_km),
-        horizon=Horizon(
-            _need(horizon_doc, "origin_weekday", "/horizon", _whole),
-            _need(horizon_doc, "days", "/horizon", _whole),
-        ),
+        horizon=horizon,
         name=doc.get("name", ""),
         coords=coords,
     )
-    try:
-        instance.check()
-    except ValueError as exc:
-        raise SchemaError("/", str(exc)) from None
-    return instance
+    return _checked(instance, "/")
 
 
 def read_instance(path: str) -> Instance:

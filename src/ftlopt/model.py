@@ -13,6 +13,9 @@ from typing import Optional
 
 MINUTES_PER_DAY = 1440
 SUNDAY = 6  # weekday index, Monday = 0
+# about ten years; longer horizons would compile a fit span per week of
+# every window (at most 523 here) before any search starts
+MAX_HORIZON_DAYS = 3660
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +138,8 @@ class TimeWindow:
     end: int
 
     def check(self) -> None:
+        if self.start < 0:
+            raise ValueError(f"window start {self.start} before the horizon origin")
         if self.start > self.end:
             raise ValueError(f"window start {self.start} after end {self.end}")
 
@@ -208,8 +213,8 @@ class Horizon:
     def check(self) -> None:
         if not 0 <= self.origin_weekday <= 6:
             raise ValueError("origin_weekday must be 0..6")
-        if self.days <= 0:
-            raise ValueError("horizon must cover at least one day")
+        if not 0 < self.days <= MAX_HORIZON_DAYS:
+            raise ValueError(f"horizon must cover 1..{MAX_HORIZON_DAYS} days, got {self.days}")
 
 
 @dataclass(frozen=True)

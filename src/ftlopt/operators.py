@@ -303,16 +303,6 @@ def insertion_k(mode: str) -> int:
     return k
 
 
-def _ratio_pick(sim: Simulator, s_in: list[int]) -> int:
-    """Shipment with the least outsourcing cost per direct distance unit."""
-    price10, direct = sim.price10, sim.direct
-    best = s_in[0]
-    for rid in s_in[1:]:
-        if price10[rid] * direct[best] < price10[best] * direct[rid]:
-            best = rid
-    return best
-
-
 def repair(
     sim: Simulator,
     trips: Sequence[Trip],
@@ -340,11 +330,12 @@ def repair(
     trips = list(trips)
     s_in = sorted(set(bank) | set(removed))
     new_bank: list[int] = []
+    solo = {cand: sim.build_trip((cand,)) for cand in s_in}  # each alone on a vehicle
 
     def commit(ti: int, rid: int, pos: int) -> None:
         """Splice rid into trips[ti] at pos; ti == len(trips) opens a new trip."""
         if ti == len(trips):
-            trips.append(sim.single_trip(rid))
+            trips.append(solo[rid])
             return
         rebuilt = sim.splice_trip(trips[ti], rid, pos)
         assert rebuilt is not None
@@ -365,7 +356,7 @@ def repair(
         for cand in s_in:
             row = rows[cand]
             if spare:
-                row = row + [None if sim.single_trip(cand) is None else (sim.direct[cand], 0)]
+                row = row + [None if solo[cand] is None else (sim.direct[cand], 0)]
             best = _best_cell(row)  # (delta_d10, trip_index, pos)
             if k:
                 # a candidate that fits nowhere can still win at regret 0
@@ -380,8 +371,9 @@ def repair(
                 best_key, rid, cell = key, cand, best
             any_feasible = any_feasible or best is not None
         if not any_feasible:
-            # nothing fits anywhere: take the worst outsourcing value per km first
-            rid, cell = _ratio_pick(sim, s_in), None
+            # nothing fits anywhere, and banking changes no trip and no cell
+            new_bank.extend(s_in)
+            break
 
         # a spare column that won, or the fallback of a dear or missing cell,
         # both open a vehicle exactly when kappa * direct <= price10
@@ -389,7 +381,7 @@ def repair(
         if cell is not None and kappa * cell[0] < price10:
             ti = cell[1]
             commit(ti, rid, cell[2])
-        elif spare and kappa * sim.direct[rid] <= price10 and sim.single_trip(rid) is not None:
+        elif spare and kappa * sim.direct[rid] <= price10 and solo[rid] is not None:
             ti = len(trips)
             commit(ti, rid, 0)
         else:

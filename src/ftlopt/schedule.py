@@ -25,26 +25,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .model import (
-    MINUTES_PER_DAY,
-    SUNDAY,
-    Instance,
-    RegParams,
-    TimeWindow,
-    Trip,
-    trip_distances,
-)
+from .model import MINUTES_PER_DAY, SUNDAY, Instance, RegParams, Trip, trip_distances
 
 NO_WINDOW = "no_window"
 HORIZON = "horizon_exceeded"
 
 WEEK = 7 * MINUTES_PER_DAY
-
-
-@dataclass(frozen=True)
-class Label:
-    arrival: int        # earliest feasible service start, minutes
-    nonstop_drive: int  # driving minutes since the last qualifying rest
 
 
 @dataclass(frozen=True)
@@ -95,9 +81,9 @@ def calendar_for(instance: Instance) -> Calendar:
 
 def _leg_arrivals(t0: int, c0: int, drive: int, regs: RegParams, cal: Calendar):
     """The state (arrival, counter, segments) after driving `drive` minutes
-    from (t0, c0), as a list that is empty when the arrival is past the
-    horizon; `segments` holds the leg's (kind, start, end) drive, break and
-    wait segments in time order.
+    from (t0, c0), or None when the arrival is past the horizon; `segments`
+    holds the leg's (kind, start, end) drive, break and wait segments in
+    time order.  A leg has at most one arrival state (see _advance).
 
     Stints of at most tau_n alternate with rests.  A leg that cannot end
     before the next blackout drives up to it, or until a full stint leaves
@@ -134,30 +120,24 @@ def _leg_arrivals(t0: int, c0: int, drive: int, regs: RegParams, cal: Calendar):
             segs += (("wait", t, nb + tau_s),)
             t = nb + tau_s
             c = 0
-    return [(t, c, segs)] if t <= cal.horizon_end else []
+    return (t, c, segs) if t <= cal.horizon_end else None
 
 
 def _pareto(states: list) -> list:
-    """Keep non-dominated (t, c) states, sorted by time; first wins on ties."""
-    if len(states) <= 1:
-        return states
-    states.sort(key=lambda s: (s[0], s[1]))
-    kept = []
-    best_c = None
+    """Keep the non-dominated (t, c, ...) states, sorted by (t, c).
+
+    States sort as whole tuples.  Every caller appends its states with a
+    meta that grows in append order and is never shared by two states tied
+    on (t, c) (frontiers: (j, segments), one state per j; _align:
+    (arrival index, t, c), whose two variants differ in c), so a tie on
+    (t, c) keeps the first state appended, as a stable sort on (t, c)
+    would.  Plain (t, c) pairs have no meta and tie only when equal.
+    """
+    states.sort()
+    kept = states[:1]
     for s in states:
-        if best_c is None or s[1] < best_c:
+        if s[1] < kept[-1][1]:
             kept.append(s)
-            best_c = s[1]
-    return kept
-
-
-def _pareto_pairs(pairs: list) -> list:
-    """_pareto on plain (t, c) pairs, which sort by (t, c) without a key."""
-    pairs.sort()
-    kept = [pairs[0]]
-    for p in pairs:
-        if p[1] < kept[-1][1]:
-            kept.append(p)
     return kept
 
 
@@ -292,40 +272,33 @@ class Simulator:
                 for loc, starts, ends in windows
             )
         # per-trip caches, keyed by request sequence
-        self._latest: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._seq_nodes: dict[tuple[int, ...], tuple] = {}
         self._trips: dict[tuple[int, ...], Optional[Trip]] = {}
+        self._tables: dict[tuple[int, ...], tuple] = {}
 
     def clear_caches(self) -> None:
-        """Drop memoised trips and per-trip derivatives (bounds memory)."""
+        """Drop memoised trips and per-trip tables (bounds memory)."""
         self._trips.clear()
-        self._latest.clear()
-        self._seq_nodes.clear()
+        self._tables.clear()
 
     def _fit_nodes(self, requests: Sequence[int]) -> tuple:
         """(loc, firsts, lasts) fit tables of a sequence's nodes, in order."""
         return tuple(node for rid in requests for node in self._node_data[rid])
 
-    def _trip_nodes(self, trip: Trip):
-        nodes = self._seq_nodes.get(trip.requests)
-        if nodes is None:
-            nodes = self._fit_nodes(trip.requests)
-            self._seq_nodes[trip.requests] = nodes
-        return nodes
+    def _trip_tables(self, trip: Trip) -> tuple:
+        """(nodes, latest) of a trip: its _fit_nodes, and per node the latest
+        service start that can still finish the trip.
 
-    def latest_starts(self, trip: Trip) -> tuple[int, ...]:
-        """Per node: latest service start that can still finish the trip.
-
-        It is the node's last valid start, or less when the next node's bound
-        leaves less room after sigma and the travel time with its unavoidable
-        rests (a relaxation: no carried counter, no blackouts on the way)."""
-        lat = self._latest.get(trip.requests)
-        if lat is not None:
-            return lat
+        That bound is the node's last valid start, or less when the next
+        node's bound leaves less room after sigma and the travel time with
+        its unavoidable rests (a relaxation: no carried counter, no
+        blackouts on the way)."""
+        tables = self._tables.get(trip.requests)
+        if tables is not None:
+            return tables
         sigma = self.regs.sigma
         tau_n, tau_b = self.regs.tau_n, self.regs.tau_b
         time = self.time
-        nodes = self._trip_nodes(trip)
+        nodes = self._fit_nodes(trip.requests)
         out = [0] * len(nodes)
         nxt = None
         for i in range(len(nodes) - 1, -1, -1):
@@ -338,9 +311,8 @@ class Simulator:
                 bound = min(bound, out[i + 1] - sigma - t)
             out[i] = bound
             nxt = loc
-        lat = tuple(out)
-        self._latest[trip.requests] = lat
-        return lat
+        tables = self._tables[trip.requests] = (nodes, tuple(out))
+        return tables
 
     def node_sequence(self, requests: Sequence[int]):
         """(loc, starts, ends) windows of a sequence's nodes, in order."""
@@ -367,9 +339,9 @@ class Simulator:
                 travel = self.time[prev_loc][loc]
                 merged = []
                 for j, (s, c, _m) in enumerate(result[-1]):
-                    depart = s + self.regs.sigma
-                    for t, cc, segs in _leg_arrivals(depart, c, travel, self.regs, self.cal):
-                        merged.append((t, cc, (j, segs)))
+                    leg = _leg_arrivals(s + self.regs.sigma, c, travel, self.regs, self.cal)
+                    if leg is not None:
+                        merged.append((leg[0], leg[1], (j, leg[2])))
                 arrivals = _pareto(merged)
                 if not arrivals:
                     return Infeasible(HORIZON, i)
@@ -407,7 +379,8 @@ class Simulator:
         from lower bounds on their arrivals: the previous node's earliest
         label plus the travel time with its unavoidable rests.  Fits are
         monotone, so a position the screen drops has no schedule; the next
-        node must then still be reachable by its latest_starts bound.
+        node must then still be reachable by its latest-start bound
+        (_trip_tables).
         """
         seq = trip.requests
         n = len(seq)
@@ -420,9 +393,8 @@ class Simulator:
             return None
         n_o, n_d = len(o_lasts), len(d_lasts)
         direct = self.direct[rid]
-        nodes = self._trip_nodes(trip)
+        nodes, lat = self._trip_tables(trip)
         fronts = trip.frontiers
-        lat = self.latest_starts(trip)
         dist_d = dist[d]
         time_d = time[d]
         t_od = time[o][d]
@@ -524,10 +496,11 @@ class Simulator:
                     if t0 >= ss + tau_s and arr <= ss + WEEK and arr <= horizon_end:
                         arrivals.append((arr, dc))
                     else:
-                        for t, c, _m in _leg_arrivals(t0, c0, travel, regs, cal):
-                            arrivals.append((t, c))
+                        leg = _leg_arrivals(t0, c0, travel, regs, cal)
+                        if leg is not None:
+                            arrivals.append(leg[:2])
                 if len(arrivals) > 1:
-                    arrivals = _pareto_pairs(arrivals)
+                    arrivals = _pareto(arrivals)
             out = []
             zero_s = None  # earliest known fresh-counter service start
             for t, c in arrivals:
@@ -554,7 +527,7 @@ class Simulator:
             if not out:
                 return None
             # from one arrival, out is already sorted and non-dominated
-            frontier = tuple(_pareto_pairs(out) if len(arrivals) > 1 else out)
+            frontier = tuple(_pareto(out) if len(arrivals) > 1 else out)
             computed.append(frontier)
             if old is not None and frontier == old[i]:
                 return computed, True
@@ -568,7 +541,7 @@ class Simulator:
         Reuses the prefix frontiers and, once the propagated suffix
         re-converges with the cached one, the remaining frontiers as well.
         """
-        nodes = self._trip_nodes(trip)
+        nodes = self._trip_tables(trip)[0]
         old = trip.frontiers
         k = 2 * pos  # node index in the old trip of the first node after rid
         pick_deliv = self._node_data[rid]
@@ -584,11 +557,9 @@ class Simulator:
         fronts = old[:k] + tuple(new) + tuple(computed)
         return fronts + old[k + len(computed) :] if converged else fronts
 
-    def splice_trip(self, trip: Optional[Trip], rid: int, pos: int) -> Optional[Trip]:
+    def splice_trip(self, trip: Trip, rid: int, pos: int) -> Optional[Trip]:
         """The trip with rid spliced in at pos, or None when unschedulable;
         the result equals a from-scratch build of the sequence."""
-        if trip is None or not trip.requests:
-            return self.single_trip(rid)
         seq = trip.requests
         new_seq = seq[:pos] + (rid,) + seq[pos:]
         if new_seq in self._trips:
@@ -602,41 +573,9 @@ class Simulator:
         self._trips[new_seq] = out
         return out
 
-    def single_trip(self, rid: int) -> Optional[Trip]:
-        # repair asks for every candidate's single trip each round: answer
-        # memo hits without a build_trip call
-        seq = (rid,)
-        return self._trips[seq] if seq in self._trips else self.build_trip(seq)
-
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def propagate(
-    label: Label,
-    depart_time: int,
-    drive_minutes: int,
-    target_windows: Sequence[TimeWindow],
-    regs: RegParams,
-    calendar: Calendar,
-):
-    """Earliest service-start label after one travel leg, or Infeasible.
-
-    The returned label is the best (smallest service start) member of the
-    reachable state frontier; rests may be scheduled before the nonstop
-    counter is full when that pays off.
-    """
-    arrivals = _leg_arrivals(depart_time, label.nonstop_drive, drive_minutes, regs, calendar)
-    if not arrivals:
-        return Infeasible(HORIZON)
-    starts = tuple(w.start for w in target_windows)
-    ends = tuple(w.end for w in target_windows)
-    frontier = _align(arrivals, starts, ends, regs, calendar)
-    if not frontier:
-        return Infeasible(NO_WINDOW)
-    s, c, _meta = frontier[0]
-    return Label(s, c)
 
 
 def simulate_trip(instance: Instance, requests: Sequence[int], simulator: Simulator = None):

@@ -461,7 +461,7 @@ class TestEvaluatorConsistency:
             sim = Simulator(inst)
             ev = InsertionEvaluator(sim)
             ids = [r.id for r in inst.requests]
-            todo = [t for t in map(sim.single_trip, ids) if t is not None]
+            todo = [t for t in (sim.build_trip((rid,)) for rid in ids) if t is not None]
             while todo:
                 trip = todo.pop()
                 lin = ev.lineage.get(trip.requests)

@@ -73,7 +73,7 @@ def reference_repair(sim, trips, bank, removed, mode, outcomes):
                     key = (got[0], cand, ti, got[1])
                     if best is None or key < best:
                         best = key
-                if spare and sim.single_trip(cand) is not None:
+                if spare and sim.build_trip((cand,)) is not None:
                     key = (sim.direct[cand], cand, len(trips), 0)
                     if best is None or key < best:
                         best = key
@@ -96,7 +96,7 @@ def reference_repair(sim, trips, bank, removed, mode, outcomes):
                         if best_cell is None or (got[0], ti) < (best_cell[0], best_cell[1]):
                             best_cell = (got[0], ti, got[1])
                 if spare:
-                    if sim.single_trip(cand) is not None:
+                    if sim.build_trip((cand,)) is not None:
                         direct = sim.direct[cand]
                         values.append(kappa * direct)
                         if best_cell is None or (direct, len(trips)) < (
@@ -123,7 +123,7 @@ def reference_repair(sim, trips, bank, removed, mode, outcomes):
         price10 = sim.price10[rid]
         if cell is not None and cell[1] == len(trips):
             if kappa * cell[0] <= price10:
-                trips.append(sim.single_trip(rid))
+                trips.append(sim.build_trip((rid,)))
                 outcomes["spare open"] += 1
             else:
                 new_bank.append(rid)
@@ -134,7 +134,7 @@ def reference_repair(sim, trips, bank, removed, mode, outcomes):
             trips[ti] = sim.build_trip(seq)
             outcomes["splice"] += 1
         else:
-            single = sim.single_trip(rid) if spare else None
+            single = sim.build_trip((rid,)) if spare else None
             if single is not None and kappa * single.total_d10 <= price10:
                 trips.append(single)
                 outcomes["open after a dear cell"] += 1

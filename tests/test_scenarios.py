@@ -399,6 +399,30 @@ class TestCli:
             assert r.returncode == 2, (regs, r.stderr)
             assert "/regs" in r.stderr and "Traceback" not in r.stderr, regs
 
+    def test_horizons_and_times_outside_the_model_exit_2(self, tmp_path):
+        # a horizon too long to compile into fit tables, a window that starts
+        # before the horizon origin, and the transform factors that make them
+        gh = os.path.join(DATA, "gh_mini.txt")
+        native = tmp_path / "mini.json"
+        self.run_cli("transform", "--gh", gh, "--out", str(native))
+        long_doc = json.loads(native.read_text())
+        long_doc["horizon"]["days"] = 10**9
+        long_doc["requests"][0]["pickup_window"] = {"start": 0, "end": 10**12}
+        early_doc = json.loads(native.read_text())
+        early_doc["requests"][1]["pickup_window"]["start"] = -1080
+        for doc, where in ((long_doc, "/horizon"), (early_doc, "/requests/1")):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            r = self.run_cli("solve", "--instance", str(bad), "--scenario", "mixed",
+                             "--out", str(tmp_path / "r.json"), timeout=10)
+            assert r.returncode == 2, (where, r.stderr)
+            assert where in r.stderr and "Traceback" not in r.stderr, where
+        for factor in ("100000", "-1"):
+            r = self.run_cli("transform", "--gh", gh, "--factor", factor,
+                             "--out", str(tmp_path / "t.json"), timeout=10)
+            assert r.returncode == 2, (factor, r.stderr)
+            assert f"factor {factor}" in r.stderr and "Traceback" not in r.stderr, factor
+
     def test_oracle_and_lp(self, tmp_path):
         native = tmp_path / "mini.json"
         self.run_cli("transform", "--gh", os.path.join(DATA, "gh_mini.txt"), "--out", str(native))

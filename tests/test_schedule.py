@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,52 +14,68 @@ from ftlopt.model import (
     TravelMatrix,
 )
 from ftlopt.schedule import (
+    HORIZON,
+    NO_WINDOW,
     Calendar,
     Infeasible,
-    Label,
     Schedule,
     Simulator,
-    propagate,
+    _align,
+    _leg_arrivals,
     simulate_trip,
 )
 
-from helpers import REGS, trip_case
+from helpers import REGS, kernel_case, trip_case
 
 WIDE = (TimeWindow(0, 10_000),)
 CAL = Calendar(0, REGS.tau_s, 365 * 1440)
 
 
+def propagate(counter, depart, drive, windows, cal=CAL):
+    """Earliest (service start, counter) after one leg through the reference
+    loop (_leg_arrivals, then _align), or Infeasible."""
+    leg = _leg_arrivals(depart, counter, drive, REGS, cal)
+    if leg is None:
+        return Infeasible(HORIZON)
+    starts = tuple(w.start for w in windows)
+    ends = tuple(w.end for w in windows)
+    frontier = _align([leg], starts, ends, REGS, cal)
+    if not frontier:
+        return Infeasible(NO_WINDOW)
+    return frontier[0][:2]
+
+
 class TestPropagate:
     def test_drive_exactly_full_stint(self):
-        lab = propagate(Label(0, 0), 0, 450, WIDE, REGS, CAL)
-        assert lab == Label(450, 450)
+        lab = propagate(0, 0, 450, WIDE)
+        assert lab == (450, 450)
 
     def test_forced_break_after_full_stint(self):
-        lab = propagate(Label(0, 0), 0, 500, WIDE, REGS, CAL)
-        assert lab == Label(450 + 990 + 50, 50)
+        lab = propagate(0, 0, 500, WIDE)
+        assert lab == (450 + 990 + 50, 50)
 
     def test_long_wait_resets_counter(self):
-        lab = propagate(Label(0, 0), 0, 60, (TimeWindow(2000, 3000),), REGS, CAL)
-        assert lab == Label(2000, 0)
+        lab = propagate(0, 0, 60, (TimeWindow(2000, 3000),))
+        assert lab == (2000, 0)
 
     def test_short_wait_keeps_counter(self):
-        lab = propagate(Label(0, 0), 0, 60, (TimeWindow(100, 3000),), REGS, CAL)
-        assert lab == Label(100, 60)
+        lab = propagate(0, 0, 60, (TimeWindow(100, 3000),))
+        assert lab == (100, 60)
 
     def test_arrival_after_last_window(self):
-        out = propagate(Label(0, 0), 0, 600, (TimeWindow(0, 500),), REGS, CAL)
+        out = propagate(0, 0, 600, (TimeWindow(0, 500),))
         assert isinstance(out, Infeasible)
         assert out.reason == "no_window"
 
     def test_service_must_fit_entirely(self):
         # arriving at 100, window ends at 150: the 120-minute operation
         # cannot fit, so the next window is used
-        out = propagate(Label(0, 0), 0, 100, (TimeWindow(0, 150), TimeWindow(400, 900)), REGS, CAL)
-        assert out == Label(400, 100)
+        out = propagate(0, 0, 100, (TimeWindow(0, 150), TimeWindow(400, 900)))
+        assert out == (400, 100)
 
     def test_horizon_exceeded(self):
         cal = Calendar(0, REGS.tau_s, 1000)
-        out = propagate(Label(0, 0), 0, 2000, WIDE, REGS, cal)
+        out = propagate(0, 0, 2000, WIDE, cal)
         assert isinstance(out, Infeasible)
         assert out.reason == "horizon_exceeded"
 
@@ -66,10 +83,10 @@ class TestPropagate:
     @given(st.integers(0, 2000), st.integers(0, 2000), st.integers(0, 1300))
     def test_monotone_in_departure_time(self, t1, t2, drive):
         lo, hi = sorted((t1, t2))
-        a = propagate(Label(0, 0), lo, drive, WIDE, REGS, CAL)
-        b = propagate(Label(0, 0), hi, drive, WIDE, REGS, CAL)
+        a = propagate(0, lo, drive, WIDE)
+        b = propagate(0, hi, drive, WIDE)
         assert not isinstance(a, Infeasible) and not isinstance(b, Infeasible)
-        assert a.arrival <= b.arrival
+        assert a[0] <= b[0]
 
 
 class TestSundayRules:
@@ -79,32 +96,32 @@ class TestSundayRules:
         # a drive that reaches the first or the second Sunday 00:00 stops
         # there and resumes at 22:00
         for sunday in (6 * 1440, 13 * 1440):
-            lab = propagate(Label(0, 0), sunday - 60, 120, wide, REGS, cal)
-            assert lab == Label(sunday + 1320 + 60, 60)
+            lab = propagate(0, sunday - 60, 120, wide, cal)
+            assert lab == (sunday + 1320 + 60, 60)
 
     def test_sunday_origin_weekday(self):
         cal = Calendar(6, 1320, 30 * 1440)  # horizon starts on a Sunday
         wide = (TimeWindow(0, 40_000),)
-        assert propagate(Label(0, 0), 0, 60, wide, REGS, cal) == Label(1380, 60)
-        lab = propagate(Label(0, 0), 7 * 1440 - 60, 120, wide, REGS, cal)
-        assert lab == Label(7 * 1440 + 1380, 60)
+        assert propagate(0, 0, 60, wide, cal) == (1380, 60)
+        lab = propagate(0, 7 * 1440 - 60, 120, wide, cal)
+        assert lab == (7 * 1440 + 1380, 60)
 
     def test_drive_suspended_over_sunday(self):
         cal = Calendar(0, REGS.tau_s, 30 * 1440)
         wide = (TimeWindow(0, 40_000),)
         # depart late Saturday: driving stops at Sunday 00:00, resumes 22:00
         saturday_depart = 6 * 1440 - 60
-        lab = propagate(Label(0, 0), saturday_depart, 120, wide, REGS, cal)
-        assert lab == Label(6 * 1440 + 1320 + 60, 60)
+        lab = propagate(0, saturday_depart, 120, wide, cal)
+        assert lab == (6 * 1440 + 1320 + 60, 60)
 
     def test_blackout_counts_as_break(self):
         cal = Calendar(0, REGS.tau_s, 30 * 1440)
         wide = (TimeWindow(0, 40_000),)
         # 400 driven before the blackout, counter resets during it
         depart = 6 * 1440 - 400
-        lab = propagate(Label(0, 400), depart, 450, wide, REGS, cal)
-        assert lab.nonstop_drive == 400
-        assert lab.arrival == 6 * 1440 + 1320 + 400
+        lab = propagate(400, depart, 450, wide, cal)
+        assert lab[1] == 400
+        assert lab[0] == 6 * 1440 + 1320 + 400
 
 
 def single_request_instance():
@@ -216,3 +233,20 @@ class TestScheduleShape:
             count += 1
             assert check_schedule_rules(inst, seq, sched) == []
         assert count >= 60  # the generator must produce enough feasible cases
+
+
+# sha256 over repr(simulate_trip(instance, seq)) of kernel_case(seed) for
+# seeds 0-499, then trip_case(seed) for seeds 0-499: the loop below, run at
+# commit 6d455d9, before the two Pareto filters of schedule.py were merged.
+# Node timings, segments and infeasibility reasons all enter the hash, so a
+# change of a tie rule shows here even when every schedule stays valid.
+EMISSION_DIGEST = "1d82bdf6cdf470a528a732da397e4e439a5dacd09c67ffe447eb43bb9466d065"
+
+
+def test_schedule_emission_unchanged():
+    digest = hashlib.sha256()
+    for case in (kernel_case, trip_case):
+        for seed in range(500):
+            inst, seq = case(seed)
+            digest.update(repr(simulate_trip(inst, seq)).encode())
+    assert digest.hexdigest() == EMISSION_DIGEST
