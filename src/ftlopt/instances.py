@@ -276,13 +276,12 @@ def _conv(value, pointer: str, conv):
         raise SchemaError(pointer, f"invalid value {value!r}") from None
 
 
-def _checked(part, pointer: str):
-    """part, after part.check(); a failed check raises SchemaError at pointer."""
+def _checked(pointer: str, check, *args) -> None:
+    """check(*args); a failed check raises SchemaError at pointer."""
     try:
-        part.check()
+        check(*args)
     except ValueError as exc:
         raise SchemaError(pointer, str(exc)) from None
-    return part
 
 
 def _need(obj: dict, key: str, where: str, conv=None):
@@ -353,16 +352,14 @@ def instance_from_dict(doc: dict) -> Instance:
         )
 
     regs_doc = _need(doc, "regs", "")
-    regs = _checked(
-        RegParams(
-            _need(regs_doc, "tau_n", "/regs", _whole),
-            _need(regs_doc, "tau_b", "/regs", _whole),
-            _need(regs_doc, "tau_s", "/regs", _whole),
-            _need(regs_doc, "sigma", "/regs", _whole),
-            _need(regs_doc, "nu", "/regs", _finite),
-        ),
-        "/regs",
+    regs = RegParams(
+        _need(regs_doc, "tau_n", "/regs", _whole),
+        _need(regs_doc, "tau_b", "/regs", _whole),
+        _need(regs_doc, "tau_s", "/regs", _whole),
+        _need(regs_doc, "sigma", "/regs", _whole),
+        _need(regs_doc, "nu", "/regs", _finite),
     )
+    _checked("/regs", regs.check)
 
     matrix_doc = _need(doc, "matrix", "")
     if matrix_doc == "euclidean":
@@ -395,13 +392,11 @@ def instance_from_dict(doc: dict) -> Instance:
     cost = CostModel(_need(cost_doc, "kappa", "/cost", cents), tuple(tiers), explicit)
 
     horizon_doc = _need(doc, "horizon", "")
-    horizon = _checked(
-        Horizon(
-            _need(horizon_doc, "origin_weekday", "/horizon", _whole),
-            _need(horizon_doc, "days", "/horizon", _whole),
-        ),
-        "/horizon",
+    horizon = Horizon(
+        _need(horizon_doc, "origin_weekday", "/horizon", _whole),
+        _need(horizon_doc, "days", "/horizon", _whole),
     )
+    _checked("/horizon", horizon.check)
 
     requests = []
     for i, rd in enumerate(_need(doc, "requests", "", _list)):
@@ -417,7 +412,7 @@ def instance_from_dict(doc: dict) -> Instance:
             ),
             _need(rd, "sm_price", where, cents),
         )
-        requests.append(_checked(request, where))
+        requests.append(request)
 
     instance = Instance(
         requests=tuple(requests),
@@ -429,7 +424,11 @@ def instance_from_dict(doc: dict) -> Instance:
         name=doc.get("name", ""),
         coords=coords,
     )
-    return _checked(instance, "/")
+    _checked("/", instance.check_shared)
+    seen: set[int] = set()
+    for i, request in enumerate(instance.requests):
+        _checked(f"/requests/{i}", instance.check_request, request, seen)
+    return instance
 
 
 def read_instance(path: str) -> Instance:

@@ -229,24 +229,34 @@ class Instance:
     coords: Optional[tuple[tuple[float, float], ...]] = None  # per location, when known
 
     def check(self) -> None:
+        self.check_shared()
+        seen: set[int] = set()
+        for r in self.requests:
+            self.check_request(r, seen)
+
+    def check_shared(self) -> None:
+        """Every check that concerns no single request."""
         self.matrix.check()
         self.cost.check()
         self.regs.check()
         self.horizon.check()
         if self.mu_d10 < 0:
             raise ValueError("mu must be non-negative")
-        seen = set()
-        for r in self.requests:
-            r.check()
-            if r.id in seen:
-                raise ValueError(f"duplicate request id {r.id}")
-            seen.add(r.id)
-            for loc in (r.origin, r.destination):
-                if not 0 <= loc < self.matrix.n_locations:
-                    raise ValueError(f"request {r.id}: unknown location {loc}")
-            ends = [r.pickup_window.end] + [w.end for w in r.delivery_windows]
-            if max(ends) > self.horizon.end_minute:
-                raise ValueError(f"request {r.id}: window beyond horizon")
+
+    def check_request(self, r: Request, seen: set[int]) -> None:
+        """r's own checks and its fit to this instance's locations, horizon
+        and the ids in `seen` (those of the requests before it), to which
+        its id is added."""
+        r.check()
+        if r.id in seen:
+            raise ValueError(f"duplicate request id {r.id}")
+        seen.add(r.id)
+        for loc in (r.origin, r.destination):
+            if not 0 <= loc < self.matrix.n_locations:
+                raise ValueError(f"request {r.id}: unknown location {loc}")
+        ends = [r.pickup_window.end] + [w.end for w in r.delivery_windows]
+        if max(ends) > self.horizon.end_minute:
+            raise ValueError(f"request {r.id}: window beyond horizon")
 
     def request(self, rid: int) -> Request:
         return self._by_id()[rid]

@@ -32,7 +32,7 @@ def removal_count(psi: int, xi: Fraction, planned: int) -> int:
 
 
 class InsertionEvaluator:
-    """Cached exact insertion costs per (request, trip sequence).
+    """Cached exact insertion costs per trip sequence and request.
 
     A changed trip has a new sequence and so a fresh column; cached and
     fresh evaluations always agree because both call the same pure
@@ -42,13 +42,16 @@ class InsertionEvaluator:
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.cells: dict[tuple[int, tuple[int, ...]], Optional[tuple[int, int]]] = {}
+        # trip sequence -> {request id: best (delta_d10, pos) or None}
+        self.cells: dict[tuple[int, ...], dict[int, Optional[tuple[int, int]]]] = {}
+        self.size = 0  # cached cells over all sequences
         # new trip sequence -> (parent sequence, splice position, monotone guard)
         self.lineage: dict[tuple[int, ...], tuple[tuple[int, ...], int, bool]] = {}
 
     def clear(self) -> None:
         """Drop every cached value; later results are unchanged (bounds memory)."""
         self.cells.clear()
+        self.size = 0
         self.lineage.clear()
         self.sim.clear_caches()
 
@@ -73,21 +76,33 @@ class InsertionEvaluator:
             guard = sim.time[a][o] + sim.time[o][d] + sim.time[d][b] >= sim.time[a][b]
         self.lineage[new.requests] = (old.requests, pos, guard)
 
+    def column(self, rids: Sequence[int], trip: Trip) -> list[Optional[tuple[int, int]]]:
+        """Best feasible (delta_d10, position) of each request in this trip,
+        or None, in the order of rids; uncached cells are evaluated together."""
+        seq = trip.requests
+        col = self.cells.get(seq)
+        if col is None:
+            col = self.cells[seq] = {}
+        lin = self.lineage.get(seq)
+        parent = self.cells.get(lin[0]) if lin is not None and lin[2] else None
+        asks = []
+        for rid in rids:
+            if rid not in col:
+                if parent is not None and parent.get(rid, 1) is None:
+                    # rid fit nowhere in the parent trip: only the spliced
+                    # request's two flanks are new ground
+                    asks.append((rid, (lin[1], lin[1] + 1)))
+                else:
+                    asks.append((rid, None))
+        if asks:
+            for (rid, _positions), got in zip(asks, self.sim.best_insertions(trip, asks)):
+                col[rid] = got
+            self.size += len(asks)
+        return [col[rid] for rid in rids]
+
     def cell(self, rid: int, trip: Trip) -> Optional[tuple[int, int]]:
         """Best feasible (delta_d10, position) in this trip, or None."""
-        key = (rid, trip.requests)
-        if key in self.cells:
-            return self.cells[key]
-        lin = self.lineage.get(trip.requests)
-        if lin is not None and lin[2] and self.cells.get((rid, lin[0]), 1) is None:
-            # rid fit nowhere in the parent trip: only the spliced request's
-            # two flanks are new ground
-            positions = (lin[1], lin[1] + 1)
-        else:
-            positions = None
-        out = self.sim.best_insertion(trip, rid, positions)
-        self.cells[key] = out
-        return out
+        return self.column((rid,), trip)[0]
 
     def best_greedy(self, rid: int, trips: Sequence[Trip]) -> Optional[tuple[int, int, int]]:
         """Cheapest feasible cell of one request over the trips as
@@ -227,6 +242,29 @@ def shaw_relatedness(
     return spatial + tw
 
 
+def _shaw_ranks(sim: Simulator, variant: str) -> dict[int, dict[int, int]]:
+    """Per reference request, every request's place in the order by
+    (shaw_relatedness to the reference, id); built on first use and kept on
+    the simulator, one table per variant."""
+    ranks = sim.shaw_ranks.get(variant)
+    if ranks is None:
+        instance = sim.instance
+        d_max = instance.matrix.max_distance()
+        horizon_minutes = instance.horizon.end_minute
+        ids = [r.id for r in instance.requests]
+        ranks = sim.shaw_ranks[variant] = {}
+        for ref in ids:
+            order = sorted(
+                ids,
+                key=lambda rid: (
+                    shaw_relatedness(instance, d_max, horizon_minutes, ref, rid, variant),
+                    rid,
+                ),
+            )
+            ranks[ref] = {rid: i for i, rid in enumerate(order)}
+    return ranks
+
+
 def remove_shaw(
     sim: Simulator,
     solution: Solution,
@@ -236,20 +274,12 @@ def remove_shaw(
     p: int = 6,
 ):
     """Remove mutually similar shipments; low relatedness value = similar."""
-    instance = sim.instance
-    d_max = instance.matrix.max_distance()
-    horizon_minutes = instance.horizon.end_minute
     removed: list[int] = []
     pool = solution.planned_ids()
     while pool and len(removed) < q:
         if removed:
             ref = removed[rng.randrange(len(removed))]
-            pool.sort(
-                key=lambda rid: (
-                    shaw_relatedness(instance, d_max, horizon_minutes, ref, rid, variant),
-                    rid,
-                )
-            )
+            pool.sort(key=_shaw_ranks(sim, variant)[ref].__getitem__)
             rank = min(int(rng.random() ** p * len(pool)), len(pool) - 1)
         else:
             rank = rng.randrange(len(pool))
@@ -345,27 +375,42 @@ def repair(
     # one row of cells per candidate and one column per trip, for every mode;
     # a round re-evaluates only the changed trip's column, which matches
     # rebuilding the matrix every round because cells are pure
-    rows = {cand: [ev.cell(cand, t) for t in trips] for cand in s_in}
+    rows: dict[int, list] = {cand: [] for cand in s_in}
+    for trip in trips:
+        for cand, got in zip(s_in, ev.column(s_in, trip)):
+            rows[cand].append(got)
+    # each candidate's (pick key, best cell), a pure function of its row and
+    # of `spare`: dropped when a cell of its row changes or the row grows,
+    # and all of them when `spare` flips
+    picks: dict[int, tuple] = {}
+    was_spare = None
     while s_in:
         # a spare vehicle (empty route) is one more column, at index
         # len(trips), while every used vehicle is utilised up to the minimum
         # distance; its cell is the single trip's (direct, 0)
         spare = all(t.total_d10 >= mu for t in trips)
+        if spare != was_spare:
+            picks.clear()
+            was_spare = spare
         rid = cell = best_key = None
         any_feasible = False
         for cand in s_in:
-            row = rows[cand]
-            if spare:
-                row = row + [None if solo[cand] is None else (sim.direct[cand], 0)]
-            best = _best_cell(row)  # (delta_d10, trip_index, pos)
-            if k:
-                # a candidate that fits nowhere can still win at regret 0
-                cap = sim.price10[cand]
-                values = [cap if got is None else kappa * got[0] for got in row]
-                key = (-_regret_value(values, k, cap), cand)
-            elif best is not None:
-                key = (best[0], cand)
-            else:
+            pick = picks.get(cand)
+            if pick is None:
+                row = rows[cand]
+                if spare:
+                    row = row + [None if solo[cand] is None else (sim.direct[cand], 0)]
+                best = _best_cell(row)  # (delta_d10, trip_index, pos)
+                if k:
+                    # a candidate that fits nowhere can still win at regret 0
+                    cap = sim.price10[cand]
+                    values = [cap if got is None else kappa * got[0] for got in row]
+                    key = (-_regret_value(values, k, cap), cand)
+                else:
+                    key = None if best is None else (best[0], cand)
+                pick = picks[cand] = (key, best)
+            key, best = pick
+            if key is None:
                 continue
             if best_key is None or key < best_key:
                 best_key, rid, cell = key, cand, best
@@ -390,12 +435,15 @@ def repair(
         s_in.remove(rid)
         del rows[rid]
         if ti is not None:
-            new_trip = trips[ti]
-            for cand in s_in:
+            for cand, got in zip(s_in, ev.column(s_in, trips[ti])):
                 row = rows[cand]
                 if ti == len(row):
-                    row.append(None)
-                row[ti] = ev.cell(cand, new_trip)
+                    row.append(got)
+                elif row[ti] == got:
+                    continue
+                else:
+                    row[ti] = got
+                picks.pop(cand, None)
 
     # dissolve trips that ended below the minimum driven distance
     while True:

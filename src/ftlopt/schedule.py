@@ -21,7 +21,7 @@ Rules realised here:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -274,6 +274,9 @@ class Simulator:
         # per-trip caches, keyed by request sequence
         self._trips: dict[tuple[int, ...], Optional[Trip]] = {}
         self._tables: dict[tuple[int, ...], tuple] = {}
+        # Shaw relatedness ranks per variant, filled on first use by
+        # operators.remove_shaw
+        self.shaw_ranks: dict[str, dict[int, dict[int, int]]] = {}
 
     def clear_caches(self) -> None:
         """Drop memoised trips and per-trip tables (bounds memory)."""
@@ -370,17 +373,25 @@ class Simulator:
     # -- insertion evaluation ----------------------------------------------
 
     def best_insertion(self, trip: Trip, rid: int, positions=None):
-        """Cheapest schedulable splice of rid into trip: (delta_d10, pos) or None.
+        """Cheapest schedulable splice of rid into trip: (delta_d10, pos) or None."""
+        return self.best_insertions(trip, ((rid, positions),))[0]
 
-        One fused sweep computes the distance delta and a screen per
-        position; only surviving positions are simulated, cheapest delta
-        first.  The screen fits the pickup and then the delivery to their fit
-        tables (one bisect each, so window gaps and Sunday blackouts count)
-        from lower bounds on their arrivals: the previous node's earliest
-        label plus the travel time with its unavoidable rests.  Fits are
-        monotone, so a position the screen drops has no schedule; the next
-        node must then still be reachable by its latest-start bound
-        (_trip_tables).
+    def best_insertions(self, trip: Trip, asks) -> list:
+        """Per (rid, positions) ask, the cheapest schedulable splice of rid
+        into trip among the positions (None: all) as (delta_d10, pos), or
+        None.
+
+        The trip's per-position table is built once: the previous delivery
+        and its earliest departure, the next pickup and its latest-start
+        bound (_trip_tables), and the replaced edge.  Per ask, one fused
+        sweep computes the distance delta and a screen per position; only
+        surviving positions are simulated, cheapest delta first.  The screen
+        fits the pickup and then the delivery to their fit tables (one
+        bisect each, so window gaps and Sunday blackouts count) from lower
+        bounds on their arrivals: the previous node's earliest label plus
+        the travel time with its unavoidable rests.  Fits are monotone, so a
+        position the screen drops has no schedule; the next node must then
+        still be reachable by its latest-start bound.
         """
         seq = trip.requests
         n = len(seq)
@@ -388,60 +399,88 @@ class Simulator:
         time = self.time
         sigma = self.regs.sigma
         tau_n, tau_b = self.regs.tau_n, self.regs.tau_b
-        (o, o_firsts, o_lasts), (d, d_firsts, d_lasts) = self._node_data[rid]
-        if not o_lasts or not d_lasts:
-            return None
-        n_o, n_d = len(o_lasts), len(d_lasts)
-        direct = self.direct[rid]
         nodes, lat = self._trip_tables(trip)
         fronts = trip.frontiers
-        dist_d = dist[d]
-        time_d = time[d]
-        t_od = time[o][d]
-        if t_od > tau_n:
-            t_od += tau_b * ((t_od - 1) // tau_n)
-        cands = []
-        for pos in positions if positions is not None else range(n + 1):
-            if pos > 0:
-                prev_d = nodes[2 * pos - 1][0]
-                delta = dist[prev_d][o] + direct
-                t_in = time[prev_d][o]
-                if t_in > tau_n:
-                    t_in += tau_b * ((t_in - 1) // tau_n)
-                arr_o = fronts[2 * pos - 1][0][0] + sigma + t_in
-            else:
-                delta = direct
-                arr_o = o_firsts[0]
-            if pos < n:
-                next_o = nodes[2 * pos][0]
-                delta += dist_d[next_o]
-                if pos > 0:
-                    delta -= dist[prev_d][next_o]
-            j = bisect_left(o_lasts, arr_o)
-            if j == n_o:
+        # per position: (previous delivery, its earliest departure, next
+        # pickup, its latest start, replaced edge); None where there is none.
+        # Departures and latest starts never decrease along the trip.
+        deps = [fronts[2 * pos - 1][0][0] + sigma for pos in range(1, n + 1)]
+        lats = lat[0::2]
+        slots = []
+        for pos in range(n + 1):
+            prev_d = nodes[2 * pos - 1][0] if pos else None
+            next_o = nodes[2 * pos][0] if pos < n else None
+            slots.append((
+                prev_d,
+                deps[pos - 1] if pos else None,
+                next_o,
+                lats[pos] if pos < n else None,
+                dist[prev_d][next_o] if 0 < pos < n else 0,
+            ))
+        out = []
+        for rid, positions in asks:
+            (o, o_firsts, o_lasts), (d, d_firsts, d_lasts) = self._node_data[rid]
+            if not o_lasts or not d_lasts:
+                out.append(None)
                 continue
-            s_o = o_firsts[j]
-            if s_o < arr_o:
-                s_o = arr_o
-            arr_d = s_o + sigma + t_od
-            j = bisect_left(d_lasts, arr_d)
-            if j == n_d:
-                continue
-            s_d = d_firsts[j]
-            if s_d < arr_d:
-                s_d = arr_d
-            if pos < n:
-                t_out = time_d[next_o]
-                if t_out > tau_n:
-                    t_out += tau_b * ((t_out - 1) // tau_n)
-                if s_d + sigma + t_out > lat[2 * pos]:
+            n_o, n_d = len(o_lasts), len(d_lasts)
+            direct = self.direct[rid]
+            dist_d = dist[d]
+            time_d = time[d]
+            t_od = time[o][d]
+            if t_od > tau_n:
+                t_od += tau_b * ((t_od - 1) // tau_n)
+            if positions is None:
+                # positions the screen would drop anyway: those whose next
+                # latest start comes before the earliest possible delivery
+                # end, and those whose previous departure is past the
+                # pickup's last start
+                positions = range(
+                    bisect_left(lats, o_firsts[0] + 2 * sigma + t_od),
+                    bisect_right(deps, o_lasts[-1]) + 1,
+                )
+            cands = []
+            for pos in positions:
+                prev_d, dep, next_o, lat_o, saved = slots[pos]
+                if prev_d is None:
+                    delta = direct
+                    arr_o = o_firsts[0]
+                else:
+                    delta = dist[prev_d][o] + direct - saved
+                    t_in = time[prev_d][o]
+                    if t_in > tau_n:
+                        t_in += tau_b * ((t_in - 1) // tau_n)
+                    arr_o = dep + t_in
+                if next_o is not None:
+                    delta += dist_d[next_o]
+                j = bisect_left(o_lasts, arr_o)
+                if j == n_o:
                     continue
-            cands.append((delta, pos))
-        cands.sort()
-        for delta, pos in cands:
-            if self._spliced(trip, rid, pos) is not None:
-                return delta, pos
-        return None
+                s_o = o_firsts[j]
+                if s_o < arr_o:
+                    s_o = arr_o
+                arr_d = s_o + sigma + t_od
+                j = bisect_left(d_lasts, arr_d)
+                if j == n_d:
+                    continue
+                s_d = d_firsts[j]
+                if s_d < arr_d:
+                    s_d = arr_d
+                if next_o is not None:
+                    t_out = time_d[next_o]
+                    if t_out > tau_n:
+                        t_out += tau_b * ((t_out - 1) // tau_n)
+                    if s_d + sigma + t_out > lat_o:
+                        continue
+                cands.append((delta, pos))
+            cands.sort()
+            for delta, pos in cands:
+                if self._spliced(trip, rid, pos) is not None:
+                    out.append((delta, pos))
+                    break
+            else:
+                out.append(None)
+        return out
 
     def _advance(self, frontier, prev_loc, nodes, old=None, start=0):
         """Propagate label frontiers through nodes[start:]: the one untraced

@@ -217,3 +217,41 @@ def kernel_case(seed: int):
     )
     instance.check()
     return instance, tuple(r.id for r in requests)
+
+
+def fleet_instance(seed: int) -> Instance:
+    """Euclidean instance with 8-14 requests in two to four clusters, so that
+    repair states hold several trips.
+
+    Pickups open on one of the first four days, daily 06:00-18:00 or
+    01:00-23:00, with a delivery window on every later day.  Prices mix
+    cheap and dear levels.  The minimum distance is 0, about a median direct
+    distance or about two of the longest, so that spare vehicles come and go
+    while a repair runs.
+    """
+    rng = random.Random(seed)
+    n_req = rng.randint(8, 14)
+    centers = [(rng.uniform(0, 400), rng.uniform(0, 400)) for _ in range(rng.randint(2, 4))]
+    pts = []
+    for _ in range(2 * n_req):
+        cx, cy = rng.choice(centers)
+        pts.append((cx + rng.uniform(-40, 40), cy + rng.uniform(-40, 40)))
+    dist = euclid_d10(pts)
+    matrix = TravelMatrix.from_distances(dist, 70)
+    cost = CostModel()
+    days = rng.randint(6, 12)
+    requests = []
+    for rid in range(1, n_req + 1):
+        o, d = 2 * rid - 2, 2 * rid - 1
+        day = rng.randint(0, 3)
+        lo, hi = (360, 1080) if rng.random() < 0.7 else (60, 1380)
+        pw = TimeWindow(day * 1440 + lo, day * 1440 + hi)
+        dws = tuple(TimeWindow(dd * 1440 + lo, dd * 1440 + hi) for dd in range(day, days))
+        level = rng.choice((0.5, 0.8, 1.0, 1.3, 1.8))
+        price = max(1, int(cost.sm_price(dist[o][d]) * level))
+        requests.append(Request(rid, o, d, pw, dws, price))
+    directs = sorted(dist[r.origin][r.destination] for r in requests)
+    mu = rng.choice((0, directs[len(directs) // 2], 2 * directs[-1]))
+    instance = Instance(tuple(requests), matrix, cost, REGS, mu, Horizon(0, days))
+    instance.check()
+    return instance

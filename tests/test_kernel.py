@@ -298,3 +298,29 @@ def test_fit_tables_match_earliest_fit_minute_by_minute():
 def test_kernel_matches_oracle(seed, extra_at):
     inst, seq = kernel_case(seed)
     check_case(inst, seq, extra_at % len(seq), Counter(), oracle=True)
+
+
+def test_position_bounds_keep_a_splice_that_fits_to_the_minute():
+    # R (2) spliced before A (1): R's delivery is A's pickup location, so A's
+    # pickup can start right after it, at R's first pickup start + 2 sigma +
+    # the drive, which is exactly A's last pickup start.  The sweep's bound
+    # on the next latest start must keep that position; behind A, R's
+    # pickup window has long closed.
+    sigma = RegParams().sigma
+    time = ((0, 100, 100), (100, 0, 100), (100, 100, 0))
+    dist = tuple(tuple(10 * t for t in row) for row in time)
+    wide = (TimeWindow(0, 4000),)
+    last_a = 360 + 2 * sigma + 100
+    requests = (
+        Request(1, 1, 2, TimeWindow(360, last_a + sigma), wide, 5000),
+        Request(2, 0, 1, TimeWindow(360, 360 + sigma), wide, 5000),
+    )
+    inst = Instance(requests, TravelMatrix(3, dist, time), CostModel(), RegParams(), 0,
+                    Horizon(0, 3))
+    inst.check()
+    sim = Simulator(inst)
+    trip = sim.build_trip((1,))
+    assert sim._trip_tables(trip)[1][0] == last_a
+    assert not isinstance(simulate_trip(inst, (2, 1)), Infeasible)
+    assert isinstance(simulate_trip(inst, (1, 2)), Infeasible)
+    assert sim.best_insertion(trip, 2) == (1000, 0)

@@ -468,7 +468,7 @@ class TestEvaluatorConsistency:
                 for rid in ids:
                     if rid in trip.requests:
                         continue
-                    shortcut = lin is not None and lin[2] and ev.cells[(rid, lin[0])] is None
+                    shortcut = lin is not None and lin[2] and ev.cells[lin[0]][rid] is None
                     want = naive_cell(sim, trip, rid)
                     assert ev.cell(rid, trip) == want, (seed, trip.requests, rid)
                     if lin is not None and not lin[2]:
@@ -482,6 +482,41 @@ class TestEvaluatorConsistency:
                             todo.append(new)
         # the shortcut found a request on each flank of the spliced one
         assert reached["flank 0"] and reached["flank 1"] and reached["unguarded"], reached
+
+    def test_columns_match_naive_scan_on_generated_splices(self):
+        # columns over trips reachable by feasible splices, as above, each
+        # asked after a random part of it was cached one cell at a time, so
+        # one call mixes cached, fresh and lineage-narrowed requests
+        rng = random.Random(7)
+        reached = Counter()
+        for seed in range(300):
+            inst, _seq = kernel_case(seed)
+            sim = Simulator(inst)
+            ev = InsertionEvaluator(sim)
+            ids = [r.id for r in inst.requests]
+            todo = [t for t in (sim.build_trip((rid,)) for rid in ids) if t is not None]
+            while todo:
+                trip = todo.pop()
+                rids = [rid for rid in ids if rid not in trip.requests]
+                for rid in rng.sample(rids, rng.randint(0, len(rids))):
+                    ev.cell(rid, trip)
+                rng.shuffle(rids)
+                cached = ev.cells.get(trip.requests, {})
+                lin = ev.lineage.get(trip.requests)
+                parent = ev.cells.get(lin[0], {}) if lin is not None and lin[2] else {}
+                fresh = [rid for rid in rids if rid not in cached]
+                reached["mixed"] += 0 < len(fresh) < len(rids)
+                reached["narrowed"] += sum(parent.get(rid, 1) is None for rid in fresh)
+                want = [naive_cell(sim, trip, rid) for rid in rids]
+                assert ev.column(rids, trip) == want, (seed, trip.requests, rids)
+                assert ev.size == sum(map(len, ev.cells.values()))
+                for rid in rids:
+                    for pos in range(len(trip.requests) + 1):
+                        new = sim.splice_trip(trip, rid, pos)
+                        if new is not None and new.requests not in ev.lineage:
+                            ev.note_splice(trip, new, rid, pos)
+                            todo.append(new)
+        assert reached["mixed"] and reached["narrowed"], reached
 
 
 def naive_cell(sim, trip, rid):

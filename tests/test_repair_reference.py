@@ -14,7 +14,7 @@ from ftlopt.model import Solution
 from ftlopt.operators import REMOVAL_OPERATORS, InsertionEvaluator, build_initial, repair
 from ftlopt.schedule import Simulator
 
-from helpers import micro_instance
+from helpers import fleet_instance, micro_instance
 
 # every way a shipment can leave the reference procedure
 OUTCOMES = {
@@ -47,9 +47,13 @@ def ratio_pick(instance, s_in):
     return best
 
 
-def reference_repair(sim, trips, bank, removed, mode, outcomes):
+def reference_repair(sim, trips, bank, removed, mode, outcomes, events=None):
     """Straight transcription of the insertion procedure: fresh cost matrix
-    every round, no caching, no incremental bookkeeping."""
+    every round, no caching, no incremental bookkeeping.
+
+    With `events`, it also tallies the rounds in which `spare` flipped and
+    the candidates whose row changed since the last round while their best
+    cell stayed the same."""
     instance = sim.instance
     ev = InsertionEvaluator(sim)  # cells are pure; a fresh evaluator per call
     kappa = instance.cost.kappa_cents
@@ -58,9 +62,19 @@ def reference_repair(sim, trips, bank, removed, mode, outcomes):
     trips = list(trips)
     s_in = sorted(set(bank) | set(removed))
     new_bank = []
+    last = None  # (spare, rows) of the previous round, with events
     while s_in:
         ev = InsertionEvaluator(sim)
         spare = all(t.total_d10 >= mu for t in trips)
+        if events is not None:
+            rows = {cand: [ev.cell(cand, trip) for trip in trips] for cand in s_in}
+            if last is not None:
+                events["spare flip"] += spare != last[0]
+                for cand, row in rows.items():
+                    old = last[1][cand]
+                    if len(old) == len(row) and old != row and best_of(old) == best_of(row):
+                        events["changed cell, same best"] += 1
+            last = (spare, rows)
         rid = None
         cell = None
         if mode == "greedy":
@@ -173,6 +187,11 @@ def reference_repair(sim, trips, bank, removed, mode, outcomes):
     return Solution(tuple(trips), frozenset(new_bank), veh, out, veh + out)
 
 
+def best_of(row):
+    """Cheapest feasible (delta_d10, trip index, pos) of a row, or None."""
+    return min(((got[0], ti, got[1]) for ti, got in enumerate(row) if got), default=None)
+
+
 def test_regret_transcription_examples():
     assert regret([10, 14, 19], 3, 100) == (14 - 10) + (19 - 10)
     assert regret([10], 3, 100) == (100 - 10) * 2
@@ -205,3 +224,54 @@ def test_repair_matches_reference_on_random_states():
             again = repair(sim, trips, start.bank, removed, mode=mode, evaluator=warm)
             assert again == got, (case, mode, "warm cache changed the result")
     assert OUTCOMES <= set(outcomes), outcomes
+
+
+def fleet_state(seed):
+    """A repair state on a fleet_instance: trips, bank and removed requests.
+
+    Half the states start from build_initial and a removal operator; the
+    others from random bundles of one to three requests, which may leave
+    trips below the minimum distance."""
+    rng = random.Random(seed)
+    instance = fleet_instance(rng.randrange(1_000_000))
+    sim = Simulator(instance)
+    if rng.random() < 0.5:
+        start = build_initial(instance, sim)
+        op = rng.choice(list(REMOVAL_OPERATORS))
+        q = rng.randint(1, max(1, start.planned_count))
+        trips, removed = REMOVAL_OPERATORS[op](sim, start, q, rng)
+        return sim, trips, sorted(start.bank), removed
+    ids = [r.id for r in instance.requests]
+    rng.shuffle(ids)
+    removed = [rid for rid in ids if rng.random() < 0.4]
+    rest = [rid for rid in ids if rid not in removed]
+    trips, bank = [], []
+    while rest:
+        size = rng.randint(1, 3)
+        group, rest = rest[:size], rest[size:]
+        trip = sim.build_trip(group)
+        if trip is None:
+            bank.extend(group)
+        else:
+            trips.append(trip)
+    return sim, trips, bank, removed
+
+
+def test_repair_matches_reference_on_fleet_states():
+    # states with several trips, some below the minimum distance, so that
+    # spare vehicles come and go within one repair and a changed column
+    # often leaves a candidate's best cell where it was
+    outcomes, events = Counter(), Counter()
+    for seed in range(150):
+        sim, trips, bank, removed = fleet_state(seed)
+        events["several trips"] += len(trips) > 1
+        for mode in ("greedy", "regret2", "regret4", "regret6"):
+            warm = InsertionEvaluator(sim)
+            got = repair(sim, trips, bank, removed, mode=mode, evaluator=warm)
+            want = reference_repair(sim, trips, bank, removed, mode, outcomes, events)
+            assert got == want, (seed, mode)
+            again = repair(sim, trips, bank, removed, mode=mode, evaluator=warm)
+            assert again == got, (seed, mode, "warm cache changed the result")
+    assert OUTCOMES <= set(outcomes), outcomes
+    assert events["several trips"] >= 50 and events["spare flip"] and events[
+        "changed cell, same best"], events

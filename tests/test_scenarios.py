@@ -423,6 +423,28 @@ class TestCli:
             assert r.returncode == 2, (factor, r.stderr)
             assert f"factor {factor}" in r.stderr and "Traceback" not in r.stderr, factor
 
+    def test_request_faults_against_the_instance_name_the_request(self, tmp_path):
+        # an unknown location, a window past the horizon and a repeated id
+        # are found against the whole instance, but belong to one request
+        native = tmp_path / "mini.json"
+        self.run_cli("transform", "--gh", os.path.join(DATA, "gh_mini.txt"), "--out", str(native))
+        base = json.loads(native.read_text())
+        faults = {
+            "unknown location 99": lambda r: r.update(origin=99),
+            "window beyond horizon": lambda r: r["delivery_windows"][-1].update(end=10**7),
+            "duplicate request id": lambda r: r.update(id=base["requests"][0]["id"]),
+        }
+        for message, spoil in faults.items():
+            doc = json.loads(json.dumps(base))
+            spoil(doc["requests"][1])
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            r = self.run_cli("solve", "--instance", str(bad), "--scenario", "mixed",
+                             "--out", str(tmp_path / "r.json"), timeout=10)
+            assert r.returncode == 2, (message, r.stderr)
+            assert "/requests/1: " in r.stderr and message in r.stderr, r.stderr
+            assert "Traceback" not in r.stderr, message
+
     def test_oracle_and_lp(self, tmp_path):
         native = tmp_path / "mini.json"
         self.run_cli("transform", "--gh", os.path.join(DATA, "gh_mini.txt"), "--out", str(native))
