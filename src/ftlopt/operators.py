@@ -78,7 +78,8 @@ class InsertionEvaluator:
 
     def column(self, rids: Sequence[int], trip: Trip) -> list[Optional[tuple[int, int]]]:
         """Best feasible (delta_d10, position) of each request in this trip,
-        or None, in the order of rids; uncached cells are evaluated together."""
+        or None, in the order of rids (distinct request ids); uncached cells
+        are evaluated together."""
         seq = trip.requests
         col = self.cells.get(seq)
         if col is None:
