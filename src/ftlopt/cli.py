@@ -140,7 +140,8 @@ def main(argv=None) -> int:
         instances.TransformError,
         oracle.TooLarge,
         PartitionViolation,
-        FileNotFoundError,
+        OSError,
+        UnicodeDecodeError,
         json.JSONDecodeError,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)

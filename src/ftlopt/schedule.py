@@ -274,14 +274,22 @@ class Simulator:
         # per-trip caches, keyed by request sequence
         self._trips: dict[tuple[int, ...], Optional[Trip]] = {}
         self._tables: dict[tuple[int, ...], tuple] = {}
+        # splice heads (see _head): predecessor frontier -> its location ->
+        # {rid: frontier at rid's delivery, or None}, and those delivery
+        # frontiers, interned
+        self._heads: dict[Optional[tuple], dict] = {}
+        self._head_fronts: dict[tuple, tuple] = {}
         # Shaw relatedness ranks per variant, filled on first use by
         # operators.remove_shaw
         self.shaw_ranks: dict[str, dict[int, dict[int, int]]] = {}
 
     def clear_caches(self) -> None:
-        """Drop memoised trips and per-trip tables (bounds memory)."""
+        """Drop memoised trips, per-trip tables and splice heads (bounds
+        memory)."""
         self._trips.clear()
         self._tables.clear()
+        self._heads.clear()
+        self._head_fronts.clear()
 
     def _fit_nodes(self, requests: Sequence[int]) -> tuple:
         """(loc, firsts, lasts) fit tables of a sequence's nodes, in order."""
@@ -475,12 +483,41 @@ class Simulator:
                 cands.append((delta, pos))
             cands.sort()
             for delta, pos in cands:
-                if self._spliced(trip, rid, pos) is not None:
+                k = 2 * pos
+                prev = (fronts[k - 1], nodes[k - 1][0]) if k else (None, None)
+                head = self._head(*prev, rid)
+                if head is not None and self._advance(head, d, nodes, fronts, k) is not None:
                     out.append((delta, pos))
                     break
             else:
                 out.append(None)
         return out
+
+    def _head(self, frontier, prev_loc, rid: int) -> Optional[tuple]:
+        """The frontier at rid's delivery when its pickup follows the labels
+        `frontier` at prev_loc (None, None: a fresh vehicle), or None when
+        the two nodes cannot be served.
+
+        Memoised in _heads: _advance reads nothing but the key and the
+        instance, so an entry holds for every trip that has the same
+        predecessor frontier at the same location.  Equal delivery frontiers
+        reached from different keys are stored once (_head_fronts).
+        """
+        by_loc = self._heads.get(frontier)
+        if by_loc is None:
+            by_loc = self._heads[frontier] = {}
+        by_rid = by_loc.get(prev_loc)
+        if by_rid is None:
+            by_rid = by_loc[prev_loc] = {}
+        if rid in by_rid:
+            return by_rid[rid]
+        got = self._advance(frontier, prev_loc, self._node_data[rid])
+        head = None
+        if got is not None:
+            head = got[0][1]
+            head = self._head_fronts.setdefault(head, head)
+        by_rid[rid] = head
+        return head
 
     def _advance(self, frontier, prev_loc, nodes, old=None, start=0):
         """Propagate label frontiers through nodes[start:]: the one untraced
@@ -573,40 +610,32 @@ class Simulator:
             prev_loc = loc
         return computed, False
 
-    def _spliced(self, trip: Trip, rid: int, pos: int) -> Optional[tuple]:
-        """Frontiers of the trip with rid spliced in at pos, or None when
-        unschedulable; equal to a from-scratch propagation of that sequence.
-
-        Reuses the prefix frontiers and, once the propagated suffix
-        re-converges with the cached one, the remaining frontiers as well.
-        """
-        nodes = self._trip_tables(trip)[0]
-        old = trip.frontiers
-        k = 2 * pos  # node index in the old trip of the first node after rid
-        pick_deliv = self._node_data[rid]
-        frontier, prev_loc = (old[k - 1], nodes[k - 1][0]) if k else (None, None)
-        head = self._advance(frontier, prev_loc, pick_deliv)
-        if head is None:
-            return None
-        new = head[0]
-        tail = self._advance(new[-1], pick_deliv[1][0], nodes, old, k)
-        if tail is None:
-            return None
-        computed, converged = tail
-        fronts = old[:k] + tuple(new) + tuple(computed)
-        return fronts + old[k + len(computed) :] if converged else fronts
-
     def splice_trip(self, trip: Trip, rid: int, pos: int) -> Optional[Trip]:
         """The trip with rid spliced in at pos, or None when unschedulable;
-        the result equals a from-scratch build of the sequence."""
+        the result equals a from-scratch build of the sequence.
+
+        Reuses the prefix frontiers, takes the head at rid's delivery from
+        _head and, once the propagated suffix re-converges with the cached
+        one, reuses the remaining frontiers as well.
+        """
         seq = trip.requests
         new_seq = seq[:pos] + (rid,) + seq[pos:]
         if new_seq in self._trips:
             return self._trips[new_seq]
-        fronts = self._spliced(trip, rid, pos)
-        if fronts is None:
+        nodes = self._trip_tables(trip)[0]
+        old = trip.frontiers
+        k = 2 * pos  # node index in the old trip of the first node after rid
+        frontier, prev_loc = (old[k - 1], nodes[k - 1][0]) if k else (None, None)
+        head = self._head(frontier, prev_loc, rid)
+        tail = None if head is None else self._advance(head, self.dest[rid], nodes, old, k)
+        if tail is None:
             out = None
         else:
+            pickup = self._advance(frontier, prev_loc, self._node_data[rid][:1])[0][0]
+            computed, converged = tail
+            fronts = old[:k] + (pickup, head) + tuple(computed)
+            if converged:
+                fronts += old[k + len(computed) :]
             loaded, empty = trip_distances(self.instance, new_seq)
             out = Trip(new_seq, loaded, empty, frontiers=fronts)
         self._trips[new_seq] = out

@@ -324,3 +324,104 @@ def test_position_bounds_keep_a_splice_that_fits_to_the_minute():
     assert not isinstance(simulate_trip(inst, (2, 1)), Infeasible)
     assert isinstance(simulate_trip(inst, (1, 2)), Infeasible)
     assert sim.best_insertion(trip, 2) == (1000, 0)
+
+
+def test_head_memo_tells_equal_frontiers_at_different_locations_apart():
+    # With sigma = 0 and Sunday's blackout from minute 2880, A (0 -> 1) and
+    # B (0 -> 2) wait for the same delivery window and leave it with the
+    # same frontier ((2800, 0),).  X's pickup (3) is 30 minutes from A's
+    # delivery and 90 from B's: both pass the screen, which ignores
+    # blackouts, but only A's leg ends before the blackout, so X fits behind
+    # A only, whichever trip the simulator's head memo saw first.
+    time = [[500] * 5 for _ in range(5)]
+    for i in range(5):
+        time[i][i] = 0
+    for (i, j), minutes in {(0, 1): 100, (0, 2): 100, (1, 3): 30, (2, 3): 90,
+                            (3, 4): 100}.items():
+        time[i][j] = minutes
+    dist = tuple(tuple(10 * t for t in row) for row in time)
+    matrix = TravelMatrix(5, dist, tuple(map(tuple, time)))
+    deliver = (TimeWindow(2800, 3000),)
+    requests = (
+        Request(1, 0, 1, TimeWindow(360, 480), deliver, 1000),
+        Request(2, 0, 2, TimeWindow(360, 480), deliver, 1000),
+        Request(3, 3, 4, TimeWindow(2800, 2900), (TimeWindow(2800, 5000),), 1000),
+    )
+    inst = Instance(requests, matrix, CostModel(), RegParams(sigma=0), 0, Horizon(4, 4))
+    inst.check()
+    assert not isinstance(simulate_trip(inst, (1, 3)), Infeasible)
+    assert isinstance(simulate_trip(inst, (2, 3)), Infeasible)
+    for order in ((1, 2), (2, 1)):
+        sim = Simulator(inst)
+        trips = {rid: sim.build_trip((rid,)) for rid in order}
+        front = trips[1].frontiers[1]
+        assert front == trips[2].frontiers[1] == ((2800, 0),)
+        got = {rid: sim.best_insertion(trips[rid], 3, (1,)) for rid in order}
+        assert got[1] is not None and got[2] is None, order
+        assert set(sim._heads[front]) == {1, 2}
+        assert sim.splice_trip(trips[2], 3, 1) is None
+        assert sim.splice_trip(trips[1], 3, 1).frontiers == bare(sim.frontiers((1, 3)))
+
+
+def test_head_memo_keys_on_the_whole_frontier():
+    # in kernel_case(133), trips (2, 3) and (1, 2, 3) leave request 3's
+    # delivery (location 1) with frontiers that share their first label,
+    # (10440, 21), but not their rested one; request 4 spliced behind
+    # either must start from its own trip's frontier
+    inst, _seq = kernel_case(133)
+    for order in (((2, 3), (1, 2, 3)), ((1, 2, 3), (2, 3))):
+        sim = Simulator(inst)
+        trips = [sim.build_trip(seq) for seq in order]
+        ends = [trip.frontiers[-1] for trip in trips]
+        assert ends[0][0] == ends[1][0] == (10440, 21) and ends[0] != ends[1]
+        for trip in trips:
+            seq = trip.requests + (4,)
+            spliced = sim.splice_trip(trip, 4, len(trip.requests))
+            assert spliced.frontiers == bare(sim.frontiers(seq)), seq
+
+
+def test_screen_and_position_bounds_keep_every_accepted_splice():
+    # kernel cases have no triangle inequality.  Per (trip, request,
+    # position), best_insertions accepts exactly the splices simulate_trip
+    # accepts, and each accepted position lies inside the full sweep's two
+    # bounds: the next pickup's latest start leaves room for the earliest
+    # delivery end, and the previous departure is no later than the
+    # pickup's last start
+    rng = random.Random(14)
+    seen = Counter()
+    for _ in range(3000):
+        inst, seq = kernel_case(rng.randrange(10_000_000))
+        sim = Simulator(inst)
+        sigma, tau_n, tau_b = inst.regs.sigma, inst.regs.tau_n, inst.regs.tau_b
+        for extra in seq:
+            base = tuple(rid for rid in seq if rid != extra)
+            trip = sim.build_trip(base)
+            if trip is None:
+                continue
+            n = len(base)
+            lats = sim._trip_tables(trip)[1][0::2]
+            deps = [trip.frontiers[2 * pos - 1][0][0] + sigma for pos in range(1, n + 1)]
+            (o, o_firsts, o_lasts), (d, _firsts, _lasts) = sim._node_data[extra]
+            t_od = inst.matrix.time[o][d]
+            if t_od > tau_n:
+                t_od += tau_b * ((t_od - 1) // tau_n)
+            accepted = []
+            for pos in range(n + 1):
+                new_seq = base[:pos] + (extra,) + base[pos:]
+                ok = not isinstance(simulate_trip(inst, new_seq, sim), Infeasible)
+                got = sim.best_insertions(trip, [(extra, (pos,))])[0]
+                assert (got is not None) == ok, (new_seq, pos)
+                if not ok:
+                    seen["rejected"] += 1
+                    continue
+                accepted.append(got)
+                if pos < n:
+                    room = lats[pos] - (o_firsts[0] + 2 * sigma + t_od)
+                    assert room >= 0, (new_seq, pos)
+                    seen["next start within a day"] += room < 1440
+                if pos:
+                    assert deps[pos - 1] <= o_lasts[-1], (new_seq, pos)
+                    seen["departure within a day"] += o_lasts[-1] - deps[pos - 1] < 1440
+            assert sim.best_insertions(trip, [(extra, None)])[0] == min(accepted, default=None)
+    for what in ("rejected", "next start within a day", "departure within a day"):
+        assert seen[what] >= 20, (what, seen)

@@ -456,32 +456,30 @@ class TestEvaluatorConsistency:
         # trips of a kernel case (time matrices without the triangle
         # inequality), each noted with the parent that first produced it
         reached = Counter()
+        naive = {}
         for seed in range(600):
             inst, _seq = kernel_case(seed)
-            sim = Simulator(inst)
-            ev = InsertionEvaluator(sim)
-            ids = [r.id for r in inst.requests]
-            todo = [t for t in (sim.build_trip((rid,)) for rid in ids) if t is not None]
-            while todo:
-                trip = todo.pop()
-                lin = ev.lineage.get(trip.requests)
-                for rid in ids:
-                    if rid in trip.requests:
-                        continue
-                    shortcut = lin is not None and lin[2] and ev.cells[lin[0]][rid] is None
-                    want = naive_cell(sim, trip, rid)
-                    assert ev.cell(rid, trip) == want, (seed, trip.requests, rid)
-                    if lin is not None and not lin[2]:
-                        reached["unguarded"] += 1
-                    elif shortcut and want is not None:
-                        reached[f"flank {want[1] - lin[1]}"] += 1
-                    for pos in range(len(trip.requests) + 1):
-                        new = sim.splice_trip(trip, rid, pos)
-                        if new is not None and new.requests not in ev.lineage:
-                            ev.note_splice(trip, new, rid, pos)
-                            todo.append(new)
+            for sim, ev, walk in warm_and_cleared_walks(inst):
+                ids = [r.id for r in inst.requests]
+                for trip in walk:
+                    lin = ev.lineage.get(trip.requests)
+                    for rid in ids:
+                        if rid in trip.requests:
+                            continue
+                        shortcut = lin is not None and lin[2] and ev.cells[lin[0]][rid] is None
+                        want = cached_naive_cell(naive, sim, trip, rid)
+                        assert ev.cell(rid, trip) == want, (seed, trip.requests, rid)
+                        if lin is not None and not lin[2]:
+                            reached["unguarded"] += 1
+                        elif shortcut and want is not None:
+                            reached[f"flank {want[1] - lin[1]}"] += 1
+                        walk.splice_all(trip, rid)
+                reached["head hits"] += walk.head_hits
+                reached["cleared"] += walk.cleared
+            naive.clear()
         # the shortcut found a request on each flank of the spliced one
         assert reached["flank 0"] and reached["flank 1"] and reached["unguarded"], reached
+        assert reached["head hits"] and reached["cleared"], reached
 
     def test_columns_match_naive_scan_on_generated_splices(self):
         # columns over trips reachable by feasible splices, as above, each
@@ -489,34 +487,93 @@ class TestEvaluatorConsistency:
         # one call mixes cached, fresh and lineage-narrowed requests
         rng = random.Random(7)
         reached = Counter()
+        naive = {}
         for seed in range(300):
             inst, _seq = kernel_case(seed)
-            sim = Simulator(inst)
-            ev = InsertionEvaluator(sim)
-            ids = [r.id for r in inst.requests]
-            todo = [t for t in (sim.build_trip((rid,)) for rid in ids) if t is not None]
-            while todo:
-                trip = todo.pop()
-                rids = [rid for rid in ids if rid not in trip.requests]
-                for rid in rng.sample(rids, rng.randint(0, len(rids))):
-                    ev.cell(rid, trip)
-                rng.shuffle(rids)
-                cached = ev.cells.get(trip.requests, {})
-                lin = ev.lineage.get(trip.requests)
-                parent = ev.cells.get(lin[0], {}) if lin is not None and lin[2] else {}
-                fresh = [rid for rid in rids if rid not in cached]
-                reached["mixed"] += 0 < len(fresh) < len(rids)
-                reached["narrowed"] += sum(parent.get(rid, 1) is None for rid in fresh)
-                want = [naive_cell(sim, trip, rid) for rid in rids]
-                assert ev.column(rids, trip) == want, (seed, trip.requests, rids)
-                assert ev.size == sum(map(len, ev.cells.values()))
-                for rid in rids:
-                    for pos in range(len(trip.requests) + 1):
-                        new = sim.splice_trip(trip, rid, pos)
-                        if new is not None and new.requests not in ev.lineage:
-                            ev.note_splice(trip, new, rid, pos)
-                            todo.append(new)
+            for sim, ev, walk in warm_and_cleared_walks(inst):
+                ids = [r.id for r in inst.requests]
+                for trip in walk:
+                    rids = [rid for rid in ids if rid not in trip.requests]
+                    for rid in rng.sample(rids, rng.randint(0, len(rids))):
+                        ev.cell(rid, trip)
+                    rng.shuffle(rids)
+                    cached = ev.cells.get(trip.requests, {})
+                    lin = ev.lineage.get(trip.requests)
+                    parent = ev.cells.get(lin[0], {}) if lin is not None and lin[2] else {}
+                    fresh = [rid for rid in rids if rid not in cached]
+                    reached["mixed"] += 0 < len(fresh) < len(rids)
+                    reached["narrowed"] += sum(parent.get(rid, 1) is None for rid in fresh)
+                    want = [cached_naive_cell(naive, sim, trip, rid) for rid in rids]
+                    assert ev.column(rids, trip) == want, (seed, trip.requests, rids)
+                    assert ev.size == sum(map(len, ev.cells.values()))
+                    for rid in rids:
+                        walk.splice_all(trip, rid)
+                reached["head hits"] += walk.head_hits
+                reached["cleared"] += walk.cleared
+            naive.clear()
         assert reached["mixed"] and reached["narrowed"], reached
+        assert reached["head hits"] and reached["cleared"], reached
+
+
+class SpliceWalk:
+    """The trips reachable by feasible splices from an instance's
+    single-request trips, each noted with the parent that first produced it.
+
+    Iterating pops trips depth first; with `clear_at`, the simulator's
+    caches are dropped (and checked empty) once that many trips were
+    popped.  `head_hits` counts the splice heads found in the simulator's
+    memo.
+    """
+
+    def __init__(self, sim, ev, clear_at=None):
+        self.sim, self.ev, self.clear_at = sim, ev, clear_at
+        self.popped = self.head_hits = 0
+        self.cleared = False
+        ids = [r.id for r in sim.instance.requests]
+        self.todo = [t for t in (sim.build_trip((rid,)) for rid in ids) if t is not None]
+        head = sim._head
+
+        def counted(frontier, prev_loc, rid):
+            self.head_hits += rid in sim._heads.get(frontier, {}).get(prev_loc, {})
+            return head(frontier, prev_loc, rid)
+
+        sim._head = counted
+
+    def __iter__(self):
+        while self.todo:
+            if self.popped == self.clear_at:
+                self.sim.clear_caches()
+                assert not self.sim._heads and not self.sim._head_fronts
+                self.cleared = True
+            self.popped += 1
+            yield self.todo.pop()
+
+    def splice_all(self, trip, rid):
+        for pos in range(len(trip.requests) + 1):
+            new = self.sim.splice_trip(trip, rid, pos)
+            if new is not None and new.requests not in self.ev.lineage:
+                self.ev.note_splice(trip, new, rid, pos)
+                self.todo.append(new)
+
+
+def warm_and_cleared_walks(inst):
+    """(simulator, evaluator, walk) twice over one instance: once with the
+    simulator's caches warm for the whole walk, then on a fresh simulator
+    whose caches are dropped halfway through the same walk."""
+    sim = Simulator(inst)
+    ev = InsertionEvaluator(sim)
+    walk = SpliceWalk(sim, ev)
+    yield sim, ev, walk
+    sim = Simulator(inst)
+    ev = InsertionEvaluator(sim)
+    yield sim, ev, SpliceWalk(sim, ev, clear_at=walk.popped // 2)
+
+
+def cached_naive_cell(naive, sim, trip, rid):
+    key = (trip.requests, rid)
+    if key not in naive:
+        naive[key] = naive_cell(sim, trip, rid)
+    return naive[key]
 
 
 def naive_cell(sim, trip, rid):

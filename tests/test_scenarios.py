@@ -302,12 +302,12 @@ class TestDumpSchedules:
 
 
 class TestCli:
-    def run_cli(self, *args, timeout=None):
+    def run_cli(self, *args, timeout=None, module="ftlopt.cli"):
         # the child needs the checkout's src on its path, as the pytest process has
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         return subprocess.run(
-            [sys.executable, "-m", "ftlopt.cli", *args],
+            [sys.executable, "-m", module, *args],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
@@ -444,6 +444,31 @@ class TestCli:
             assert r.returncode == 2, (message, r.stderr)
             assert "/requests/1: " in r.stderr and message in r.stderr, r.stderr
             assert "Traceback" not in r.stderr, message
+
+    def test_unreadable_inputs_exit_2(self, tmp_path):
+        # a directory where a file is expected, and files that are not UTF-8
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("Gr\u00fc\u00dfe 1 2 3\n".encode("latin-1"))
+        native = tmp_path / "mini.json"
+        self.run_cli("transform", "--gh", os.path.join(DATA, "gh_mini.txt"), "--out", str(native))
+        for args in (
+            ("solve", "--instance", str(tmp_path), "--scenario", "mixed",
+             "--out", str(tmp_path / "r.json")),
+            ("transform", "--gh", str(latin1), "--out", str(tmp_path / "t.json")),
+            ("oracle", "--instance", str(latin1)),
+            ("solve", "--instance", str(native), "--scenario", "mixed",
+             "--config", str(latin1), "--out", str(tmp_path / "r.json")),
+            ("compare", "--instance", str(native), "--config", str(tmp_path),
+             "--out-dir", str(tmp_path / "cmp")),
+        ):
+            r = self.run_cli(*args, timeout=10)
+            assert r.returncode == 2, (args, r.stderr)
+            assert r.stderr.startswith("input error: ") and "Traceback" not in r.stderr, args
+
+    def test_package_runs_as_a_module(self):
+        r = self.run_cli("--help", module="ftlopt", timeout=10)
+        assert r.returncode == 0, r.stderr
+        assert "transform" in r.stdout and "compare" in r.stdout
 
     def test_oracle_and_lp(self, tmp_path):
         native = tmp_path / "mini.json"
