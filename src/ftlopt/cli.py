@@ -1,13 +1,16 @@
 """Command-line interface.
 
 Commands: transform, solve, compare, oracle, emit-lp.  Exit codes:
-0 success, 2 input error, 3 configuration error.
+0 success, 2 input error or an --out that cannot be written, 3 configuration
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 
 from . import engine, instances, oracle, scenarios
@@ -17,16 +20,14 @@ from .model import PartitionViolation, fmt_money
 def _load_config(args) -> engine.AlnsConfig:
     cfg = engine.load_config(args.config) if args.config else engine.AlnsConfig()
     if getattr(args, "seed", None) is not None:
-        cfg = engine.with_seed(cfg, args.seed)
-    cfg.check()
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
 def cmd_transform(args) -> int:
     with open(args.gh, "r", encoding="utf-8") as fh:
         gh = instances.parse_gh(fh.read())
-    cfg = instances.TransformConfig(factor=args.factor)
-    instance = instances.transform(gh, cfg)
+    instance = instances.transform(gh, args.factor)
     instances.write_instance(instance, args.out)
     print(f"{instance.name or 'instance'}: {len(instance.requests)} requests, "
           f"mu {instance.mu_d10 / 10:.0f} km, horizon {instance.horizon.days} days -> {args.out}")
@@ -129,6 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # an output that cannot be written fails before any input is read
+    out = getattr(args, "out", None)
+    if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        print(f"output error: {out} is not a file in an existing directory", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except engine.ConfigError as exc:

@@ -12,7 +12,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -323,6 +323,3 @@ def write_report(report: RunReport, json_path: str, trace_csv_path: Optional[str
                     f"{row.best_cents / 100:.2f},{row.temperature:.6f}\n"
                 )
 
-
-def with_seed(config: AlnsConfig, seed: int) -> AlnsConfig:
-    return replace(config, seed=seed)

@@ -8,17 +8,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
-    DEFAULT_SM_TIERS,
     MINUTES_PER_DAY,
     CostModel,
     Horizon,
     Instance,
     RegParams,
     Request,
-    SmTier,
     TimeWindow,
     TravelMatrix,
     cents,
@@ -68,16 +66,12 @@ class GhInstance:
     nodes: tuple[GhNode, ...]
 
 
-@dataclass(frozen=True)
-class TransformConfig:
-    factor: int = 6
-    day_open: int = 360    # 06:00
-    day_close: int = 1080  # 18:00
-    mu_per_day_km: int = 250
-    kappa_cents: int = 106
-    sm_tiers: tuple[SmTier, ...] = DEFAULT_SM_TIERS
-    regs: RegParams = field(default_factory=RegParams)
-    slack_days: int = 7    # horizon past the last ready day
+# the transformation's fixed rules; its cost model and driving rules are
+# the CostModel() and RegParams() defaults
+DAY_OPEN = 360    # 06:00
+DAY_CLOSE = 1080  # 18:00
+MU_PER_DAY_KM = 250
+SLACK_DAYS = 7    # horizon past the last ready day
 
 
 def parse_gh(text: str) -> GhInstance:
@@ -129,12 +123,12 @@ def _euclid_matrix(coords: tuple[tuple[float, float], ...], nu: float) -> Travel
     return TravelMatrix.from_distances(dist, nu)
 
 
-def transform(gh: GhInstance, cfg: TransformConfig = TransformConfig()) -> Instance:
+def transform(gh: GhInstance, factor: int = 6) -> Instance:
     """Turn a benchmark instance into a multi-day full-truck-load instance.
 
     Node 0 (the depot) is dropped; node n and N/2 + n become the pickup and
     delivery of request n.  Distances and pickup start times are stretched
-    by the factor, locations open daily between day_open and day_close, and
+    by the factor, locations open daily between DAY_OPEN and DAY_CLOSE, and
     the minimum driven distance scales with the number of days that have
     pickups.
     """
@@ -150,30 +144,30 @@ def transform(gh: GhInstance, cfg: TransformConfig = TransformConfig()) -> Insta
         if i not in by_id:
             raise TransformError(f"node {i} missing; ids must be consecutive")
 
-    f = cfg.factor
-    if f < 1:
-        raise TransformError(f"factor {f} must be at least 1")
+    if factor < 1:
+        raise TransformError(f"factor {factor} must be at least 1")
     index = {node.id: k for k, node in enumerate(customers)}
-    coords = tuple((f * node.x, f * node.y) for node in customers)
-    matrix = _euclid_matrix(coords, cfg.regs.nu)
+    coords = tuple((factor * node.x, factor * node.y) for node in customers)
+    regs = RegParams()
+    matrix = _euclid_matrix(coords, regs.nu)
 
     ready_days = []
     for i in range(1, half + 1):
-        ready_days.append((f * by_id[i].tw_start) // MINUTES_PER_DAY)
+        ready_days.append((factor * by_id[i].tw_start) // MINUTES_PER_DAY)
     last_ready = max(ready_days)
-    horizon = Horizon(0, last_ready + 1 + cfg.slack_days)  # day 0 is a Monday
+    horizon = Horizon(0, last_ready + 1 + SLACK_DAYS)  # day 0 is a Monday
 
-    cost = CostModel(cfg.kappa_cents, cfg.sm_tiers)
+    cost = CostModel()
     requests = []
     for i in range(1, half + 1):
         pickup = index[i]
         delivery = index[half + i]
         day = ready_days[i - 1]
         pickup_window = TimeWindow(
-            day * MINUTES_PER_DAY + cfg.day_open, day * MINUTES_PER_DAY + cfg.day_close
+            day * MINUTES_PER_DAY + DAY_OPEN, day * MINUTES_PER_DAY + DAY_CLOSE
         )
         delivery_windows = tuple(
-            TimeWindow(d * MINUTES_PER_DAY + cfg.day_open, d * MINUTES_PER_DAY + cfg.day_close)
+            TimeWindow(d * MINUTES_PER_DAY + DAY_OPEN, d * MINUTES_PER_DAY + DAY_CLOSE)
             for d in range(day, horizon.days)
         )
         direct = matrix.distance[pickup][delivery]
@@ -182,12 +176,12 @@ def transform(gh: GhInstance, cfg: TransformConfig = TransformConfig()) -> Insta
         price = max(1, cost.sm_price(direct, i))
         requests.append(Request(i, pickup, delivery, pickup_window, delivery_windows, price))
 
-    mu_d10 = 10 * cfg.mu_per_day_km * len(set(ready_days))
+    mu_d10 = 10 * MU_PER_DAY_KM * len(set(ready_days))
     instance = Instance(
         requests=tuple(requests),
         matrix=matrix,
         cost=cost,
-        regs=cfg.regs,
+        regs=regs,
         mu_d10=mu_d10,
         horizon=horizon,
         name=gh.name,
@@ -196,7 +190,7 @@ def transform(gh: GhInstance, cfg: TransformConfig = TransformConfig()) -> Insta
     try:
         instance.check()
     except ValueError as exc:
-        raise TransformError(f"factor {f}: {exc}") from None
+        raise TransformError(f"factor {factor}: {exc}") from None
     return instance
 
 

@@ -10,8 +10,9 @@ no shortcuts with them.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .model import (
     MINUTES_PER_DAY,
@@ -384,12 +385,6 @@ class ArcGraph:
     nodes: tuple[str, ...]
     arcs: tuple[Arc, ...]
 
-    def arcs_from(self, node: str) -> list[Arc]:
-        return [a for a in self.arcs if a.src == node]
-
-    def arcs_into(self, node: str) -> list[Arc]:
-        return [a for a in self.arcs if a.dst == node]
-
 
 def build_arc_graph(instance: Instance) -> ArcGraph:
     reqs = sorted(instance.requests, key=lambda r: r.id)
@@ -427,12 +422,6 @@ def build_arc_graph(instance: Instance) -> ArcGraph:
     return ArcGraph(tuple(nodes), tuple(arcs))
 
 
-def _eur3(tenth_cents: int) -> str:
-    sign = "-" if tenth_cents < 0 else ""
-    v = abs(tenth_cents)
-    return f"{sign}{v // 1000}.{v % 1000:03d}"
-
-
 def _xname(a: Arc) -> str:
     return f"x_{a.src}_{a.dst}"
 
@@ -441,88 +430,148 @@ def _yname(a: Arc) -> str:
     return f"y_{a.src}_{a.dst}"
 
 
-def emit_lp(graph: ArcGraph, instance: Instance, path: str) -> None:
-    """Write the routing + minimum-distance model in CPLEX LP format.
+_SENSES = {"=": operator.eq, "<=": operator.le, ">=": operator.ge}
 
-    Binary x_a selects arcs, continuous y_a carries the cumulative distance
-    from the tour start.  Time windows and driver-hours rules are enforced
-    by the schedule simulator and deliberately not emitted.
+# what a violated row means, by the prefix of its name
+_ROW_MEANING = {"k1": "kirchhoff1", "k2": "kirchhoff2", "flow": "distance update",
+                "y0": "zero start distance", "bigm": "big-M", "mind": "minimum distance"}
+
+
+@dataclass(frozen=True)
+class LpRow:
+    """The row `sum(coef * var) sense 0`, with exact integer coefficients.
+
+    `unit` writes the magnitude of an x coefficient: tenth-cents as EUR in
+    the objective, d10 as km in the distance rows; None marks a row whose
+    coefficients are all +-1.  A y variable carries the distance itself, so
+    it has coefficient +-1 in every row, and the file states it in km.
+    """
+
+    name: str
+    terms: tuple[tuple[int, str], ...]
+    sense: str = "="
+    unit: Optional[Callable[[int], str]] = None
+
+    def value(self, values: dict[str, int]) -> int:
+        return sum(coef * values[var] for coef, var in self.terms)
+
+
+@dataclass(frozen=True)
+class LpModel:
+    """Minimise objective + constant (tenth-cents) subject to rows.  Every
+    variable has the LP format's default bounds [0, +inf); the binaries
+    are further restricted to {0, 1}."""
+
+    objective: LpRow
+    constant: int
+    rows: tuple[LpRow, ...]
+    binaries: tuple[str, ...]
+
+
+def lp_model(graph: ArcGraph, instance: Instance) -> LpModel:
+    """The routing + minimum-distance model on the arc graph: the one
+    statement that emit_lp writes and check_lp_assignment evaluates.
+
+    Binary x_a selects arc a; continuous y_a carries the cumulative distance
+    (d10) from the tour start up to and including arc a.
     """
     kappa = instance.cost.kappa_cents
-    reqs = sorted(instance.requests, key=lambda r: r.id)
-    serve = {r.id: f"x_o{r.id}_d{r.id}" for r in reqs}
+    ids = sorted(r.id for r in instance.requests)
+    sm = {r.id: 10 * r.sm_price_cents for r in instance.requests}  # tenth-cents
+    out_of = {node: [] for node in graph.nodes}
+    into = {node: [] for node in graph.nodes}
+    for a in graph.arcs:
+        out_of[a.src].append(a)
+        into[a.dst].append(a)
+
+    objective = []
+    for a in graph.arcs:
+        coef = kappa * a.d10
+        if a.src[0] == "o":  # serving a request saves its spot-market price
+            coef -= sm[int(a.src[1:])]
+        if coef:
+            objective.append((coef, _xname(a)))
+    rows = []
+    for rid in ids:
+        serve = (-1, f"x_o{rid}_d{rid}")
+        rows.append(LpRow(f"k1_{rid}", tuple((1, _xname(a)) for a in into[f"o{rid}"]) + (serve,)))
+        rows.append(LpRow(f"k2_{rid}", tuple((1, _xname(a)) for a in out_of[f"d{rid}"]) + (serve,)))
+    for node in graph.nodes:
+        if node in ("n0", "ninf"):
+            continue
+        terms = []
+        for a in out_of[node]:
+            terms.append((1, _yname(a)))
+            if a.d10:
+                terms.append((-a.d10, _xname(a)))
+        terms += [(-1, _yname(a)) for a in into[node]]
+        rows.append(LpRow(f"flow_{node}", tuple(terms), unit=fmt_km))
+    rows += [LpRow(f"y0_{rid}", ((1, f"y_n0_o{rid}"),)) for rid in ids]
+    big_m = sum(a.d10 for a in graph.arcs)
+    for a in graph.arcs:
+        rows.append(LpRow(f"bigm_{a.src}_{a.dst}", ((1, _yname(a)), (-big_m, _xname(a))),
+                          "<=", fmt_km))
+    for a in into["ninf"]:
+        rows.append(LpRow(f"mind_{a.src}", ((1, _yname(a)), (-instance.mu_d10, _xname(a))),
+                          ">=", fmt_km))
+    binaries = tuple(_xname(a) for a in graph.arcs)
+    return LpModel(LpRow("obj", tuple(objective), unit=_eur3), sum(sm.values()), tuple(rows),
+                   binaries)
+
+
+def _eur3(tenth_cents: int) -> str:
+    return f"{tenth_cents // 1000}.{tenth_cents % 1000:03d}"
+
+
+def _lp_terms(row: LpRow) -> str:
+    parts = []
+    for coef, var in row.terms:
+        size = "" if row.unit is None or var[0] == "y" else row.unit(abs(coef)) + " "
+        # a zero bound coefficient is written "- 0.0"
+        parts.append(f"{'+' if coef > 0 else '-'} {size}{var}")
+    return " ".join(parts)
+
+
+def emit_lp(graph: ArcGraph, instance: Instance, path: str) -> None:
+    """Write lp_model in CPLEX LP format.
+
+    Time windows and driver-hours rules are enforced by the schedule
+    simulator and deliberately not emitted.
+    """
+    model = lp_model(graph, instance)
+    objective = f"{_lp_terms(model.objective)} + {_eur3(model.constant)}"
     lines = [
         "\\ Routing and minimum-driven-distance relaxation.",
         "\\ Timing (windows, shift breaks, Sunday breaks) is validated by the",
         "\\ schedule simulator and is intentionally not part of this file.",
         "Minimize",
+        " obj: " + objective.lstrip("+ "),
+        "Subject To",
     ]
-    terms = []
-    const_cents = sum(r.sm_price_cents for r in reqs)
-    for a in graph.arcs:
-        coef = kappa * a.d10  # tenth-cents
-        if a.src.startswith("o"):
-            rid = int(a.src[1:])
-            coef -= instance.request(rid).sm_price_cents * 10
-        if coef:
-            terms.append(f"{'+' if coef > 0 else '-'} {_eur3(abs(coef))} {_xname(a)}")
-    terms.append(f"+ {_eur3(const_cents * 10)}")
-    lines.append(" obj: " + " ".join(terms).lstrip("+ "))
-    lines.append("Subject To")
-    for r in reqs:
-        into = [a for a in graph.arcs_into(f"o{r.id}")]
-        outof = [a for a in graph.arcs_from(f"d{r.id}")]
-        lines.append(
-            f" k1_{r.id}: " + " + ".join(_xname(a) for a in into) + f" - {serve[r.id]} = 0"
-        )
-        lines.append(
-            f" k2_{r.id}: " + " + ".join(_xname(a) for a in outof) + f" - {serve[r.id]} = 0"
-        )
-    for node in graph.nodes:
-        if node in ("n0", "ninf"):
-            continue
-        parts = []
-        for a in graph.arcs_from(node):
-            parts.append(f"+ {_yname(a)}")
-            if a.d10:
-                parts.append(f"- {fmt_km(a.d10)} {_xname(a)}")
-        for a in graph.arcs_into(node):
-            parts.append(f"- {_yname(a)}")
-        lines.append(f" flow_{node}: " + " ".join(parts).lstrip("+ ") + " = 0")
-    for r in reqs:
-        lines.append(f" y0_{r.id}: y_n0_o{r.id} = 0")
-    big_m = sum(a.d10 for a in graph.arcs)
-    for a in graph.arcs:
-        lines.append(f" bigm_{a.src}_{a.dst}: {_yname(a)} - {fmt_km(big_m)} {_xname(a)} <= 0")
-    for a in graph.arcs_into("ninf"):
-        lines.append(
-            f" mind_{a.src}: {_yname(a)} - {fmt_km(instance.mu_d10)} {_xname(a)} >= 0"
-        )
+    lines += [f" {row.name}: {_lp_terms(row).lstrip('+ ')} {row.sense} 0" for row in model.rows]
     lines.append("Binary")
-    for a in graph.arcs:
-        lines.append(f" {_xname(a)}")
+    lines += [f" {var}" for var in model.binaries]
     lines.append("End")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def lp_assignment(graph: ArcGraph, instance: Instance, solution: Solution):
-    """Map a solution to (x, y) values on the arc graph.
+    """Map a solution to (values, missing): the value of every x and y
+    variable by name, and the legs it drives that have no arc.
 
     y follows the cumulative-distance convention: the total distance driven
     from the tour start up to and including the arc itself, in d10.
     """
-    x = {(a.src, a.dst): 0 for a in graph.arcs}
-    y = {(a.src, a.dst): 0 for a in graph.arcs}
+    values = {name(a): 0 for a in graph.arcs for name in (_xname, _yname)}
     missing = []
 
-    def use(src: str, dst: str, cum: int) -> int:
-        if (src, dst) not in x:
+    def use(src: str, dst: str, cum: int) -> None:
+        if f"x_{src}_{dst}" not in values:
             missing.append(f"{src}->{dst}")
-            return cum
-        x[(src, dst)] = 1
-        y[(src, dst)] = cum
-        return cum
+            return
+        values[f"x_{src}_{dst}"] = 1
+        values[f"y_{src}_{dst}"] = cum
 
     dist = instance.matrix.distance
     for trip in solution.trips:
@@ -538,55 +587,29 @@ def lp_assignment(graph: ArcGraph, instance: Instance, solution: Solution):
             use(f"o{rid}", f"d{rid}", cum)
             prev = r
         use(f"d{trip.requests[-1]}", "ninf", cum)
-    return x, y, missing
+    return values, missing
 
 
 def check_lp_assignment(graph: ArcGraph, instance: Instance, solution: Solution) -> list[str]:
-    """Violated model constraints for a solution, by direct evaluation."""
-    x, y, missing = lp_assignment(graph, instance, solution)
+    """Violated rows, binaries and bounds of lp_model for a solution."""
+    values, missing = lp_assignment(graph, instance, solution)
     problems = [f"no arc for used leg {m}" for m in missing]
-    serve_val = {}
     for r in instance.requests:
-        serve_val[r.id] = x.get((f"o{r.id}", f"d{r.id}"), 0)
-        if (r.id in solution.bank) == bool(serve_val[r.id]):
+        if (r.id in solution.bank) == bool(values.get(f"x_o{r.id}_d{r.id}", 0)):
             problems.append(f"request {r.id}: serve arc inconsistent with the bank")
-    for r in instance.requests:
-        into = sum(x[(a.src, a.dst)] for a in graph.arcs_into(f"o{r.id}"))
-        outof = sum(x[(a.src, a.dst)] for a in graph.arcs_from(f"d{r.id}"))
-        if into != serve_val[r.id]:
-            problems.append(f"kirchhoff1 violated at request {r.id}")
-        if outof != serve_val[r.id]:
-            problems.append(f"kirchhoff2 violated at request {r.id}")
-    for node in graph.nodes:
-        if node in ("n0", "ninf"):
-            continue
-        lhs = sum(y[(a.src, a.dst)] for a in graph.arcs_from(node))
-        rhs = sum(a.d10 * x[(a.src, a.dst)] for a in graph.arcs_from(node)) + sum(
-            y[(a.src, a.dst)] for a in graph.arcs_into(node)
-        )
-        if lhs != rhs:
-            problems.append(f"distance update violated at {node}")
-    for r in instance.requests:
-        if y.get(("n0", f"o{r.id}"), 0) != 0:
-            problems.append(f"start arc of request {r.id} carries distance")
-    big_m = sum(a.d10 for a in graph.arcs)
-    for a in graph.arcs:
-        if y[(a.src, a.dst)] > big_m * x[(a.src, a.dst)]:
-            problems.append(f"big-M violated on {a.src}->{a.dst}")
-        if y[(a.src, a.dst)] < 0:
-            problems.append(f"negative distance on {a.src}->{a.dst}")
-    for a in graph.arcs_into("ninf"):
-        if y[(a.src, a.dst)] < instance.mu_d10 * x[(a.src, a.dst)]:
-            problems.append(f"minimum distance violated on {a.src}->ninf")
+    model = lp_model(graph, instance)
+    for row in model.rows:
+        lhs = row.value(values)
+        if not _SENSES[row.sense](lhs, 0):
+            meaning = _ROW_MEANING[row.name.split("_", 1)[0]]
+            problems.append(f"{meaning} violated: {row.name} reads {lhs} {row.sense} 0")
+    problems += [f"binary {v} is {values[v]}" for v in model.binaries if values[v] not in (0, 1)]
+    problems += [f"{var} is {n}, below its bound 0" for var, n in values.items() if n < 0]
     return problems
 
 
 def lp_objective_cents(graph: ArcGraph, instance: Instance, solution: Solution) -> float:
     """Objective value of the mapped assignment, in cents (exact to 0.1)."""
-    x, _y, _missing = lp_assignment(graph, instance, solution)
-    tenth_cents = sum(
-        instance.cost.kappa_cents * a.d10 * x[(a.src, a.dst)] for a in graph.arcs
-    )
-    for r in instance.requests:
-        tenth_cents += r.sm_price_cents * 10 * (1 - x.get((f"o{r.id}", f"d{r.id}"), 0))
-    return tenth_cents / 10
+    model = lp_model(graph, instance)
+    values, _missing = lp_assignment(graph, instance, solution)
+    return (model.objective.value(values) + model.constant) / 10

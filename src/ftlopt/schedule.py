@@ -22,7 +22,7 @@ Rules realised here:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .model import MINUTES_PER_DAY, SUNDAY, Instance, RegParams, Trip, trip_distances
@@ -62,11 +62,21 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Calendar:
-    """Sunday-blackout arithmetic for a horizon starting on a given weekday."""
+    """Sunday-blackout arithmetic for a horizon starting on a given weekday.
+
+    `first_sunday` is the minute at which the first Sunday at or after the
+    origin starts; the Sunday that holds minute t starts at
+    t - (t - first_sunday) % WEEK.
+    """
 
     origin_weekday: int
     tau_s: int
     horizon_end: int
+    first_sunday: int = field(init=False)
+
+    def __post_init__(self):
+        first = (SUNDAY - self.origin_weekday) % 7 * MINUTES_PER_DAY
+        object.__setattr__(self, "first_sunday", first)
 
 
 def calendar_for(instance: Instance) -> Calendar:
@@ -90,13 +100,11 @@ def _leg_arrivals(t0: int, c0: int, drive: int, regs: RegParams, cal: Calendar):
     no room for a rest before it, and waits through it.
     """
     tau_n, tau_b = regs.tau_n, regs.tau_b
-    tau_s = cal.tau_s
-    w_shift = cal.origin_weekday - SUNDAY
+    tau_s, first_sunday = cal.tau_s, cal.first_sunday
     t, c, left = t0, c0, drive
     segs = ()
     while left:
-        day = t // MINUTES_PER_DAY
-        sunday_start = (day - (w_shift + day) % 7) * MINUTES_PER_DAY
+        sunday_start = t - (t - first_sunday) % WEEK
         if t < sunday_start + tau_s:  # inside a blackout: wait for its end
             be = sunday_start + tau_s
             if be - t >= tau_b:
@@ -146,8 +154,7 @@ def _earliest_fit(
 ) -> Optional[int]:
     """Earliest service start >= t that fits a window, avoids blackouts, and
     completes inside the horizon."""
-    tau_s = cal.tau_s
-    w_shift = cal.origin_weekday - SUNDAY
+    tau_s, first_sunday = cal.tau_s, cal.first_sunday
     i = 0 if len(ends) == 1 else bisect_left(ends, t + sigma)
     while i < len(starts):
         s = starts[i]
@@ -155,8 +162,7 @@ def _earliest_fit(
             s = t
         if sigma > 0:
             while True:
-                day = s // MINUTES_PER_DAY
-                sunday_start = (day - (w_shift + day) % 7) * MINUTES_PER_DAY
+                sunday_start = s - (s - first_sunday) % WEEK
                 if s < sunday_start + tau_s:
                     s = sunday_start + tau_s  # inside the weekly blackout
                 elif sunday_start + WEEK < s + sigma:
@@ -181,7 +187,6 @@ def _fit_table(starts: Sequence[int], ends: Sequence[int], sigma: int, cal: Cale
     spans are too.
     """
     tau_s = cal.tau_s
-    w_shift = cal.origin_weekday - SUNDAY
     firsts, lasts = [], []
     for lo, end in zip(starts, ends):
         hi = min(end, cal.horizon_end) - sigma
@@ -190,8 +195,7 @@ def _fit_table(starts: Sequence[int], ends: Sequence[int], sigma: int, cal: Cale
                 firsts.append(lo)
                 lasts.append(hi)
             continue
-        day = lo // MINUTES_PER_DAY
-        sunday = (day - (w_shift + day) % 7) * MINUTES_PER_DAY
+        sunday = lo - (lo - cal.first_sunday) % WEEK
         while sunday + tau_s <= hi:
             a = max(lo, sunday + tau_s)
             b = min(hi, sunday + WEEK - sigma)
@@ -547,8 +551,7 @@ class Simulator:
         regs, cal = self.regs, self.cal
         sigma = regs.sigma
         tau_n, tau_b, tau_s = regs.tau_n, regs.tau_b, cal.tau_s
-        horizon_end = cal.horizon_end
-        w_shift = cal.origin_weekday - SUNDAY
+        horizon_end, first_sunday = cal.horizon_end, cal.first_sunday
         time = self.time
         computed = []
         for i in range(start, len(nodes)):
@@ -567,8 +570,7 @@ class Simulator:
                         k = (dc - 1) // tau_n
                         arr += k * tau_b
                         dc -= k * tau_n
-                    day = t0 // MINUTES_PER_DAY
-                    ss = (day - (w_shift + day) % 7) * MINUTES_PER_DAY
+                    ss = t0 - (t0 - first_sunday) % WEEK
                     if t0 >= ss + tau_s and arr <= ss + WEEK and arr <= horizon_end:
                         arrivals.append((arr, dc))
                     else:

@@ -6,6 +6,7 @@ tests/data/gh/ first (see README, section Benchmarks).  Everything else is
 self-contained.
 """
 
+import inspect
 import os
 import random
 import time
@@ -13,7 +14,7 @@ import time
 import pytest
 
 from ftlopt.engine import AlnsConfig, run
-from ftlopt.instances import TransformConfig, parse_gh, read_instance, transform, write_instance
+from ftlopt.instances import MU_PER_DAY_KM, parse_gh, read_instance, transform, write_instance
 from ftlopt.model import DEFAULT_SM_TIERS, RegParams, fmt_money, solution_cost, validate_solution
 from ftlopt.operators import REMOVAL_OPERATORS, build_initial, removal_count, repair
 from ftlopt.oracle import (
@@ -44,10 +45,15 @@ def test_criterion_1_parameter_fidelity():
     assert (regs.tau_n, regs.tau_b, regs.tau_s, regs.sigma, regs.nu) == (450, 990, 1320, 120, 70)
     cfg = AlnsConfig()
     assert (cfg.max_iterations, cfg.psi, cfg.xi, cfg.segment_length) == (25_000, 100, 0.35, 200)
-    tc = TransformConfig()
-    assert tc.kappa_cents == 106
-    assert tc.sm_tiers == DEFAULT_SM_TIERS == ((1500, 175), (3500, 140), (None, 115))
-    assert tc.mu_per_day_km == 250 and tc.factor == 6
+    # the transformation's rules, as the transformed instance carries them
+    with open(os.path.join(DATA, "gh_mini.txt"), "r", encoding="utf-8") as fh:
+        instance = transform(parse_gh(fh.read()))
+    assert instance.cost.kappa_cents == 106
+    assert instance.cost.sm_tiers == DEFAULT_SM_TIERS == ((1500, 175), (3500, 140), (None, 115))
+    assert instance.regs == regs
+    assert MU_PER_DAY_KM == 250
+    assert instance.mu_d10 == 2500 * len({r.pickup_window.start // 1440 for r in instance.requests})
+    assert inspect.signature(transform).parameters["factor"].default == 6
     _report("PASS criterion 1: defaults match the production parameter tables")
 
 

@@ -1,9 +1,14 @@
 import dataclasses
 import itertools
+import operator
+import os
 import random
+from fractions import Fraction
 
 import pytest
 
+from ftlopt.engine import AlnsConfig, run
+from ftlopt.instances import parse_gh, transform
 from ftlopt.model import (
     CostModel,
     Horizon,
@@ -22,6 +27,7 @@ from ftlopt.oracle import (
     build_arc_graph,
     check_lp_assignment,
     emit_lp,
+    lp_assignment,
     lp_objective_cents,
 )
 from ftlopt.schedule import Infeasible, Simulator, simulate_trip
@@ -215,3 +221,85 @@ class TestLp:
             want = solution_cost(inst, sol).total
             assert abs(got - want) <= 1.0  # within a cent
             checked += 1
+
+
+def parse_lp(text):
+    """(objective, rows, binaries) read back from an emitted LP file.
+
+    The objective is (terms, constant); each row is (name, terms, sense,
+    rhs); terms are (coefficient, variable) with Fraction coefficients.
+    """
+
+    def linear(tokens):
+        terms, sign, coef = [], 1, None
+        for tok in tokens:
+            if tok in ("+", "-"):
+                sign = 1 if tok == "+" else -1
+            elif tok[0].isdigit():
+                coef = Fraction(tok)
+            else:
+                terms.append((sign * (1 if coef is None else coef), tok))
+                sign, coef = 1, None
+        return terms, 0 if coef is None else sign * coef
+
+    section, objective, rows, binaries = None, None, [], []
+    for line in text.splitlines():
+        if line.startswith("\\"):
+            continue
+        if not line.startswith(" "):
+            section = line
+            continue
+        if section == "Binary":
+            binaries.append(line.strip())
+            continue
+        name, expr = line.strip().split(": ", 1)
+        if section == "Minimize":
+            objective = linear(expr.split())
+        else:
+            assert section == "Subject To", line
+            *tokens, sense, rhs = expr.split()
+            terms, const = linear(tokens)
+            assert const == 0, line
+            rows.append((name, terms, sense, Fraction(rhs)))
+    assert section == "End"
+    return objective, rows, binaries
+
+
+class TestLpFile:
+    """The emitted file itself holds every mapped feasible solution."""
+
+    SENSES = {"=": operator.eq, "<=": operator.le, ">=": operator.ge}
+
+    def check_file(self, inst, sol, tmp_path):
+        graph = build_arc_graph(inst)
+        path = tmp_path / "m.lp"
+        emit_lp(graph, inst, str(path))
+        (obj_terms, obj_const), rows, binaries = parse_lp(path.read_text())
+        values, missing = lp_assignment(graph, inst, sol)
+        assert missing == []
+        # the file states the y distances in km, the assignment in d10
+        value = {v: Fraction(n, 10) if v.startswith("y_") else n for v, n in values.items()}
+        for name, terms, sense, rhs in rows:
+            lhs = sum(c * value[v] for c, v in terms)
+            assert self.SENSES[sense](lhs, rhs), (name, lhs, sense, rhs)
+        assert binaries and all(value[v] in (0, 1) for v in binaries)
+        assert all(n >= 0 for n in value.values())
+        eur = sum(c * value[v] for c, v in obj_terms) + obj_const
+        assert abs(100 * eur - sol.cost_total) <= 1  # one cent
+        return len(rows)
+
+    def test_micro_solutions_satisfy_the_file(self, tmp_path):
+        for seed in range(20):
+            inst = micro_instance(seed, mu_mode="large" if seed % 4 == 3 else "small")
+            self.check_file(inst, build_initial(inst), tmp_path)
+            searched, _rep = run(inst, AlnsConfig(max_iterations=40, seed=seed))
+            self.check_file(inst, searched, tmp_path)
+
+    def test_desk_instance_solutions_satisfy_the_file(self, tmp_path):
+        data = os.path.join(os.path.dirname(__file__), "data", "gh_syn_mix.txt")
+        with open(data, "r", encoding="utf-8") as fh:
+            inst = transform(parse_gh(fh.read()))
+        searched, _rep = run(inst, AlnsConfig(max_iterations=30, seed=1))
+        assert searched.trips
+        for sol in (build_initial(inst), searched):
+            assert self.check_file(inst, sol, tmp_path) > len(inst.requests)

@@ -465,6 +465,30 @@ class TestCli:
             assert r.returncode == 2, (args, r.stderr)
             assert r.stderr.startswith("input error: ") and "Traceback" not in r.stderr, args
 
+    def test_unwritable_out_exits_2_before_any_work(self, tmp_path):
+        # a search that would run for minutes, and outputs in a missing
+        # directory or onto a directory, fail at once
+        gh = os.path.join(DATA, "gh_syn_c1.txt")
+        native = tmp_path / "c1.json"
+        self.run_cli("transform", "--gh", gh, "--out", str(native))
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps({"max_iterations": 1_000_000}))
+        missing = str(tmp_path / "missing" / "x.json")
+        for args in (
+            ("solve", "--instance", str(native), "--scenario", "all-fct",
+             "--config", str(cfg), "--out", missing),
+            ("solve", "--instance", str(native), "--scenario", "mixed",
+             "--config", str(cfg), "--out", str(tmp_path)),
+            ("transform", "--gh", gh, "--out", missing),
+            ("emit-lp", "--instance", str(native), "--out", missing),
+        ):
+            started = time.perf_counter()
+            r = self.run_cli(*args, timeout=30)
+            assert time.perf_counter() - started < 5, args
+            assert r.returncode == 2, (args, r.stderr)
+            assert r.stderr.startswith(f"output error: {args[-1]} "), r.stderr
+        assert not (tmp_path / "missing").exists()
+
     def test_package_runs_as_a_module(self):
         r = self.run_cli("--help", module="ftlopt", timeout=10)
         assert r.returncode == 0, r.stderr

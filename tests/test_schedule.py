@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ftlopt.model import (
+    SUNDAY,
     CostModel,
     Horizon,
     Instance,
@@ -90,6 +91,19 @@ class TestPropagate:
 
 
 class TestSundayRules:
+    def test_first_sunday_matches_the_weekday_formula(self):
+        # the Sunday holding minute t, from the first Sunday's minute and by
+        # counting weekdays from the origin, for every origin weekday over
+        # five weeks of minutes (one of them before the origin)
+        week = 7 * 1440
+        for weekday in range(7):
+            first_sunday = Calendar(weekday, 1320, 30 * 1440).first_sunday
+            assert first_sunday == (SUNDAY - weekday) % 7 * 1440
+            for t in range(-week, 4 * week):
+                day = t // 1440
+                by_weekday = (day - (weekday - SUNDAY + day) % 7) * 1440
+                assert t - (t - first_sunday) % week == by_weekday, (weekday, t)
+
     def test_blackout_bounds(self):
         cal = Calendar(0, 1320, 30 * 1440)
         wide = (TimeWindow(0, 40_000),)
