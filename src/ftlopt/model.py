@@ -105,6 +105,8 @@ class CostModel:
     def check(self) -> None:
         if self.kappa_cents <= 0:
             raise ValueError("kappa must be positive")
+        if not self.sm_tiers:
+            raise ValueError("need at least one spot-market tier")
         bounds = [b for b, _ in self.sm_tiers[:-1]]
         if self.sm_tiers[-1][0] is not None:
             raise ValueError("final tier must be open")
@@ -388,9 +390,10 @@ def validate_solution(instance: Instance, solution: Solution) -> list[Violation]
     """All feasibility violations of a solution; empty list means feasible.
 
     Checks the partition property, every trip's schedule, and the per-trip
-    minimum driven distance.
+    minimum driven distance.  Each emitted schedule also goes through the
+    oracle's rule checkers, which share no code with the scheduler.
     """
-    from . import schedule  # local import keeps module dependencies one-way
+    from . import oracle, schedule  # local import keeps module dependencies one-way
 
     out = [Violation("partition", p) for p in _check_partition(instance, solution)]
     sim = schedule.Simulator(instance)  # compiles every request once
@@ -409,4 +412,8 @@ def validate_solution(instance: Instance, solution: Solution) -> list[Violation]
         result = schedule.simulate_trip(instance, trip.requests, sim)
         if isinstance(result, schedule.Infeasible):
             out.append(Violation("schedule", f"trip {i}: {result.reason} at node {result.node}", i))
+            continue
+        problems = oracle.check_schedule_rules(instance, trip.requests, result)
+        problems += oracle.check_sunday_rests(instance, result)
+        out.extend(Violation("schedule", f"trip {i}: {p}", i) for p in problems)
     return out

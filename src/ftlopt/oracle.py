@@ -75,12 +75,23 @@ def _prune(states: list[tuple[int, int]]) -> list[tuple[int, int]]:
 def brute_force_schedule(
     sequence: Sequence[int], instance: Instance, granularity: int = 1
 ):
-    """True earliest service start at the last node of a request sequence.
+    """True earliest service start at the last node of a request sequence:
+    the minute, or Infeasible when no legal timeline exists (see
+    brute_force_frontiers)."""
+    fronts = brute_force_frontiers(sequence, instance, granularity)
+    return fronts if isinstance(fronts, Infeasible) else fronts[-1][0][0]
+
+
+def brute_force_frontiers(
+    sequence: Sequence[int], instance: Instance, granularity: int = 1
+):
+    """Per node of a request sequence, the Pareto frontier of (service
+    start, nonstop counter) states, sorted; or Infeasible with the first
+    node that no legal timeline reaches or serves.
 
     Explores every rest placement at the given time granularity, including
     rests taken before the nonstop counter is full.  Granularity 1 is exact;
-    coarser values only ever miss improvements.  Returns the minute, or
-    Infeasible when no legal timeline exists.
+    coarser values only ever miss improvements.
     """
     if len(sequence) > 3:
         raise TooLarge("scheduling oracle is limited to 3 requests")
@@ -150,6 +161,7 @@ def brute_force_schedule(
     states = serve([(first.pickup_window.start, 0)], (first.pickup_window,))
     if not states:
         return Infeasible("no_window", 0)
+    fronts = [states]
     prev_loc = None
     node = 0
     for rid in sequence:
@@ -163,9 +175,10 @@ def brute_force_schedule(
                 states = serve(states, windows)
                 if not states:
                     return Infeasible("no_window", node)
+                fronts.append(states)
             node += 1
             prev_loc = loc
-    return min(t for t, _c in states)
+    return fronts
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +316,7 @@ def _best_orderings(instance: Instance, sim: Simulator) -> dict[frozenset, tuple
 
     def visit(prefix: tuple):
         if prefix:
-            if isinstance(sim.frontiers(prefix), Infeasible):
+            if sim._advance(None, None, sim._fit_nodes(prefix)) is None:
                 return
             loaded, empty = trip_distances(instance, prefix)
             total = loaded + empty

@@ -25,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .model import MINUTES_PER_DAY, SUNDAY, Instance, RegParams, Trip, trip_distances
+from .model import MINUTES_PER_DAY, SUNDAY, Instance, RegParams, TimeWindow, Trip, trip_distances
 
 NO_WINDOW = "no_window"
 HORIZON = "horizon_exceeded"
@@ -134,12 +134,9 @@ def _leg_arrivals(t0: int, c0: int, drive: int, regs: RegParams, cal: Calendar):
 def _pareto(states: list) -> list:
     """Keep the non-dominated (t, c, ...) states, sorted by (t, c).
 
-    States sort as whole tuples.  Every caller appends its states with a
-    meta that grows in append order and is never shared by two states tied
-    on (t, c) (frontiers: (j, segments), one state per j; _align:
-    (arrival index, t, c), whose two variants differ in c), so a tie on
-    (t, c) keeps the first state appended, as a stable sort on (t, c)
-    would.  Plain (t, c) pairs have no meta and tie only when equal.
+    States sort as whole tuples.  Plain (t, c) pairs tie only when equal;
+    simulate_trip's leg arrivals (t, c, j, segments) carry one label index
+    j each, so a tie on (t, c) keeps the state from the lowest j.
     """
     states.sort()
     kept = states[:1]
@@ -149,47 +146,28 @@ def _pareto(states: list) -> list:
     return kept
 
 
-def _earliest_fit(
-    t: int, starts: Sequence[int], ends: Sequence[int], sigma: int, cal: Calendar
-) -> Optional[int]:
-    """Earliest service start >= t that fits a window, avoids blackouts, and
-    completes inside the horizon."""
-    tau_s, first_sunday = cal.tau_s, cal.first_sunday
-    i = 0 if len(ends) == 1 else bisect_left(ends, t + sigma)
-    while i < len(starts):
-        s = starts[i]
-        if t > s:
-            s = t
-        if sigma > 0:
-            while True:
-                sunday_start = s - (s - first_sunday) % WEEK
-                if s < sunday_start + tau_s:
-                    s = sunday_start + tau_s  # inside the weekly blackout
-                elif sunday_start + WEEK < s + sigma:
-                    s = sunday_start + WEEK + tau_s  # operation would cross into it
-                else:
-                    break
-        if s + sigma <= ends[i]:
-            return s if s + sigma <= cal.horizon_end else None
-        i += 1
-    return None
+def _fit(firsts, lasts, t: int) -> Optional[int]:
+    """The earliest service start at or after t in a fit table, or None."""
+    j = bisect_left(lasts, t)
+    return None if j == len(lasts) else max(t, firsts[j])
 
 
-def _fit_table(starts: Sequence[int], ends: Sequence[int], sigma: int, cal: Calendar):
-    """The service starts that _earliest_fit accepts, compiled to two sorted
-    tuples (firsts, lasts): s is valid exactly when firsts[j] <= s <= lasts[j]
-    for some j, so the earliest fit at or after t is max(t, firsts[j]) for
-    j = bisect_left(lasts, t), and there is none when j == len(lasts).
+def _fit_table(windows: Sequence[TimeWindow], sigma: int, cal: Calendar):
+    """The valid service starts of a node with the given sorted, disjoint
+    windows, compiled to two sorted tuples (firsts, lasts): s is valid
+    exactly when firsts[j] <= s <= lasts[j] for some j, so the earliest fit
+    at or after t is max(t, firsts[j]) for j = bisect_left(lasts, t), and
+    there is none when j == len(lasts).
 
-    Each window contributes its starts up to min(end, horizon_end) - sigma;
-    for sigma > 0 these are cut to the spans [sunday + tau_s, next sunday -
-    sigma] between blackouts.  Windows are sorted and disjoint, so the
-    spans are too.
+    A start is valid when its operation [s, s + sigma] lies inside one
+    window and ends by horizon_end, and, for sigma > 0, when the operation
+    overlaps no blackout: the spans [sunday + tau_s, next sunday - sigma]
+    between them.  The spans are as sorted and disjoint as the windows.
     """
     tau_s = cal.tau_s
     firsts, lasts = [], []
-    for lo, end in zip(starts, ends):
-        hi = min(end, cal.horizon_end) - sigma
+    for w in windows:
+        lo, hi = w.start, min(w.end, cal.horizon_end) - sigma
         if sigma == 0:  # an empty operation may start inside a blackout
             if lo <= hi:
                 firsts.append(lo)
@@ -204,34 +182,6 @@ def _fit_table(starts: Sequence[int], ends: Sequence[int], sigma: int, cal: Cale
                 lasts.append(b)
             sunday += WEEK
     return tuple(firsts), tuple(lasts)
-
-
-def _align(arrivals, starts, ends, regs: RegParams, cal: Calendar):
-    """Service-start labels at a node from its arrival states.
-
-    Each arrival yields the as-soon-as-possible service (waiting >= tau_b
-    resets the counter) and, for tired drivers, a rest-first variant.  Each
-    label carries (arrival index, arrival time, arrival counter).
-    """
-    out = []
-    zero_s = None  # earliest known fresh-counter service start
-    for idx, (t, c, _segs) in enumerate(arrivals):
-        if zero_s is not None and t >= zero_s:
-            break  # every later variant starts no earlier and rests no better
-        meta = (idx, t, c)
-        s = _earliest_fit(t, starts, ends, regs.sigma, cal)
-        if s is not None:
-            rested = s - t >= regs.tau_b
-            c_eff = 0 if rested else c
-            out.append((s, c_eff, meta))
-            if c_eff == 0 and (zero_s is None or s < zero_s):
-                zero_s = s
-        if s is not None and c > 0 and zero_s is None:
-            s2 = _earliest_fit(t + regs.tau_b, starts, ends, regs.sigma, cal)
-            if s2 is not None:
-                out.append((s2, 0, meta))
-                zero_s = s2
-    return _pareto(out)
 
 
 # ---------------------------------------------------------------------------
@@ -252,28 +202,19 @@ class Simulator:
         self.dest: dict[int, int] = {}
         self.direct: dict[int, int] = {}
         self.price10: dict[int, int] = {}
-        # per request: ((loc, starts, ends) of the pickup, the same of the
-        # delivery) for the reference loop, and ((loc, firsts, lasts), ...)
-        # fit tables (see _fit_table) for _advance and best_insertion
-        self._windows: dict[int, tuple] = {}
+        # per request: the (loc, firsts, lasts) fit tables (see _fit_table)
+        # of its pickup and of its delivery
         self._node_data: dict[int, tuple] = {}
         for r in instance.requests:
             self.origin[r.id] = r.origin
             self.dest[r.id] = r.destination
             self.direct[r.id] = instance.matrix.distance[r.origin][r.destination]
             self.price10[r.id] = r.sm_price_cents * 10
-            windows = (
-                (r.origin, (r.pickup_window.start,), (r.pickup_window.end,)),
-                (
-                    r.destination,
-                    tuple(w.start for w in r.delivery_windows),
-                    tuple(w.end for w in r.delivery_windows),
-                ),
-            )
-            self._windows[r.id] = windows
             self._node_data[r.id] = tuple(
-                (loc, *_fit_table(starts, ends, self.regs.sigma, self.cal))
-                for loc, starts, ends in windows
+                (loc, *_fit_table(windows, self.regs.sigma, self.cal))
+                for loc, windows in (
+                    (r.origin, (r.pickup_window,)), (r.destination, r.delivery_windows)
+                )
             )
         # per-trip caches, keyed by request sequence
         self._trips: dict[tuple[int, ...], Optional[Trip]] = {}
@@ -328,44 +269,6 @@ class Simulator:
             nxt = loc
         tables = self._tables[trip.requests] = (nodes, tuple(out))
         return tables
-
-    def node_sequence(self, requests: Sequence[int]):
-        """(loc, starts, ends) windows of a sequence's nodes, in order."""
-        nodes = []
-        for rid in requests:
-            nodes.extend(self._windows[rid])
-        return nodes
-
-    def frontiers(self, requests: Sequence[int]):
-        """Per-node label frontiers for a request sequence, or Infeasible.
-
-        The independent reference loop: each label (s, c, meta) carries its
-        _align meta and its leg parentage (prev label index, leg segments),
-        from which simulate_trip emits the schedule; tests compare _advance
-        against it.
-        """
-        nodes = self.node_sequence(requests)
-        first_start = self.instance.request(requests[0]).pickup_window.start
-        arrivals = [(first_start, 0, ())]
-        result = []
-        prev_loc = None
-        for i, (loc, starts, ends) in enumerate(nodes):
-            if i > 0:
-                travel = self.time[prev_loc][loc]
-                merged = []
-                for j, (s, c, _m) in enumerate(result[-1]):
-                    leg = _leg_arrivals(s + self.regs.sigma, c, travel, self.regs, self.cal)
-                    if leg is not None:
-                        merged.append((leg[0], leg[1], (j, leg[2])))
-                arrivals = _pareto(merged)
-                if not arrivals:
-                    return Infeasible(HORIZON, i)
-            frontier = _align(arrivals, starts, ends, self.regs, self.cal)
-            if not frontier:
-                return Infeasible(NO_WINDOW, i)
-            result.append([(s, c, (meta, arrivals[meta[0]][2])) for (s, c, meta) in frontier])
-            prev_loc = loc
-        return result
 
     # -- trip construction -------------------------------------------------
 
@@ -524,8 +427,9 @@ class Simulator:
         return head
 
     def _advance(self, frontier, prev_loc, nodes, old=None, start=0):
-        """Propagate label frontiers through nodes[start:]: the one untraced
-        forward loop, behind build_trip, splice_trip and best_insertion.
+        """Propagate label frontiers through nodes[start:]: the one forward
+        loop, behind build_trip, splice_trip, best_insertion and
+        simulate_trip.
 
         `nodes` holds (loc, firsts, lasts) fit tables (_fit_table).
         `frontier` holds the labels at prev_loc, or None for a fresh vehicle
@@ -544,9 +448,13 @@ class Simulator:
         leg's whole frontier, a single state: one more rest would leave a
         counter <= 0, and driving up to the blackout to rest through it
         finishes the leg before the blackout.  Any other leg goes through
-        _leg_arrivals.  The arrivals of all labels are merged and aligned
-        with exactly the rules of _pareto and _align, each _earliest_fit
-        answered by one bisect of the node's fit table.
+        _leg_arrivals.  The arrivals of all labels are merged by _pareto.
+        Each arrival (t, c), in that order, yields its earliest fit s (one
+        bisect of the node's fit table) with counter 0 when c == 0 or
+        s - t >= tau_b, else c; while no label with counter 0 is known, a
+        tired arrival also yields the rested start, its fit from t + tau_b,
+        with counter 0.  Arrivals at or after the earliest known rested
+        start yield only dominated labels and are skipped.
         """
         regs, cal = self.regs, self.cal
         sigma = regs.sigma
@@ -653,30 +561,66 @@ def simulate_trip(instance: Instance, requests: Sequence[int], simulator: Simula
 
     The vehicle appears at the first pickup at that window's start with a
     fresh driving counter; service and travel legs alternate from there.
+    Simulator._advance propagates the frontiers a node at a time, so that a
+    failure names its node: HORIZON when every leg into it ends past the
+    horizon, else NO_WINDOW.  The schedule is walked back from the earliest
+    label at the last node; each step rebuilds the legs into a node to find
+    the label's parent and emits that leg's segments.
     """
     if not requests:
         raise ValueError("empty request sequence")
     if len(set(requests)) != len(requests):
         raise ValueError("duplicate requests in sequence")
     sim = simulator or Simulator(instance)
-    fronts = sim.frontiers(requests)
-    if isinstance(fronts, Infeasible):
-        return fronts
+    regs, cal = sim.regs, sim.cal
+    sigma, tau_b = regs.sigma, regs.tau_b
+    nodes = sim._fit_nodes(requests)
+    fronts = []
 
-    # pick the earliest-finishing label at the last node and walk parents back
+    def legs(i):
+        """Node i's leg arrivals (t, c, label index j, segments) from the
+        labels at node i - 1, as _advance merges them."""
+        travel = sim.time[nodes[i - 1][0]][nodes[i][0]]
+        out = []
+        for j, (s, c) in enumerate(fronts[i - 1]):
+            leg = _leg_arrivals(s + sigma, c, travel, regs, cal)
+            if leg is not None:
+                out.append((leg[0], leg[1], j, leg[2]))
+        return _pareto(out)
+
+    frontier = prev_loc = None
+    for i, node in enumerate(nodes):
+        got = sim._advance(frontier, prev_loc, (node,))
+        if got is None:
+            return Infeasible(HORIZON if i and not legs(i) else NO_WINDOW, i)
+        frontier, prev_loc = got[0][0], node[0]
+        fronts.append(frontier)
+
+    # walk back from the earliest label at the last node.  A label's parent
+    # is the first leg arrival (t, tc) that _advance turns into it: by the
+    # earliest fit from t, keeping tc, or by the fit from t + tau_b, with
+    # counter 0.  When the earliest fit waits tau_b or more, _advance resets
+    # the counter, and that fit is also the fit from t + tau_b; no label has
+    # counter tc then, as no other arrival has it
+    s, c = fronts[-1][0]
     chain = []
-    pick = min(range(len(fronts[-1])), key=lambda i: fronts[-1][i][:2])
-    for front in reversed(fronts):
-        s, _c, ((_idx, arrival, _arr_c), leg) = front[pick]
-        chain.append((s, arrival, leg[1] if leg else ()))
-        if leg:
-            pick = leg[0]
+    for i in range(len(nodes) - 1, 0, -1):
+        _loc, firsts, lasts = nodes[i]
+        for t, tc, j, segs in legs(i):
+            if (c == tc and _fit(firsts, lasts, t) == s) or (
+                c == 0 and _fit(firsts, lasts, t + tau_b) == s
+            ):
+                break
+        else:
+            raise AssertionError(f"no leg arrival gives label {(s, c)} at node {i}")
+        chain.append((s, t, segs))
+        s, c = fronts[i - 1][j]
+    chain.append((s, instance.request(requests[0]).pickup_window.start, ()))
     chain.reverse()
 
-    sigma = instance.regs.sigma
     timings = []
     segments: list[Segment] = []
-    for (loc, _st, _en), (s, arrival, leg) in zip(sim.node_sequence(requests), chain):
+    for (loc, _firsts, _lasts), (s, arrival, leg) in zip(nodes, chain):
         segments.extend(Segment(*seg) for seg in leg)
         if s > arrival:
             segments.append(Segment("wait", arrival, s))

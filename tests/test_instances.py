@@ -186,6 +186,7 @@ class TestNativeFormat:
              lambda doc: doc["requests"][0]["pickup_window"].update(start=360.9)),
             ("/matrix/time/0/1", lambda doc: doc["matrix"]["time"][0].__setitem__(1, 12.7)),
             ("/regs/tau_n", lambda doc: doc["regs"].update(tau_n=450.5)),
+            ("/", lambda doc: doc["cost"].update(sm_tiers=[])),
         )
         for pointer, edit in cases:
             doc = instance_to_dict(transform(parse_gh(mini_text())))

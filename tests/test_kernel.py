@@ -1,25 +1,27 @@
-"""Differential tests of the untraced label kernel (Simulator._advance).
+"""Differential tests of the label kernel (Simulator._advance).
 
-build_trip, splice_trip and best_insertion all run _advance, which takes a
-closed form for legs that cross no blackout and stay inside the horizon,
-merges multi-label frontiers inline and fits service starts with one bisect
-of a per-node fit table, as best_insertion's screen does.  The fit tables
-are checked minute by minute against _earliest_fit, and each entry point
-against the reference loop (Simulator.frontiers, which has no closed form,
-reads the raw windows and carries each leg's segments), against
-simulate_trip, whose schedules must pass the oracle's rule checks, and, on
-sequences of up to three requests, against the minute-level oracle.
-kernel_case aims its instances at the branches that matter: frontiers of
-two or three labels at the splice point, legs with one to three rests or a
-whole multiple of tau_n of driving, departures on a blackout's first
-minute, legs across a blackout or past the horizon, multi-window
-deliveries, fits that a blackout or a window end pushes on, arrivals one
-minute after the last start before a blackout, and requests with no valid
-start.
+build_trip, splice_trip, best_insertion and simulate_trip all run _advance,
+which takes a closed form for legs that cross no blackout and stay inside
+the horizon, merges multi-label frontiers inline and fits service starts
+with one bisect of a per-node fit table, as best_insertion's screen does.
+The fit tables are checked minute by minute against the windows minus the
+oracle's blackout intervals.  Each entry point is checked against the
+others: a splice must equal a fresh build, and best_insertion must accept
+exactly the splices that build.  Every frontier must be a strict Pareto
+frontier, and the schedule that simulate_trip walks back from the earliest
+last label must reach that label and pass the oracle's rule checks.  In
+the cases run against the minute-level oracle, on sequences of up to three
+requests, every frontier, and every failure with its reason and node, must
+equal the oracle's.  kernel_case aims its instances at the branches that
+matter: frontiers of two or three labels at the splice point, legs with
+one to three rests or a whole multiple of tau_n of driving, departures on a
+blackout's first minute, legs across a blackout or past the horizon,
+multi-window deliveries, fits that a blackout or a window end pushes on,
+arrivals one minute after the last start before a blackout, and requests
+with no valid start.
 """
 
 import random
-from bisect import bisect_left
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
@@ -36,22 +38,25 @@ from ftlopt.model import (
     TravelMatrix,
     trip_distances,
 )
-from ftlopt.oracle import brute_force_schedule, check_schedule_rules, check_sunday_rests
+from ftlopt.oracle import (
+    blackout_intervals,
+    brute_force_frontiers,
+    brute_force_schedule,
+    check_schedule_rules,
+    check_sunday_rests,
+)
 from ftlopt.schedule import (
     HORIZON,
     Calendar,
     Infeasible,
     Simulator,
-    _earliest_fit,
+    _fit,
     _fit_table,
+    _leg_arrivals,
     simulate_trip,
 )
 
 from helpers import kernel_case
-
-
-def bare(fronts):
-    return tuple(tuple((s, c) for s, c, _m in f) for f in fronts)
 
 
 def is_blackout_start(inst, t):
@@ -59,21 +64,32 @@ def is_blackout_start(inst, t):
     return minute == 0 and (inst.horizon.origin_weekday + day) % 7 == SUNDAY
 
 
-def tally_legs(inst, sim, seq, fronts, seen):
-    """Count the kernel branches that the reference frontiers pass through."""
+def legs_into(inst, sim, seq, fronts, i):
+    """Per label (s, c) at node i - 1 of seq: the label, the travel time to
+    node i and its leg, _leg_arrivals' (arrival, counter, segments) or None
+    past the horizon."""
     regs = inst.regs
-    nodes = sim.node_sequence(seq)
+    nodes = sim._fit_nodes(seq)
+    travel = inst.matrix.time[nodes[i - 1][0]][nodes[i][0]]
+    return [
+        ((s, c), travel, _leg_arrivals(s + regs.sigma, c, travel, regs, sim.cal))
+        for s, c in fronts[i - 1]
+    ]
+
+
+def tally_legs(inst, sim, seq, fronts, seen):
+    """Count the kernel branches that the legs out of each label pass
+    through."""
+    regs = inst.regs
     for i in range(1, len(fronts)):
-        travel = inst.matrix.time[nodes[i - 1][0]][nodes[i][0]]
-        for s, c, _m in fronts[i - 1]:
+        for (s, c), travel, leg in legs_into(inst, sim, seq, fronts, i):
             dc = c + travel
             if dc > regs.tau_n and dc % regs.tau_n == 0:
                 seen["whole stints"] += 1
             if is_blackout_start(inst, s + regs.sigma):
                 seen["departs into blackout"] += 1
-        for _s, _c, (_arrival, (_parent, segs)) in fronts[i]:
             rests = 0  # the rests after the leg's last blackout
-            for kind, _start, _end in segs:
+            for kind, _start, _end in leg[2] if leg else ():
                 if kind == "wait":
                     seen["blackout"] += 1
                     rests = 0
@@ -91,65 +107,86 @@ def tally_fits(inst, sim, seq, k, fronts, seen):
     Also count arrivals one minute after the last start before a blackout,
     where a fit table whose spans end a minute late would accept a start."""
     sigma = inst.regs.sigma
+    nodes = sim._fit_nodes(seq)
     for i in (k, k + 1):
-        _loc, starts, ends = sim.node_sequence(seq)[i]
-        for _s, _c, ((_idx, t, _ac), _leg) in fronts[i]:
-            s = _earliest_fit(t, starts, ends, sigma, sim.cal)
-            w = next(j for j, end in enumerate(ends) if t <= end)
-            if s > max(t, starts[w]):
-                seen["fit jumps a blackout" if s <= ends[w] else "fit skips a window"] += 1
+        r = inst.request(seq[i // 2])
+        windows = r.delivery_windows if i % 2 else (r.pickup_window,)
+        if i:
+            legs = legs_into(inst, sim, seq, fronts, i)
+            arrivals = [leg[0] for _label, _travel, leg in legs if leg]
+        else:
+            arrivals = [r.pickup_window.start]
+        _loc, firsts, lasts = nodes[i]
+        for t in arrivals:
+            s = _fit(firsts, lasts, t)
+            if s is None:
+                continue
+            w = next(w for w in windows if t <= w.end)
+            if s > max(t, w.start):
+                seen["fit jumps a blackout" if s <= w.end else "fit skips a window"] += 1
             if sigma and is_blackout_start(inst, t + sigma - 1):
                 seen["one minute past the last start"] += 1
 
 
+def check_trip(inst, seq, trip, oracle):
+    """trip, the kernel's trip for seq (None: unschedulable), against
+    simulate_trip and, with oracle set and at most three requests, the
+    minute-level oracle.  Returns simulate_trip's result."""
+    full = simulate_trip(inst, seq)
+    if trip is None:
+        assert isinstance(full, Infeasible), seq
+    else:
+        for front in trip.frontiers:  # strictly later starts, fresher counters
+            for (s0, c0), (s1, c1) in zip(front, front[1:]):
+                assert s0 < s1 and c0 > c1, (seq, front)
+        assert not isinstance(full, Infeasible), seq
+        assert full.nodes[-1].service_start == trip.frontiers[-1][0][0], seq
+        assert check_schedule_rules(inst, seq, full) == [], seq
+        assert check_sunday_rests(inst, full) == [], seq
+    if oracle and len(seq) <= 3:
+        want = brute_force_frontiers(seq, inst, granularity=1)
+        if not isinstance(want, Infeasible):
+            want = tuple(map(tuple, want))
+        assert (full if trip is None else trip.frontiers) == want, seq
+    return full
+
+
 def check_case(inst, seq, extra_at, seen, oracle=False):
-    """Splice seq[extra_at] into the rest of seq at every position; every
-    kernel entry point must agree with the references."""
+    """Splice seq[extra_at] into the rest of seq at every position: each
+    splice must equal a fresh build and pass check_trip, and best_insertion
+    must accept exactly the positions that splice."""
     sim = Simulator(inst)
     extra = seq[extra_at]
     base = seq[:extra_at] + seq[extra_at + 1 :]
     trip = sim.build_trip(base)
-    ref = sim.frontiers(base)
-    if isinstance(ref, Infeasible):
-        assert trip is None
+    check_trip(inst, base, trip, oracle)
+    if trip is None:
         return
     if not all(lasts for _loc, _firsts, lasts in sim._node_data[extra]):
         seen["no valid start"] += 1  # every splice of extra is unschedulable
-    assert trip.frontiers == bare(ref)
     feasible = []
     for pos in range(len(base) + 1):
         new_seq = base[:pos] + (extra,) + base[pos:]
-        ref = sim.frontiers(new_seq)
-        full = simulate_trip(inst, new_seq, sim)
         fits = sim.best_insertion(trip, extra, (pos,)) is not None
         spliced = sim.splice_trip(trip, extra, pos)
         # a fresh simulator, so the build cannot hit the splice's trip cache
         built = Simulator(inst).build_trip(new_seq)
-        if oracle and len(new_seq) <= 3:
-            want = brute_force_schedule(new_seq, inst, granularity=1)
-            assert isinstance(want, Infeasible) == isinstance(full, Infeasible), (seq, pos)
-            if not isinstance(want, Infeasible):
-                assert full.nodes[-1].service_start == want, (seq, pos)
-        if isinstance(ref, Infeasible):
-            assert isinstance(full, Infeasible)
-            assert not fits and spliced is None and built is None, (seq, pos)
-            seen["horizon" if ref.reason == HORIZON else "no window"] += 1
+        full = check_trip(inst, new_seq, spliced, oracle)
+        if spliced is None:
+            assert not fits and built is None, (seq, pos)
+            seen["horizon" if full.reason == HORIZON else "no window"] += 1
             continue
-        assert not isinstance(full, Infeasible)
-        assert full.nodes[-1].service_start == min(ref[-1])[0]
-        assert check_schedule_rules(inst, new_seq, full) == [], (seq, pos)
-        assert check_sunday_rests(inst, full) == [], (seq, pos)
         assert fits, (seq, pos)
-        assert spliced.frontiers == bare(ref), (seq, pos)
-        assert built.frontiers == bare(ref), (seq, pos)
+        assert built.frontiers == spliced.frontiers, (seq, pos)
         feasible.append((sum(trip_distances(inst, new_seq)) - trip.total_d10, pos))
-        tally_legs(inst, sim, new_seq, ref, seen)
+        fronts = spliced.frontiers
+        tally_legs(inst, sim, new_seq, fronts, seen)
         k = 2 * pos
-        tally_fits(inst, sim, new_seq, k, ref, seen)
-        labels = max(len(ref[k - 1]) if k else 0, len(ref[k + 1]))
+        tally_fits(inst, sim, new_seq, k, fronts, seen)
+        labels = max(len(fronts[k - 1]) if k else 0, len(fronts[k + 1]))
         if labels > 1:
             seen[f"{min(labels, 3)} labels at splice"] += 1
-        if ref[k + 1][0][0] + inst.regs.sigma > inst.request(extra).delivery_windows[0].end:
+        if fronts[k + 1][0][0] + inst.regs.sigma > inst.request(extra).delivery_windows[0].end:
             seen["later delivery window"] += 1
     assert sim.best_insertion(trip, extra) == (min(feasible) if feasible else None)
 
@@ -201,7 +238,7 @@ def test_suffix_reconverges_only_on_the_whole_frontier():
     inst = Instance((a, b, x), matrix, CostModel(), RegParams(), 0, Horizon(0, 7))
     inst.check()
     sim = Simulator(inst)
-    old, new = (bare(sim.frontiers(seq)) for seq in ((1, 2), (1, 3, 2)))
+    old, new = (sim.build_trip(seq).frontiers for seq in ((1, 2), (1, 3, 2)))
     assert (old[2], new[4]) == (((2700, 300), (3210, 0)), ((2700, 300), (3450, 0)))
     assert old[3] != new[5]
     check_case(inst, (1, 3, 2), 1, Counter(), oracle=True)
@@ -235,6 +272,31 @@ def test_departures_at_blackout_edges():
         assert brute_force_schedule((1,), inst, granularity=1) == arrive, depart
 
 
+def test_blackout_wait_of_exactly_tau_b_resets_the_counter():
+    # with sigma = 0, request 1's delivery is served inside the first Sunday
+    # blackout, 330 minutes into it, so the leg to request 2's pickup waits
+    # exactly the blackout's last tau_b minutes.  That wait resets the
+    # counter: the pickup starts at sunday + 1720 with counter 400, not 500,
+    # and the leg to the delivery drives 50 minutes before its rest
+    sunday = 6 * MINUTES_PER_DAY
+    time = ((0, 100, 500), (100, 0, 400), (500, 400, 0))
+    dist = tuple(tuple(10 * t for t in row) for row in time)
+    requests = (
+        Request(1, 0, 1, TimeWindow(sunday - 100, sunday - 100),
+                (TimeWindow(sunday + 330, sunday + 330),), 1000),
+        Request(2, 2, 0, TimeWindow(sunday + 1320, sunday + 1800),
+                (TimeWindow(sunday + 1320, 14 * MINUTES_PER_DAY),), 1000),
+    )
+    inst = Instance(requests, TravelMatrix(3, dist, time), CostModel(), RegParams(sigma=0), 0,
+                    Horizon(0, 14))
+    inst.check()
+    sched = simulate_trip(inst, (1, 2))
+    assert not isinstance(sched, Infeasible)
+    assert sched.nodes[-1].service_start == sunday + 3210
+    assert brute_force_schedule((1, 2), inst, granularity=1) == sunday + 3210
+    assert check_schedule_rules(inst, (1, 2), sched) == []
+
+
 def fit_node(rng, sundays, sigma, tau_s, horizon_end):
     """Sorted, disjoint windows whose ends sit on or near the minutes where a
     fit changes: a blackout's first and last minute, sigma before a blackout
@@ -258,26 +320,44 @@ def fit_node(rng, sundays, sigma, tau_s, horizon_end):
     return starts, ends
 
 
-def test_fit_tables_match_earliest_fit_minute_by_minute():
-    # every minute from before the first window to past the last one: the
-    # fit read from the table equals _earliest_fit, on every origin weekday
+def test_fit_tables_match_windows_minute_by_minute():
+    # every minute from before the first window to past the last one, on
+    # every origin weekday: the fit read from the table is the first start
+    # at or after it whose operation lies inside a window and the horizon
+    # and, when it takes time, misses the oracle's blackout intervals
     rng = random.Random(10)
     seen = Counter()
     for weekday in range(7):
         for sigma in (0, 1, 120, 600):
             for tau_s in (990, 1320):
-                horizon_end = rng.randint(8, 11) * 1440
+                days = rng.randint(8, 11)
+                horizon_end = days * 1440
                 cal = Calendar(weekday, tau_s, horizon_end)
-                sundays = [
-                    d * 1440 for d in range(horizon_end // 1440) if (weekday + d) % 7 == SUNDAY
-                ]
+                inst = Instance(
+                    (), TravelMatrix(1, ((0,),), ((0,),)), CostModel(),
+                    RegParams(tau_s=tau_s, sigma=sigma), 0, Horizon(weekday, days),
+                )
+                blocks = blackout_intervals(inst)
+                sundays = [b for b, _e in blocks]
                 for _ in range(4):
                     starts, ends = fit_node(rng, sundays, sigma, tau_s, horizon_end)
-                    firsts, lasts = _fit_table(starts, ends, sigma, cal)
-                    for t in range(starts[0] - 30, ends[-1] + 2):
-                        j = bisect_left(lasts, t)
-                        got = None if j == len(lasts) else max(t, firsts[j])
-                        assert got == _earliest_fit(t, starts, ends, sigma, cal), (
+                    windows = [TimeWindow(ws, we) for ws, we in zip(starts, ends)]
+                    firsts, lasts = _fit_table(windows, sigma, cal)
+                    lo, hi = starts[0] - 30, ends[-1] + 2
+                    # blocked[m - lo]: blackout minutes before m
+                    blocked = [0]
+                    for m in range(lo, hi + sigma):
+                        blocked.append(blocked[-1] + any(b <= m < e for b, e in blocks))
+                    valid = set()
+                    for ws, we in zip(starts, ends):
+                        for s in range(ws, min(we, horizon_end) - sigma + 1):
+                            if blocked[s + sigma - lo] == blocked[s - lo]:
+                                valid.add(s)
+                    want = None
+                    for t in range(hi, lo - 1, -1):
+                        if t in valid:
+                            want = t
+                        assert _fit(firsts, lasts, t) == want, (
                             weekday, sigma, tau_s, horizon_end, starts, ends, t
                         )
                     seen["empty" if not lasts else "sigma > 0" if sigma else "sigma 0"] += 1
@@ -360,7 +440,9 @@ def test_head_memo_tells_equal_frontiers_at_different_locations_apart():
         assert got[1] is not None and got[2] is None, order
         assert set(sim._heads[front]) == {1, 2}
         assert sim.splice_trip(trips[2], 3, 1) is None
-        assert sim.splice_trip(trips[1], 3, 1).frontiers == bare(sim.frontiers((1, 3)))
+        assert sim.splice_trip(trips[1], 3, 1).frontiers == Simulator(inst).build_trip(
+            (1, 3)
+        ).frontiers
 
 
 def test_head_memo_keys_on_the_whole_frontier():
@@ -377,7 +459,7 @@ def test_head_memo_keys_on_the_whole_frontier():
         for trip in trips:
             seq = trip.requests + (4,)
             spliced = sim.splice_trip(trip, 4, len(trip.requests))
-            assert spliced.frontiers == bare(sim.frontiers(seq)), seq
+            assert spliced.frontiers == Simulator(inst).build_trip(seq).frontiers, seq
 
 
 def test_screen_and_position_bounds_keep_every_accepted_splice():

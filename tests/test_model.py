@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,7 @@ from ftlopt.model import (
     trip_distances,
     validate_solution,
 )
+from ftlopt import schedule
 from ftlopt.schedule import Simulator
 
 from helpers import micro_instance
@@ -163,8 +166,6 @@ class TestValidate:
 
     def test_min_distance_violation(self):
         inst = three_request_instance()
-        import dataclasses
-
         tight = dataclasses.replace(inst, mu_d10=inst.direct_d10(1) + 10)
         sim = Simulator(tight)
         trip = sim.build_trip((1,))
@@ -173,6 +174,28 @@ class TestValidate:
         sol = Solution((trip,), frozenset({2, 3}), veh, out, veh + out)
         kinds = [v.kind for v in validate_solution(tight, sol)]
         assert kinds == ["min_distance"]
+
+    def test_schedule_that_breaks_a_rule(self, monkeypatch):
+        # validate_solution runs the oracle's rule checkers on each schedule
+        # it emits: one whose first service starts a minute late, so that it
+        # no longer ends sigma before the departure, is a violation
+        inst = three_request_instance()
+        from ftlopt.operators import build_initial
+
+        sol = build_initial(inst)
+        assert sol.trips
+        real = schedule.simulate_trip
+
+        def late_first_service(instance, requests, simulator=None):
+            sched = real(instance, requests, simulator)
+            first = sched.nodes[0]
+            nodes = (dataclasses.replace(first, service_start=first.service_start + 1),)
+            return dataclasses.replace(sched, nodes=nodes + sched.nodes[1:])
+
+        monkeypatch.setattr(schedule, "simulate_trip", late_first_service)
+        got = validate_solution(inst, sol)
+        assert [v.kind for v in got] == ["schedule"] * len(sol.trips)
+        assert all("departure is not service start + sigma" in v.detail for v in got)
 
     def test_duplicated_request(self):
         inst = three_request_instance()

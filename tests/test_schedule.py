@@ -1,5 +1,6 @@
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from ftlopt.model import (
     TimeWindow,
     TravelMatrix,
 )
+from ftlopt.oracle import brute_force_frontiers, check_schedule_rules
 from ftlopt.schedule import (
     HORIZON,
     NO_WINDOW,
@@ -21,7 +23,7 @@ from ftlopt.schedule import (
     Infeasible,
     Schedule,
     Simulator,
-    _align,
+    _fit_table,
     _leg_arrivals,
     simulate_trip,
 )
@@ -33,17 +35,17 @@ CAL = Calendar(0, REGS.tau_s, 365 * 1440)
 
 
 def propagate(counter, depart, drive, windows, cal=CAL):
-    """Earliest (service start, counter) after one leg through the reference
-    loop (_leg_arrivals, then _align), or Infeasible."""
-    leg = _leg_arrivals(depart, counter, drive, REGS, cal)
-    if leg is None:
+    """Earliest (service start, counter) after one leg through the kernel
+    (Simulator._advance), or Infeasible: HORIZON when the leg itself runs
+    past the horizon, as simulate_trip tells them apart."""
+    if _leg_arrivals(depart, counter, drive, REGS, cal) is None:
         return Infeasible(HORIZON)
-    starts = tuple(w.start for w in windows)
-    ends = tuple(w.end for w in windows)
-    frontier = _align([leg], starts, ends, REGS, cal)
-    if not frontier:
+    sim = SimpleNamespace(regs=REGS, cal=cal, time=((0, drive), (drive, 0)))
+    node = (1, *_fit_table(windows, REGS.sigma, cal))
+    got = Simulator._advance(sim, ((depart - REGS.sigma, counter),), 0, (node,))
+    if got is None:
         return Infeasible(NO_WINDOW)
-    return frontier[0][:2]
+    return got[0][0][0]
 
 
 class TestPropagate:
@@ -137,6 +139,24 @@ class TestSundayRules:
         assert lab[1] == 400
         assert lab[0] == 6 * 1440 + 1320 + 400
 
+    def test_stint_ending_tau_b_before_a_blackout_waits_through_it(self):
+        # the first stint ends exactly tau_b before Sunday 00:00: a rest
+        # would end on the blackout's first minute and gain no driving, so
+        # the leg waits from the stint's end to the blackout's end at once
+        cal = Calendar(0, REGS.tau_s, 30 * 1440)
+        sunday = 6 * 1440
+        depart = sunday - REGS.tau_b - REGS.tau_n
+        stint_end = depart + REGS.tau_n
+        assert _leg_arrivals(depart, 0, REGS.tau_n + 50, REGS, cal) == (
+            sunday + REGS.tau_s + 50,
+            50,
+            (
+                ("drive", depart, stint_end),
+                ("wait", stint_end, sunday + REGS.tau_s),
+                ("drive", sunday + REGS.tau_s, sunday + REGS.tau_s + 50),
+            ),
+        )
+
 
 def single_request_instance():
     dist = [[0, 1400], [1400, 0]]
@@ -170,7 +190,7 @@ class TestSimulateTrip:
         assert out.node == 2  # the second pickup, 0-based
 
     def test_sunday_spanning_trip_has_quiet_block(self):
-        from ftlopt.oracle import check_schedule_rules, check_sunday_rests
+        from ftlopt.oracle import check_sunday_rests
 
         dist = [[0, 30000], [30000, 0]]  # 3,000 km forces a multi-day leg
         matrix = TravelMatrix.from_distances(dist, 70)
@@ -227,17 +247,20 @@ class TestCheckInsertion:
                 assert spliced is None
                 assert built is None
             else:
-                reference = sim.frontiers(new_seq)
-                bare = tuple(tuple((s, c) for s, c, _ in f) for f in reference)
-                assert spliced.frontiers == bare
-                assert built.frontiers == bare
+                assert spliced.frontiers == built.frontiers
+                assert full.nodes[-1].service_start == built.frontiers[-1][0][0]
+                assert check_schedule_rules(inst, new_seq, full) == []
+            if checked % 10 == 0:  # the minute-level oracle's frontiers
+                want = brute_force_frontiers(new_seq, inst, granularity=1)
+                if isinstance(want, Infeasible):
+                    assert full == want
+                else:
+                    assert built.frontiers == tuple(map(tuple, want))
             checked += 1
 
 
 class TestScheduleShape:
     def test_segments_tile_and_within_windows(self):
-        from ftlopt.oracle import check_schedule_rules
-
         count = 0
         for seed in range(300):
             inst, seq = trip_case(seed)
