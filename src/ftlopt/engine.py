@@ -290,7 +290,7 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
                     s.segment_score = 0
                     s.segment_uses = 0
             report.trace.append(TraceRow(it, current.cost_total, best.cost_total, temperature))
-            if ev.size > MAX_CACHED_CELLS:
+            if sum(map(len, ev.cells.values())) > MAX_CACHED_CELLS:
                 ev.clear()
                 repair_memo.clear()
         if config.max_seconds is not None and time.perf_counter() - start > config.max_seconds:

@@ -292,6 +292,12 @@ def _list(x) -> list:
     return x
 
 
+def _str(x) -> str:
+    if not isinstance(x, str):
+        raise TypeError(f"{x!r} is not a string")
+    return x
+
+
 def _whole(x) -> int:
     """int(x), except that a fractional number raises instead of truncating."""
     if isinstance(x, float) and not x.is_integer():
@@ -415,7 +421,7 @@ def instance_from_dict(doc: dict) -> Instance:
         regs=regs,
         mu_d10=_need(doc, "mu", "", d10_from_km),
         horizon=horizon,
-        name=doc.get("name", ""),
+        name=_conv(doc.get("name", ""), "/name", _str),
         coords=coords,
     )
     _checked("/", instance.check_shared)

@@ -7,9 +7,9 @@ distance is tenths of a kilometre (``d10``), money is euro cents.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional
+from fractions import Fraction
+from typing import Callable, Optional
 
 MINUTES_PER_DAY = 1440
 SUNDAY = 6  # weekday index, Monday = 0
@@ -46,14 +46,21 @@ def fmt_km(d10: int) -> str:
     return f"{sign}{d10 // 10}.{d10 % 10}"
 
 
+def _minutes_at(nu_kmh: float) -> Callable[[int], int]:
+    """The travel time of a d10 distance at this speed, rounded up to whole
+    minutes, as a function of the distance.
+
+    The speed counts at its decimal value (32.3 km/h is exactly 323/10, not
+    the nearest binary float), so one integer ceiling is exact.
+    """
+    nu = Fraction(repr(float(nu_kmh)))
+    num, den = 6 * nu.denominator, nu.numerator
+    return lambda d10: -((-d10 * num) // den)
+
+
 def travel_minutes(d10: int, nu_kmh: float) -> int:
     """Travel time for a distance, rounded up to whole minutes."""
-    if d10 == 0:
-        return 0
-    if float(nu_kmh).is_integer():
-        nu = int(nu_kmh)
-        return -((-d10 * 6) // nu)
-    return math.ceil(d10 * 6 / nu_kmh)
+    return _minutes_at(nu_kmh)(d10)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +188,9 @@ class TravelMatrix:
 
     @staticmethod
     def from_distances(dist_d10: list[list[int]], nu_kmh: float) -> "TravelMatrix":
-        n = len(dist_d10)
-        time = tuple(
-            tuple(travel_minutes(dist_d10[i][j], nu_kmh) for j in range(n)) for i in range(n)
-        )
-        return TravelMatrix(n, tuple(tuple(row) for row in dist_d10), time)
+        minutes = _minutes_at(nu_kmh)
+        time = tuple(tuple(map(minutes, row)) for row in dist_d10)
+        return TravelMatrix(len(dist_d10), tuple(tuple(row) for row in dist_d10), time)
 
     def check(self) -> None:
         for grid in (self.distance, self.time):

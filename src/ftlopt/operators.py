@@ -32,73 +32,35 @@ def removal_count(psi: int, xi: Fraction, planned: int) -> int:
 
 
 class InsertionEvaluator:
-    """Cached exact insertion costs per trip sequence and request.
+    """Cached exact insertion costs: one table per trip sequence, holding
+    each asked request's best feasible (delta_d10, position) or None.
 
-    A changed trip has a new sequence and so a fresh column; cached and
-    fresh evaluations always agree because both call the same pure
-    feasibility check.  The evaluator owns the search's caches, the
-    simulator's included, and `clear` drops them all.
+    A changed trip has a new sequence and so a fresh table, and every
+    uncached cell is a full sweep of `Simulator.best_insertions`; cached and
+    fresh cells always agree because cells are pure.  The evaluator owns the
+    search's caches, the simulator's included, and `clear` drops them all.
     """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         # trip sequence -> {request id: best (delta_d10, pos) or None}
         self.cells: dict[tuple[int, ...], dict[int, Optional[tuple[int, int]]]] = {}
-        self.size = 0  # cached cells over all sequences
-        # new trip sequence -> (parent sequence, splice position, monotone guard)
-        self.lineage: dict[tuple[int, ...], tuple[tuple[int, ...], int, bool]] = {}
 
     def clear(self) -> None:
         """Drop every cached value; later results are unchanged (bounds memory)."""
         self.cells.clear()
-        self.size = 0
-        self.lineage.clear()
         self.sim.clear_caches()
-
-    def note_splice(self, old: Trip, new: Trip, rid: int, pos: int) -> None:
-        """Record that `new` is `old` with `rid` spliced at `pos`.
-
-        When the detour a -> o -> d -> b via the new request drives at least
-        as many minutes as the direct leg a -> b it replaces, it cannot
-        shorten the timeline, so a request that fit nowhere in the old trip
-        can only fit next to the fresh one, which makes its re-evaluation
-        O(1).  The detour's two service operations do not count toward that
-        guard: they add wall time but no driving, and a direct leg that
-        drives more minutes can need one more shift break than the detour.
-        """
-        sim = self.sim
-        guard = True
-        seq = old.requests
-        if 0 < pos < len(seq):
-            a = sim.dest[seq[pos - 1]]
-            b = sim.origin[seq[pos]]
-            o, d = sim.origin[rid], sim.dest[rid]
-            guard = sim.time[a][o] + sim.time[o][d] + sim.time[d][b] >= sim.time[a][b]
-        self.lineage[new.requests] = (old.requests, pos, guard)
 
     def column(self, rids: Sequence[int], trip: Trip) -> list[Optional[tuple[int, int]]]:
         """Best feasible (delta_d10, position) of each request in this trip,
         or None, in the order of rids (distinct request ids); uncached cells
         are evaluated together."""
-        seq = trip.requests
-        col = self.cells.get(seq)
+        col = self.cells.get(trip.requests)
         if col is None:
-            col = self.cells[seq] = {}
-        lin = self.lineage.get(seq)
-        parent = self.cells.get(lin[0]) if lin is not None and lin[2] else None
-        asks = []
-        for rid in rids:
-            if rid not in col:
-                if parent is not None and parent.get(rid, 1) is None:
-                    # rid fit nowhere in the parent trip: only the spliced
-                    # request's two flanks are new ground
-                    asks.append((rid, (lin[1], lin[1] + 1)))
-                else:
-                    asks.append((rid, None))
-        if asks:
-            for (rid, _positions), got in zip(asks, self.sim.best_insertions(trip, asks)):
-                col[rid] = got
-            self.size += len(asks)
+            col = self.cells[trip.requests] = {}
+        fresh = [rid for rid in rids if rid not in col]
+        if fresh:
+            col.update(zip(fresh, self.sim.best_insertions(trip, [(rid, None) for rid in fresh])))
         return [col[rid] for rid in rids]
 
     def cell(self, rid: int, trip: Trip) -> Optional[tuple[int, int]]:
@@ -370,7 +332,6 @@ def repair(
             return
         rebuilt = sim.splice_trip(trips[ti], rid, pos)
         assert rebuilt is not None
-        ev.note_splice(trips[ti], rebuilt, rid, pos)
         trips[ti] = rebuilt
 
     # one row of cells per candidate and one column per trip, for every mode;

@@ -187,6 +187,7 @@ class TestNativeFormat:
             ("/matrix/time/0/1", lambda doc: doc["matrix"]["time"][0].__setitem__(1, 12.7)),
             ("/regs/tau_n", lambda doc: doc["regs"].update(tau_n=450.5)),
             ("/", lambda doc: doc["cost"].update(sm_tiers=[])),
+            ("/name", lambda doc: doc.update(name=5)),
         )
         for pointer, edit in cases:
             doc = instance_to_dict(transform(parse_gh(mini_text())))

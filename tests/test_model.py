@@ -96,6 +96,7 @@ class TestUnits:
         assert travel_minutes(1, 70) == 1  # 0.1 km still takes a minute
         assert travel_minutes(0, 70) == 0
         assert travel_minutes(1400, 70) == 120
+        assert travel_minutes(323, 32.3) == 60  # exact at the decimal speed
 
 
 class TestSolutionCost:

@@ -344,7 +344,7 @@ class TestEvaluatorConsistency:
             assert a == c
 
     def test_matrix_matches_naive_scan(self):
-        # the lazy/lineage-accelerated cells equal a brute position scan
+        # the lazily cached cells equal a brute position scan
         for seed in range(8):
             inst = micro_instance(seed)
             sim = Simulator(inst)
@@ -356,11 +356,11 @@ class TestEvaluatorConsistency:
                         continue
                     assert ev.cell(r.id, trip) == naive_cell(sim, trip, r.id)
 
-    def test_lineage_shortcut_finds_a_feasible_flank(self):
+    def test_cell_fits_behind_a_spliced_request(self):
         # non-metric times: R (3) cannot follow A (1) directly, since A's
         # delivery to R's pickup takes 2,000 minutes, and cannot go first,
         # since A's pickup closes before R's opens; R fits only after N (2)
-        # once N is spliced in behind A, which the lineage shortcut must find
+        # once N is spliced in behind A
         time = [[0 if i == j else 30 for j in range(6)] for i in range(6)]
         time[1][4] = 2000
         dist = [[0 if i == j else 100 for j in range(6)] for i in range(6)]
@@ -378,19 +378,17 @@ class TestEvaluatorConsistency:
         a = sim.build_trip((1,))
         assert ev.cell(3, a) is None
         an = sim.splice_trip(a, 2, 1)
-        ev.note_splice(a, an, 2, 1)
-        assert ev.lineage[an.requests] == ((1,), 1, True)
         want = naive_cell(sim, an, 3)
         assert want is not None and want[1] == 2
         assert ev.cell(3, an) == want
+        assert InsertionEvaluator(sim).column([3], an) == [want]
 
-    def test_lineage_guard_keeps_the_full_scan(self):
+    def test_cell_fits_after_a_splice_shortens_the_trip(self):
         # non-metric times: A (1) ends at location 1, from which B's pickup (4)
         # and R's pickup (6) take 2,000 minutes, as does R's delivery (7) to
         # B's pickup.  R (4) fits nowhere in [A, B], but once X (3) sits
         # between them the detour A -> X -> B is far shorter than A -> B, so R
-        # fits after B.  That splice fails the guard, and the cell must come
-        # from a scan of every position, not of X's two flanks.
+        # fits after B, away from X's two flanks.
         time = [[0 if i == j else 30 for j in range(8)] for i in range(8)]
         time[1][4] = time[1][6] = time[7][4] = 2000
         dist = [[0 if i == j else 100 for j in range(8)] for i in range(8)]
@@ -409,19 +407,18 @@ class TestEvaluatorConsistency:
         ab = sim.build_trip((1, 2))
         assert ev.cell(4, ab) is None
         axb = sim.splice_trip(ab, 3, 1)
-        ev.note_splice(ab, axb, 3, 1)
-        assert ev.lineage[axb.requests] == ((1, 2), 1, False)
         assert sim.best_insertion(axb, 4, (1, 2)) is None
         assert naive_cell(sim, axb, 4) == (200, 3)
         assert ev.cell(4, axb) == (200, 3)
+        assert InsertionEvaluator(sim).column([4], axb) == [(200, 3)]
 
-    def test_lineage_guard_counts_driving_minutes_only(self):
+    def test_cell_fits_after_a_splice_saves_a_rest(self):
         # R (4) fits nowhere in [A, C] (1, 3).  Splicing B (2) between them
         # replaces the leg 1 -> 4 (685 minutes) with 1 -> 2 -> 3 -> 4 (100 +
         # 90 + 275 minutes): no shorter in wall time once B's two 120-minute
         # operations count, but 220 minutes less driving.  Behind R, the
         # direct leg takes two 990-minute rests and the detour one, so R
-        # fits first in [A, B, C] and that splice must fail the guard.
+        # fits first in [A, B, C].
         time = (
             (0, 67, 258, 356, 29, 250, 78, 271),
             (124, 0, 100, 107, 685, 233, 37, 464),
@@ -446,15 +443,14 @@ class TestEvaluatorConsistency:
         ac = sim.build_trip((1, 3))
         assert ev.cell(4, ac) is None
         abc = sim.splice_trip(ac, 2, 1)
-        ev.note_splice(ac, abc, 2, 1)
-        assert ev.lineage[abc.requests] == ((1, 3), 1, False)
         assert naive_cell(sim, abc, 4) == (257, 0)
         assert ev.cell(4, abc) == (257, 0)
+        assert InsertionEvaluator(sim).column([4], abc) == [(257, 0)]
 
     def test_lineage_cells_match_naive_scan_on_generated_splices(self):
-        # every trip reachable by feasible splices from the single-request
-        # trips of a kernel case (time matrices without the triangle
-        # inequality), each noted with the parent that first produced it
+        # every trip on a splice lineage: reachable by feasible splices from
+        # the single-request trips of a kernel case (time matrices without
+        # the triangle inequality)
         reached = Counter()
         naive = {}
         for seed in range(600):
@@ -462,29 +458,21 @@ class TestEvaluatorConsistency:
             for sim, ev, walk in warm_and_cleared_walks(inst):
                 ids = [r.id for r in inst.requests]
                 for trip in walk:
-                    lin = ev.lineage.get(trip.requests)
                     for rid in ids:
                         if rid in trip.requests:
                             continue
-                        shortcut = lin is not None and lin[2] and ev.cells[lin[0]][rid] is None
                         want = cached_naive_cell(naive, sim, trip, rid)
                         assert ev.cell(rid, trip) == want, (seed, trip.requests, rid)
-                        if lin is not None and not lin[2]:
-                            reached["unguarded"] += 1
-                        elif shortcut and want is not None:
-                            reached[f"flank {want[1] - lin[1]}"] += 1
                         walk.splice_all(trip, rid)
                 reached["head hits"] += walk.head_hits
                 reached["cleared"] += walk.cleared
             naive.clear()
-        # the shortcut found a request on each flank of the spliced one
-        assert reached["flank 0"] and reached["flank 1"] and reached["unguarded"], reached
         assert reached["head hits"] and reached["cleared"], reached
 
     def test_columns_match_naive_scan_on_generated_splices(self):
         # columns over trips reachable by feasible splices, as above, each
         # asked after a random part of it was cached one cell at a time, so
-        # one call mixes cached, fresh and lineage-narrowed requests
+        # one call mixes cached and fresh requests
         rng = random.Random(7)
         reached = Counter()
         naive = {}
@@ -498,26 +486,22 @@ class TestEvaluatorConsistency:
                         ev.cell(rid, trip)
                     rng.shuffle(rids)
                     cached = ev.cells.get(trip.requests, {})
-                    lin = ev.lineage.get(trip.requests)
-                    parent = ev.cells.get(lin[0], {}) if lin is not None and lin[2] else {}
                     fresh = [rid for rid in rids if rid not in cached]
                     reached["mixed"] += 0 < len(fresh) < len(rids)
-                    reached["narrowed"] += sum(parent.get(rid, 1) is None for rid in fresh)
                     want = [cached_naive_cell(naive, sim, trip, rid) for rid in rids]
                     assert ev.column(rids, trip) == want, (seed, trip.requests, rids)
-                    assert ev.size == sum(map(len, ev.cells.values()))
                     for rid in rids:
                         walk.splice_all(trip, rid)
                 reached["head hits"] += walk.head_hits
                 reached["cleared"] += walk.cleared
             naive.clear()
-        assert reached["mixed"] and reached["narrowed"], reached
+        assert reached["mixed"], reached
         assert reached["head hits"] and reached["cleared"], reached
 
 
 class SpliceWalk:
     """The trips reachable by feasible splices from an instance's
-    single-request trips, each noted with the parent that first produced it.
+    single-request trips, each visited once.
 
     Iterating pops trips depth first; with `clear_at`, the simulator's
     caches are dropped (and checked empty) once that many trips were
@@ -525,12 +509,13 @@ class SpliceWalk:
     memo.
     """
 
-    def __init__(self, sim, ev, clear_at=None):
-        self.sim, self.ev, self.clear_at = sim, ev, clear_at
+    def __init__(self, sim, clear_at=None):
+        self.sim, self.clear_at = sim, clear_at
         self.popped = self.head_hits = 0
         self.cleared = False
         ids = [r.id for r in sim.instance.requests]
         self.todo = [t for t in (sim.build_trip((rid,)) for rid in ids) if t is not None]
+        self.seen = set()
         head = sim._head
 
         def counted(frontier, prev_loc, rid):
@@ -551,8 +536,8 @@ class SpliceWalk:
     def splice_all(self, trip, rid):
         for pos in range(len(trip.requests) + 1):
             new = self.sim.splice_trip(trip, rid, pos)
-            if new is not None and new.requests not in self.ev.lineage:
-                self.ev.note_splice(trip, new, rid, pos)
+            if new is not None and new.requests not in self.seen:
+                self.seen.add(new.requests)
                 self.todo.append(new)
 
 
@@ -562,11 +547,11 @@ def warm_and_cleared_walks(inst):
     whose caches are dropped halfway through the same walk."""
     sim = Simulator(inst)
     ev = InsertionEvaluator(sim)
-    walk = SpliceWalk(sim, ev)
+    walk = SpliceWalk(sim)
     yield sim, ev, walk
     sim = Simulator(inst)
     ev = InsertionEvaluator(sim)
-    yield sim, ev, SpliceWalk(sim, ev, clear_at=walk.popped // 2)
+    yield sim, ev, SpliceWalk(sim, clear_at=walk.popped // 2)
 
 
 def cached_naive_cell(naive, sim, trip, rid):
