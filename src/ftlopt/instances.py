@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, floordiv, mod, mul
 
 from .model import (
     MINUTES_PER_DAY,
@@ -115,11 +117,17 @@ def parse_gh(text: str) -> GhInstance:
 
 def _euclid_matrix(coords: tuple[tuple[float, float], ...], nu: float) -> TravelMatrix:
     """Euclidean distances in d10, each rounded to the closest integer
-    kilometre (halves up), with travel times at speed nu."""
-    dist = [
-        [10 * int(math.floor(math.hypot(xa - xb, ya - yb) + 0.5)) for xb, yb in coords]
-        for xa, ya in coords
-    ]
+    kilometre (halves up), with travel times at speed nu.
+
+    Each pair is computed once, into the upper triangle; the matrix is that
+    triangle plus its transpose.  math.dist is hypot of the differences, and
+    the same float with the points swapped.
+    """
+    upper = []
+    for i, a in enumerate(coords):
+        km = map(math.floor, map(add, map(math.dist, repeat(a), coords[i + 1 :]), repeat(0.5)))
+        upper.append([0] * (i + 1) + list(map(mul, km, repeat(10))))
+    dist = [list(map(add, row, col)) for row, col in zip(upper, zip(*upper))]
     return TravelMatrix.from_distances(dist, nu)
 
 
@@ -202,6 +210,13 @@ def _km_out(d10: int):
     return d10 // 10 if d10 % 10 == 0 else d10 / 10
 
 
+def _km_row_out(row) -> list:
+    """_km_out of every cell of a row; a row of whole kilometres in one pass."""
+    if any(map(mod, row, repeat(10))):
+        return list(map(_km_out, row))
+    return list(map(floordiv, row, repeat(10)))
+
+
 def _money_out(c: int):
     return c // 100 if c % 100 == 0 else c / 100
 
@@ -229,7 +244,7 @@ def instance_to_dict(instance: Instance) -> dict:
         "name": instance.name,
         "locations": locations,
         "matrix": {
-            "distance": [[_km_out(v) for v in row] for row in instance.matrix.distance],
+            "distance": list(map(_km_row_out, instance.matrix.distance)),
             "time": [list(row) for row in instance.matrix.time],
         },
         "requests": [
@@ -256,10 +271,30 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _nested(value) -> bool:
+    return isinstance(value, list) and any(isinstance(x, (list, dict)) for x in value)
+
+
+def _layout(value, pad: str = "") -> str:
+    """value as JSON text, one item per line.  The document, and an object
+    whose members are all lists of lists or objects (the matrix), have one
+    member per line; such a list has one element per line.  Everything else,
+    each location, request and matrix row among it, is one json.dumps call,
+    which runs the C encoder; any indent would make json fall back to its
+    pure-Python one."""
+    inner = pad + "  "
+    if isinstance(value, dict) and (not pad or all(map(_nested, value.values()))):
+        members = (f"{inner}{json.dumps(k)}: {_layout(v, inner)}" for k, v in value.items())
+        return "{\n" + ",\n".join(members) + f"\n{pad}}}"
+    if _nested(value):
+        return "[\n" + ",\n".join(inner + json.dumps(x) for x in value) + f"\n{pad}]"
+    return json.dumps(value)
+
+
 def write_instance(instance: Instance, path: str) -> None:
+    text = _layout(instance_to_dict(instance))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(instance_to_dict(instance), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _conv(value, pointer: str, conv):
@@ -298,26 +333,73 @@ def _str(x) -> str:
     return x
 
 
+def _number(x):
+    """x, when it is a JSON number; a string or a boolean raises."""
+    if type(x) is not int and type(x) is not float:
+        raise TypeError(f"{x!r} is not a number")
+    return x
+
+
 def _whole(x) -> int:
-    """int(x), except that a fractional number raises instead of truncating."""
-    if isinstance(x, float) and not x.is_integer():
+    """int(x) of a JSON number, except that a fractional number raises
+    instead of truncating."""
+    if isinstance(_number(x), float) and not x.is_integer():
         raise ValueError(f"{x!r} is not a whole number")
     return int(x)
 
 
 def _finite(x) -> float:
-    v = float(x)
+    v = float(_number(x))
     if not math.isfinite(v):
         raise ValueError(f"{x!r} is not finite")
     return v
 
 
-def _grid(rows, where: str, conv, n: int) -> list[list]:
+def _km(x) -> int:
+    return d10_from_km(_number(x))
+
+
+def _money(x) -> int:
+    return cents(_number(x))
+
+
+# an int of at most this size is exact as a float, and so is ten times it
+_EXACT_KM = 2**53 // 10
+
+
+def _km_row(row: list, ints: bool) -> list[int]:
+    """_km of every cell of a row of JSON numbers (ints: of ints only).
+
+    d10_from_km is int(round(float(x) * 10)); round of a float is already an
+    int, and for an int x within _EXACT_KM each step is exact, giving 10 * x.
+    """
+    if ints and -_EXACT_KM <= min(row) and max(row) <= _EXACT_KM:
+        return list(map(mul, row, repeat(10)))
+    return list(map(round, map(mul, map(float, row), repeat(10))))
+
+
+def _whole_row(row: list, ints: bool) -> list[int]:
+    """_whole of every cell of a row of JSON numbers (ints: of ints only)."""
+    if ints:
+        return list(row)
+    if not all(map(float.is_integer, map(float, row))):
+        raise ValueError("a cell is not a whole number")
+    return list(map(int, row))
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _grid(rows, where: str, conv, row_conv, n: int) -> list[list]:
     """An n x n list of lists with every cell through conv; a wrong shape or
     a rejected cell raises SchemaError with its pointer.
 
-    Rows are converted whole; only a row with a rejected cell is scanned
-    again, cell by cell, to name that cell.
+    A row whose cells are all JSON numbers goes whole through row_conv,
+    which returns what conv returns cell by cell; a row of ints only, the
+    usual case as the writer emits whole kilometres and minutes as ints,
+    skips the float round trip there.  Only a row that holds
+    another type, or that row_conv rejects, goes through conv cell by cell,
+    which names the rejected cell.
     """
     if len(_conv(rows, where, _list)) != n:
         raise SchemaError(where, f"expected {n} rows")
@@ -325,12 +407,14 @@ def _grid(rows, where: str, conv, n: int) -> list[list]:
     for i, row in enumerate(rows):
         if len(_conv(row, f"{where}/{i}", _list)) != n:
             raise SchemaError(f"{where}/{i}", f"expected {n} cells")
-        try:
-            out.append(list(map(conv, row)))
-        except (TypeError, ValueError, OverflowError):
-            for j, v in enumerate(row):
-                _conv(v, f"{where}/{i}/{j}", conv)
-            raise
+        types = set(map(type, row))
+        if types <= _NUMBER_TYPES:
+            try:
+                out.append(row_conv(row, float not in types))
+                continue
+            except (ValueError, OverflowError):
+                pass
+        out.append([_conv(v, f"{where}/{i}/{j}", conv) for j, v in enumerate(row)])
     return out
 
 
@@ -342,7 +426,7 @@ def instance_from_dict(doc: dict) -> Instance:
     locations = _need(doc, "locations", "", _list)
     n = len(locations)
     for i, loc in enumerate(locations):
-        if _need(loc, "id", f"/locations/{i}") != i:
+        if _need(loc, "id", f"/locations/{i}", _whole) != i:
             raise SchemaError(f"/locations/{i}/id", "ids must be 0..n-1 in order")
     coords = None
     if locations and all("x" in loc and "y" in loc for loc in locations):
@@ -367,9 +451,9 @@ def instance_from_dict(doc: dict) -> Instance:
             raise SchemaError("/matrix", "euclidean directive needs x/y on every location")
         matrix = _euclid_matrix(coords, regs.nu)
     else:
-        dist = _grid(_need(matrix_doc, "distance", "/matrix"), "/matrix/distance", d10_from_km, n)
+        dist = _grid(_need(matrix_doc, "distance", "/matrix"), "/matrix/distance", _km, _km_row, n)
         if "time" in matrix_doc:
-            time = _grid(matrix_doc["time"], "/matrix/time", _whole, n)
+            time = _grid(matrix_doc["time"], "/matrix/time", _whole, _whole_row, n)
             matrix = TravelMatrix(n, tuple(map(tuple, dist)), tuple(map(tuple, time)))
         else:
             matrix = TravelMatrix.from_distances(dist, regs.nu)
@@ -380,16 +464,16 @@ def instance_from_dict(doc: dict) -> Instance:
         where = f"/cost/sm_tiers/{i}"
         if len(_conv(tier, where, _list)) != 2:
             raise SchemaError(where, "expected [bound, rate]")
-        bound = None if tier[0] is None else _conv(tier[0], f"{where}/0", d10_from_km)
-        tiers.append((bound, _conv(tier[1], f"{where}/1", cents)))
+        bound = None if tier[0] is None else _conv(tier[0], f"{where}/0", _km)
+        tiers.append((bound, _conv(tier[1], f"{where}/1", _money)))
     explicit_doc = cost_doc.get("explicit_sm_prices", {})
     if not isinstance(explicit_doc, dict):
         raise SchemaError("/cost/explicit_sm_prices", "expected an object")
     explicit = {}
     for key, price in explicit_doc.items():
         where = f"/cost/explicit_sm_prices/{key}"
-        explicit[_conv(key, where, _whole)] = _conv(price, where, cents)
-    cost = CostModel(_need(cost_doc, "kappa", "/cost", cents), tuple(tiers), explicit)
+        explicit[_conv(key, where, int)] = _conv(price, where, _money)
+    cost = CostModel(_need(cost_doc, "kappa", "/cost", _money), tuple(tiers), explicit)
 
     horizon_doc = _need(doc, "horizon", "")
     horizon = Horizon(
@@ -410,7 +494,7 @@ def instance_from_dict(doc: dict) -> Instance:
                 _window(w, f"{where}/delivery_windows/{k}")
                 for k, w in enumerate(_need(rd, "delivery_windows", where, _list))
             ),
-            _need(rd, "sm_price", where, cents),
+            _need(rd, "sm_price", where, _money),
         )
         requests.append(request)
 
@@ -419,7 +503,7 @@ def instance_from_dict(doc: dict) -> Instance:
         matrix=matrix,
         cost=cost,
         regs=regs,
-        mu_d10=_need(doc, "mu", "", d10_from_km),
+        mu_d10=_need(doc, "mu", "", _km),
         horizon=horizon,
         name=_conv(doc.get("name", ""), "/name", _str),
         coords=coords,

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from itertools import repeat
+from operator import floordiv, mul, neg
+from typing import Callable, Iterable, Optional
 
 MINUTES_PER_DAY = 1440
 SUNDAY = 6  # weekday index, Monday = 0
@@ -46,21 +48,22 @@ def fmt_km(d10: int) -> str:
     return f"{sign}{d10 // 10}.{d10 % 10}"
 
 
-def _minutes_at(nu_kmh: float) -> Callable[[int], int]:
-    """The travel time of a d10 distance at this speed, rounded up to whole
-    minutes, as a function of the distance.
+def _minutes_at(nu_kmh: float) -> Callable[[Iterable[int]], list[int]]:
+    """The travel times of d10 distances at this speed, each rounded up to
+    whole minutes, as a function of a row of distances.
 
     The speed counts at its decimal value (32.3 km/h is exactly 323/10, not
-    the nearest binary float), so one integer ceiling is exact.
+    the nearest binary float), so one integer ceiling is exact: the time is
+    ceil(d10 * num / den) = -((d10 * -num) // den).
     """
     nu = Fraction(repr(float(nu_kmh)))
     num, den = 6 * nu.denominator, nu.numerator
-    return lambda d10: -((-d10 * num) // den)
+    return lambda row: list(map(neg, map(floordiv, map(mul, row, repeat(-num)), repeat(den))))
 
 
 def travel_minutes(d10: int, nu_kmh: float) -> int:
     """Travel time for a distance, rounded up to whole minutes."""
-    return _minutes_at(nu_kmh)(d10)
+    return _minutes_at(nu_kmh)((d10,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +191,7 @@ class TravelMatrix:
 
     @staticmethod
     def from_distances(dist_d10: list[list[int]], nu_kmh: float) -> "TravelMatrix":
-        minutes = _minutes_at(nu_kmh)
-        time = tuple(tuple(map(minutes, row)) for row in dist_d10)
+        time = tuple(map(tuple, map(_minutes_at(nu_kmh), dist_d10)))
         return TravelMatrix(len(dist_d10), tuple(tuple(row) for row in dist_d10), time)
 
     def check(self) -> None:
@@ -201,7 +203,7 @@ class TravelMatrix:
                     raise ValueError("matrix column count mismatch")
                 if row[i] != 0:
                     raise ValueError("matrix diagonal must be zero")
-                if any(v < 0 for v in row):
+                if min(row) < 0:
                     raise ValueError("matrix entries must be non-negative")
 
     def max_distance(self) -> int:

@@ -208,23 +208,30 @@ def shaw_relatedness(
 def _shaw_ranks(sim: Simulator, variant: str) -> dict[int, dict[int, int]]:
     """Per reference request, every request's place in the order by
     (shaw_relatedness to the reference, id); built on first use and kept on
-    the simulator, one table per variant."""
+    the simulator, one table per variant.
+
+    The keys are shaw_relatedness's float expression, evaluated from one
+    (id, origin, destination, pickup start) tuple per request.
+    """
     ranks = sim.shaw_ranks.get(variant)
     if ranks is None:
         instance = sim.instance
-        d_max = instance.matrix.max_distance()
+        dist = instance.matrix.distance
+        d_max = max(instance.matrix.max_distance(), 1)
         horizon_minutes = instance.horizon.end_minute
-        ids = [r.id for r in instance.requests]
+        reqs = [(r.id, r.origin, r.destination, r.pickup_window.start) for r in instance.requests]
         ranks = sim.shaw_ranks[variant] = {}
-        for ref in ids:
-            order = sorted(
-                ids,
-                key=lambda rid: (
-                    shaw_relatedness(instance, d_max, horizon_minutes, ref, rid, variant),
-                    rid,
-                ),
-            )
-            ranks[ref] = {rid: i for i, rid in enumerate(order)}
+        for ref, o, d, start in reqs:
+            if variant == "tw":
+                keys = [(abs(start - s) / horizon_minutes, rid) for rid, _, _, s in reqs]
+            else:
+                from_o, from_d = dist[o], dist[d]
+                keys = [
+                    ((from_o[ro] + from_d[rd]) / d_max + abs(start - s) / horizon_minutes, rid)
+                    for rid, ro, rd, s in reqs
+                ]
+            keys.sort()
+            ranks[ref] = {rid: i for i, (_, rid) in enumerate(keys)}
     return ranks
 
 

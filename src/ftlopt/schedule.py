@@ -100,35 +100,37 @@ def _leg_arrivals(t0: int, c0: int, drive: int, regs: RegParams, cal: Calendar):
     no room for a rest before it, and waits through it.
     """
     tau_n, tau_b = regs.tau_n, regs.tau_b
-    tau_s, first_sunday = cal.tau_s, cal.first_sunday
+    tau_s, first_sunday, horizon_end = cal.tau_s, cal.first_sunday, cal.horizon_end
     t, c, left = t0, c0, drive
-    segs = ()
+    segs = []
     while left:
+        if t > horizon_end:  # t never decreases: the arrival is past it too
+            return None
         sunday_start = t - (t - first_sunday) % WEEK
         if t < sunday_start + tau_s:  # inside a blackout: wait for its end
             be = sunday_start + tau_s
             if be - t >= tau_b:
                 c = 0
-            segs += (("wait", t, be),)
+            segs.append(("wait", t, be))
             t = be
         nb = sunday_start + WEEK
         while True:
             stint = min(tau_n - c, left, nb - t)
             if stint > 0:
-                segs += (("drive", t, t + stint),)
+                segs.append(("drive", t, t + stint))
                 t += stint
                 c += stint
                 left -= stint
             if left == 0 or nb - t <= tau_b:
                 break
-            segs += (("break", t, t + tau_b),)
+            segs.append(("break", t, t + tau_b))
             t += tau_b
             c = 0
         if left:  # rest through the next blackout
-            segs += (("wait", t, nb + tau_s),)
+            segs.append(("wait", t, nb + tau_s))
             t = nb + tau_s
             c = 0
-    return (t, c, segs) if t <= cal.horizon_end else None
+    return (t, c, tuple(segs)) if t <= horizon_end else None
 
 
 def _pareto(states: list) -> list:

@@ -7,6 +7,7 @@ self-contained.
 """
 
 import inspect
+import json
 import os
 import random
 import time
@@ -14,7 +15,14 @@ import time
 import pytest
 
 from ftlopt.engine import AlnsConfig, run
-from ftlopt.instances import MU_PER_DAY_KM, parse_gh, read_instance, transform, write_instance
+from ftlopt.instances import (
+    MU_PER_DAY_KM,
+    instance_to_dict,
+    parse_gh,
+    read_instance,
+    transform,
+    write_instance,
+)
 from ftlopt.model import DEFAULT_SM_TIERS, RegParams, fmt_money, solution_cost, validate_solution
 from ftlopt.operators import REMOVAL_OPERATORS, build_initial, removal_count, repair
 from ftlopt.oracle import (
@@ -204,10 +212,16 @@ def test_criterion_7_transformation_golden():
     assert instance.mu_d10 == 5_000
     assert instance.horizon.days == 9
     assert instance.request(2).pickup_window.start == 1800
+    golden = os.path.join(DATA, "golden_mini.json")
+    # the golden's content, apart from its layout: the document and the
+    # instance it reads back as
+    with open(golden, "r", encoding="utf-8") as fh:
+        assert json.load(fh) == instance_to_dict(instance)
+    assert read_instance(golden) == instance
     out = os.path.join(DATA, "golden_check.json")
     try:
         write_instance(instance, out)
-        with open(out, "rb") as fh_a, open(os.path.join(DATA, "golden_mini.json"), "rb") as fh_b:
+        with open(out, "rb") as fh_a, open(golden, "rb") as fh_b:
             assert fh_a.read() == fh_b.read()
     finally:
         os.unlink(out)

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import tempfile
 
 import pytest
 
@@ -16,6 +18,7 @@ from ftlopt.instances import (
     transform,
     write_instance,
 )
+from ftlopt.model import travel_minutes
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -157,18 +160,102 @@ class TestNativeFormatProperties:
     @given(st.integers(0, 10_000_000))
     def test_round_trip_over_random_instances(self, seed):
         from helpers import micro_instance
-        from ftlopt.instances import instance_from_dict, instance_to_dict
 
         inst = micro_instance(seed)
-        assert instance_from_dict(instance_to_dict(inst)) == inst
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "x.json")
+            write_instance(inst, path)
+            assert read_instance(path) == inst
+            with open(path, "r", encoding="utf-8") as fh:
+                assert json.load(fh) == instance_to_dict(inst)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=12),
+        st.sampled_from((70, 32.3, 0.7)),
+    )
+    def test_euclidean_matrix_is_hypot_per_ordered_pair(self, coords, nu):
+        from ftlopt.instances import _euclid_matrix
+
+        matrix = _euclid_matrix(tuple(coords), nu)
+        for i, (xa, ya) in enumerate(coords):
+            for j, (xb, yb) in enumerate(coords):
+                km = int(math.floor(math.hypot(xa - xb, ya - yb) + 0.5))
+                assert matrix.distance[i][j] == 10 * km
+                assert matrix.time[i][j] == travel_minutes(10 * km, nu)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(
+            st.one_of(
+                st.integers(-10**6, 10**6),
+                st.sampled_from((2**53 // 10, 2**53 // 10 + 1, -(2**53) // 10 - 1, 2**60 + 1, 10**400)),
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.integers(-2000, 2000).map(lambda k: k / 4),
+                st.sampled_from(("12.5", "30", True, False, None)),
+            ),
+            min_size=n, max_size=n,
+        ),
+        min_size=n, max_size=n,
+    )))
+    def test_grid_rows_equal_the_cell_by_cell_conversion(self, rows):
+        # whole-row conversion returns exactly what the scalar converters
+        # return cell by cell, and names the same first rejected cell
+        from ftlopt.instances import _grid, _km, _km_row, _whole, _whole_row
+
+        for conv, row_conv in ((_km, _km_row), (_whole, _whole_row)):
+            want, bad = [], None
+            for i, row in enumerate(rows):
+                try:
+                    want.append([conv(v) for v in row])
+                except (TypeError, ValueError, OverflowError):
+                    j = next(j for j, v in enumerate(row) if not _converts(conv, v))
+                    bad = f"/g/{i}/{j}"
+                    break
+            if bad is None:
+                got = _grid(rows, "/g", conv, row_conv, len(rows))
+                assert got == want
+                assert all(type(v) is int for row in got for v in row)
+            else:
+                with pytest.raises(SchemaError) as err:
+                    _grid(rows, "/g", conv, row_conv, len(rows))
+                assert err.value.pointer == bad
+
+
+def _converts(conv, value) -> bool:
+    try:
+        conv(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
+def gh_instance(name: str):
+    with open(os.path.join(DATA, f"{name}.txt"), "r", encoding="utf-8") as fh:
+        return transform(parse_gh(fh.read()))
 
 
 class TestNativeFormat:
     def test_round_trip_identity(self, tmp_path):
-        inst = transform(parse_gh(mini_text()))
-        p = tmp_path / "x.json"
+        for name in ("gh_mini", "gh_syn_c1", "gh_syn_mix"):
+            inst = gh_instance(name)
+            p = tmp_path / f"{name}.json"
+            write_instance(inst, str(p))
+            assert read_instance(str(p)) == inst, name
+            assert json.loads(p.read_text(encoding="utf-8")) == instance_to_dict(inst), name
+
+    def test_written_layout_has_one_item_per_line(self, tmp_path):
+        # each location, request and matrix row is one line, so that a
+        # 200-location instance is a few hundred lines, not one per cell
+        inst = gh_instance("gh_syn_c1")
+        p = tmp_path / "c1.json"
         write_instance(inst, str(p))
-        assert read_instance(str(p)) == inst
+        lines = p.read_text(encoding="utf-8").splitlines()
+        assert len(lines) < 1000
+        items = {line.strip().rstrip(",") for line in lines}
+        doc = instance_to_dict(inst)
+        for item in doc["locations"] + doc["matrix"]["distance"] + doc["requests"]:
+            assert json.dumps(item) in items
 
     def test_missing_mu_pointer(self):
         window = "/requests/0/pickup_window"
@@ -188,6 +275,25 @@ class TestNativeFormat:
             ("/regs/tau_n", lambda doc: doc["regs"].update(tau_n=450.5)),
             ("/", lambda doc: doc["cost"].update(sm_tiers=[])),
             ("/name", lambda doc: doc.update(name=5)),
+            # numeric fields take JSON numbers only, never strings or booleans
+            ("/matrix/distance/0/1", lambda doc: doc["matrix"]["distance"][0].__setitem__(1, "12.5")),
+            ("/matrix/distance/0/1", lambda doc: doc["matrix"]["distance"][0].__setitem__(1, True)),
+            ("/matrix/time/0/1", lambda doc: doc["matrix"]["time"][0].__setitem__(1, "30")),
+            (f"{window}/start", lambda doc: doc["requests"][0]["pickup_window"].update(start="360")),
+            ("/requests/0/delivery_windows/0/end",
+             lambda doc: doc["requests"][0]["delivery_windows"][0].update(end=True)),
+            ("/requests/0/sm_price", lambda doc: doc["requests"][0].update(sm_price="99.5")),
+            ("/requests/0/origin", lambda doc: doc["requests"][0].update(origin=False)),
+            ("/locations/1/id", lambda doc: doc["locations"][1].update(id=True)),
+            ("/locations/0/y", lambda doc: doc["locations"][0].update(y="12.0")),
+            ("/regs/nu", lambda doc: doc["regs"].update(nu="70")),
+            ("/regs/sigma", lambda doc: doc["regs"].update(sigma=True)),
+            ("/mu", lambda doc: doc.update(mu="3250")),
+            ("/cost/kappa", lambda doc: doc["cost"].update(kappa="1.06")),
+            ("/cost/sm_tiers/0/0", lambda doc: doc["cost"]["sm_tiers"][0].__setitem__(0, "150")),
+            ("/cost/explicit_sm_prices/1",
+             lambda doc: doc["cost"].update(explicit_sm_prices={"1": "12.5"})),
+            ("/horizon/days", lambda doc: doc["horizon"].update(days="20")),
         )
         for pointer, edit in cases:
             doc = instance_to_dict(transform(parse_gh(mini_text())))

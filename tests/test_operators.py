@@ -1,3 +1,4 @@
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -216,6 +217,26 @@ class TestShaw:
         assert spatial > 0.0
         # identical-window pairs have zero tw relatedness whatever the map says
         assert shaw_relatedness(inst, d_max, h, 1, 1, "tw") == 0.0
+
+    def test_rank_tables_follow_the_relatedness_order(self):
+        from ftlopt.instances import parse_gh, transform
+        from ftlopt.operators import _shaw_ranks, shaw_relatedness
+
+        path = os.path.join(os.path.dirname(__file__), "data", "gh_syn_mix.txt")
+        with open(path, "r", encoding="utf-8") as fh:
+            mix = transform(parse_gh(fh.read()))
+        for inst in [micro_instance(seed) for seed in range(20)] + [line_instance(4), mix]:
+            sim = Simulator(inst)
+            d_max = inst.matrix.max_distance()
+            h = inst.horizon.end_minute
+            ids = [r.id for r in inst.requests]
+            for variant in ("distance_tw", "tw"):
+                ranks = _shaw_ranks(sim, variant)
+                for ref in ids:
+                    order = sorted(
+                        ids, key=lambda rid: (shaw_relatedness(inst, d_max, h, ref, rid, variant), rid)
+                    )
+                    assert ranks[ref] == {rid: i for i, rid in enumerate(order)}, (variant, ref)
 
     def test_p_one_reachable_ranks(self):
         inst = line_instance(4)

@@ -372,6 +372,12 @@ class TestCli:
                          "--out", str(tmp_path / "w.json"))
         assert r.returncode == 2
         assert "/matrix/distance/0/1" in r.stderr
+        doc["matrix"]["distance"][0][1] = "12.5"  # a number in a string is no number
+        bad_native.write_text(json.dumps(doc))
+        r = self.run_cli("solve", "--instance", str(bad_native), "--scenario", "mixed",
+                         "--out", str(tmp_path / "w.json"))
+        assert r.returncode == 2
+        assert "/matrix/distance/0/1" in r.stderr
         # non-finite numbers in a benchmark file name their line
         with open(os.path.join(DATA, "gh_mini.txt"), "r", encoding="utf-8") as fh:
             gh_lines = fh.read().splitlines()
@@ -398,6 +404,26 @@ class TestCli:
                              "--out", str(tmp_path / "r.json"), timeout=10)
             assert r.returncode == 2, (regs, r.stderr)
             assert "/regs" in r.stderr and "Traceback" not in r.stderr, regs
+
+    def test_legs_far_past_the_horizon_end_at_once(self, tmp_path):
+        # a travel time of 10**7 minutes is about a thousand weeks of stints,
+        # and a speed of 1e-300 km/h gives legs of more minutes than any
+        # horizon holds: each leg is dropped once it passes the horizon end
+        native = tmp_path / "mini.json"
+        self.run_cli("transform", "--gh", os.path.join(DATA, "gh_mini.txt"), "--out", str(native))
+        long_leg = json.loads(native.read_text())
+        long_leg["matrix"]["time"][0][2] = 10**7
+        crawl = json.loads(native.read_text())
+        del crawl["matrix"]["time"]
+        crawl["regs"]["nu"] = 1e-300
+        for name, doc in (("long_leg", long_leg), ("crawl", crawl)):
+            bad = tmp_path / f"{name}.json"
+            bad.write_text(json.dumps(doc))
+            started = time.perf_counter()
+            r = self.run_cli("solve", "--instance", str(bad), "--scenario", "mixed",
+                             "--out", str(tmp_path / "r.json"), timeout=30)
+            assert time.perf_counter() - started < 2, name
+            assert r.returncode == 0, (name, r.stderr)
 
     def test_horizons_and_times_outside_the_model_exit_2(self, tmp_path):
         # a horizon too long to compile into fit tables, a window that starts
