@@ -181,7 +181,7 @@ def transform(gh: GhInstance, factor: int = 6) -> Instance:
         direct = matrix.distance[pickup][delivery]
         # co-located pairs exist in some benchmark files; a request still
         # needs a positive outsourcing price
-        price = max(1, cost.sm_price(direct, i))
+        price = max(1, cost.sm_price(direct))
         requests.append(Request(i, pickup, delivery, pickup_window, delivery_windows, price))
 
     mu_d10 = 10 * MU_PER_DAY_KM * len(set(ready_days))
@@ -236,10 +236,6 @@ def instance_to_dict(instance: Instance) -> dict:
             [None if b is None else _km_out(b), _money_out(r)] for b, r in instance.cost.sm_tiers
         ],
     }
-    if instance.cost.explicit_sm_prices:
-        cost["explicit_sm_prices"] = {
-            str(k): _money_out(v) for k, v in sorted(instance.cost.explicit_sm_prices.items())
-        }
     return {
         "name": instance.name,
         "locations": locations,
@@ -355,39 +351,52 @@ def _finite(x) -> float:
     return v
 
 
+# Upper bounds on read distances (matrix cells, tier bounds, mu) and money
+# values (prices, kappa, tier rates).  A cost total is a sum of a few
+# thousand products of the two at most, so it stays far inside float range,
+# which the annealing temperature and the acceptance test compute in.
+MAX_KM = 10**9
+MAX_EUR = 10**12
+
+
+def _at_most(v, limit):
+    if v > limit:
+        raise ValueError(f"{v} exceeds {limit}")
+    return v
+
+
+def _coord(x) -> float:
+    """A coordinate in km.  Within MAX_KM / 4 of 0 on both axes, any two
+    locations are less than MAX_KM apart, also under the euclidean directive."""
+    v = _finite(x)
+    _at_most(abs(v), MAX_KM / 4)
+    return v
+
+
 def _km(x) -> int:
-    return d10_from_km(_number(x))
+    return _at_most(d10_from_km(_number(x)), 10 * MAX_KM)
 
 
 def _money(x) -> int:
-    return cents(_number(x))
+    return _at_most(cents(_number(x)), 100 * MAX_EUR)
 
 
-# an int of at most this size is exact as a float, and so is ten times it
-_EXACT_KM = 2**53 // 10
+def _km_row(row: list) -> list[int]:
+    """_km of every cell of a row of JSON numbers: d10_from_km is
+    int(round(float(x) * 10)), an int times a float multiplies float(x), and
+    round of a float is already an int."""
+    out = list(map(round, map(mul, row, repeat(10.0))))
+    _at_most(max(out), 10 * MAX_KM)
+    return out
 
 
-def _km_row(row: list, ints: bool) -> list[int]:
-    """_km of every cell of a row of JSON numbers (ints: of ints only).
-
-    d10_from_km is int(round(float(x) * 10)); round of a float is already an
-    int, and for an int x within _EXACT_KM each step is exact, giving 10 * x.
-    """
-    if ints and -_EXACT_KM <= min(row) and max(row) <= _EXACT_KM:
-        return list(map(mul, row, repeat(10)))
-    return list(map(round, map(mul, map(float, row), repeat(10))))
-
-
-def _whole_row(row: list, ints: bool) -> list[int]:
-    """_whole of every cell of a row of JSON numbers (ints: of ints only)."""
-    if ints:
-        return list(row)
-    if not all(map(float.is_integer, map(float, row))):
+def _whole_row(row: list) -> list[int]:
+    """_whole of every cell of a row of JSON numbers: int of NaN or inf
+    raises, and int of a fractional number differs from it."""
+    out = list(map(int, row))
+    if out != row:
         raise ValueError("a cell is not a whole number")
-    return list(map(int, row))
-
-
-_NUMBER_TYPES = {int, float}
+    return out
 
 
 def _grid(rows, where: str, conv, row_conv, n: int) -> list[list]:
@@ -395,9 +404,7 @@ def _grid(rows, where: str, conv, row_conv, n: int) -> list[list]:
     a rejected cell raises SchemaError with its pointer.
 
     A row whose cells are all JSON numbers goes whole through row_conv,
-    which returns what conv returns cell by cell; a row of ints only, the
-    usual case as the writer emits whole kilometres and minutes as ints,
-    skips the float round trip there.  Only a row that holds
+    which returns what conv returns cell by cell.  Only a row that holds
     another type, or that row_conv rejects, goes through conv cell by cell,
     which names the rejected cell.
     """
@@ -407,10 +414,9 @@ def _grid(rows, where: str, conv, row_conv, n: int) -> list[list]:
     for i, row in enumerate(rows):
         if len(_conv(row, f"{where}/{i}", _list)) != n:
             raise SchemaError(f"{where}/{i}", f"expected {n} cells")
-        types = set(map(type, row))
-        if types <= _NUMBER_TYPES:
+        if set(map(type, row)) <= {int, float}:
             try:
-                out.append(row_conv(row, float not in types))
+                out.append(row_conv(row))
                 continue
             except (ValueError, OverflowError):
                 pass
@@ -431,7 +437,7 @@ def instance_from_dict(doc: dict) -> Instance:
     coords = None
     if locations and all("x" in loc and "y" in loc for loc in locations):
         coords = tuple(
-            tuple(_need(loc, axis, f"/locations/{i}", _finite) for axis in ("x", "y"))
+            tuple(_need(loc, axis, f"/locations/{i}", _coord) for axis in ("x", "y"))
             for i, loc in enumerate(locations)
         )
 
@@ -457,6 +463,7 @@ def instance_from_dict(doc: dict) -> Instance:
             matrix = TravelMatrix(n, tuple(map(tuple, dist)), tuple(map(tuple, time)))
         else:
             matrix = TravelMatrix.from_distances(dist, regs.nu)
+    _checked("/matrix", matrix.check)
 
     cost_doc = _need(doc, "cost", "")
     tiers = []
@@ -466,14 +473,10 @@ def instance_from_dict(doc: dict) -> Instance:
             raise SchemaError(where, "expected [bound, rate]")
         bound = None if tier[0] is None else _conv(tier[0], f"{where}/0", _km)
         tiers.append((bound, _conv(tier[1], f"{where}/1", _money)))
-    explicit_doc = cost_doc.get("explicit_sm_prices", {})
-    if not isinstance(explicit_doc, dict):
-        raise SchemaError("/cost/explicit_sm_prices", "expected an object")
-    explicit = {}
-    for key, price in explicit_doc.items():
-        where = f"/cost/explicit_sm_prices/{key}"
-        explicit[_conv(key, where, int)] = _conv(price, where, _money)
-    cost = CostModel(_need(cost_doc, "kappa", "/cost", _money), tuple(tiers), explicit)
+    if "explicit_sm_prices" in cost_doc:
+        raise SchemaError("/cost/explicit_sm_prices", "put each price in its request's sm_price")
+    cost = CostModel(_need(cost_doc, "kappa", "/cost", _money), tuple(tiers))
+    _checked("/cost", cost.check)
 
     horizon_doc = _need(doc, "horizon", "")
     horizon = Horizon(
@@ -498,17 +501,19 @@ def instance_from_dict(doc: dict) -> Instance:
         )
         requests.append(request)
 
+    mu_d10 = _need(doc, "mu", "", _km)
+    if mu_d10 < 0:
+        raise SchemaError("/mu", "mu must be non-negative")
     instance = Instance(
         requests=tuple(requests),
         matrix=matrix,
         cost=cost,
         regs=regs,
-        mu_d10=_need(doc, "mu", "", _km),
+        mu_d10=mu_d10,
         horizon=horizon,
         name=_conv(doc.get("name", ""), "/name", _str),
         coords=coords,
     )
-    _checked("/", instance.check_shared)
     seen: set[int] = set()
     for i, request in enumerate(instance.requests):
         _checked(f"/requests/{i}", instance.check_request, request, seen)

@@ -104,13 +104,11 @@ DEFAULT_KAPPA_CENTS = 106  # 1.06 EUR per driven km, loaded or empty
 class CostModel:
     """Vehicle cost rate plus tiered spot-market rates.
 
-    A distance exactly on a tier bound belongs to the upper tier. Explicit
-    per-request prices, when present, override the tiers.
+    A distance exactly on a tier bound belongs to the upper tier.
     """
 
     kappa_cents: int = DEFAULT_KAPPA_CENTS
     sm_tiers: tuple[SmTier, ...] = DEFAULT_SM_TIERS
-    explicit_sm_prices: dict[int, int] = field(default_factory=dict)
 
     def check(self) -> None:
         if self.kappa_cents <= 0:
@@ -132,10 +130,8 @@ class CostModel:
                 return rate
         raise AssertionError("tiers are total by construction")
 
-    def sm_price(self, direct_d10: int, request_id: Optional[int] = None) -> int:
+    def sm_price(self, direct_d10: int) -> int:
         """Spot-market price in cents for outsourcing one request."""
-        if request_id is not None and request_id in self.explicit_sm_prices:
-            return self.explicit_sm_prices[request_id]
         # rate[c/km] * d10[0.1 km] is in tenth-cents; round half up
         return (self.sm_rate(direct_d10) * direct_d10 + 5) // 10
 
@@ -238,19 +234,15 @@ class Instance:
     coords: Optional[tuple[tuple[float, float], ...]] = None  # per location, when known
 
     def check(self) -> None:
-        self.check_shared()
-        seen: set[int] = set()
-        for r in self.requests:
-            self.check_request(r, seen)
-
-    def check_shared(self) -> None:
-        """Every check that concerns no single request."""
         self.matrix.check()
         self.cost.check()
         self.regs.check()
         self.horizon.check()
         if self.mu_d10 < 0:
             raise ValueError("mu must be non-negative")
+        seen: set[int] = set()
+        for r in self.requests:
+            self.check_request(r, seen)
 
     def check_request(self, r: Request, seen: set[int]) -> None:
         """r's own checks and its fit to this instance's locations, horizon

@@ -11,6 +11,7 @@ the spot market.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional, Sequence
@@ -276,28 +277,27 @@ def _regret_value(values: list[int], k: int, cap: int) -> int:
     """Regret-k of a shipment given its per-route insertion costs: the sum of
     the k-1 next-cheapest costs' gaps to the cheapest.
 
-    Routes with no feasible position, and missing routes when fewer than k
-    exist, count at the outsourcing price cap.
+    Routes with no feasible position count at the outsourcing price cap, and
+    so do the missing routes when fewer than k exist, after the sorted costs.
     """
+    if not values:
+        return 0
     c = sorted(values)
-    while len(c) < k:
-        c.append(cap)
-    return sum(ci - c[0] for ci in c[1:k])
+    return sum(c[1:k]) - (min(k, len(c)) - 1) * c[0] + max(0, k - len(c)) * (cap - c[0])
 
 
 def insertion_k(mode: str) -> int:
-    """k of an insertion operator name: 0 for "greedy", k for "regret<k>".
+    """k of an insertion operator name: 0 for "greedy", k for "regret<k>",
+    where k is written in ASCII digits without a leading zero.
 
     Raises ValueError for any other name and for k < 2.
     """
     if mode == "greedy":
         return 0
-    try:
-        k = int(mode.removeprefix("regret")) if mode.startswith("regret") else None
-    except ValueError:
-        k = None
-    if k is None:
+    digits = re.fullmatch(r"regret([1-9][0-9]*)", mode)
+    if digits is None:
         raise ValueError(f"unknown insertion operator {mode!r}")
+    k = int(digits[1])
     if k < 2:
         raise ValueError("regret operators need k >= 2")
     return k

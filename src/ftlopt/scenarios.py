@@ -115,7 +115,6 @@ def fct_instance(instance: Instance) -> Instance:
     return replace(
         instance,
         requests=tuple(replace(r, sm_price_cents=penalty) for r in instance.requests),
-        cost=replace(instance.cost, explicit_sm_prices={}),
     )
 
 

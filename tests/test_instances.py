@@ -1,7 +1,10 @@
+import copy
 import json
 import math
 import os
+import re
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,10 @@ from ftlopt.instances import (
     transform,
     write_instance,
 )
+from ftlopt.engine import AlnsConfig
 from ftlopt.model import travel_minutes
+from ftlopt.scenarios import scenario_all_fct, scenario_mixed
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -268,12 +274,19 @@ class TestNativeFormat:
             ("/matrix/distance/0/1", lambda doc: doc["matrix"]["distance"][0].__setitem__(1, "x")),
             ("/cost/sm_tiers/0/1", lambda doc: doc["cost"]["sm_tiers"][0].__setitem__(1, math.nan)),
             ("/locations/0/x", lambda doc: doc["locations"][0].update(x="abc")),
+            # a coordinate that would put two locations beyond the distance bound
+            ("/locations/0/x",
+             lambda doc: doc.update(matrix="euclidean") or doc["locations"][0].update(x=-1e308)),
             # fractional minutes are rejected, not truncated
             (f"{window}/start",
              lambda doc: doc["requests"][0]["pickup_window"].update(start=360.9)),
             ("/matrix/time/0/1", lambda doc: doc["matrix"]["time"][0].__setitem__(1, 12.7)),
             ("/regs/tau_n", lambda doc: doc["regs"].update(tau_n=450.5)),
-            ("/", lambda doc: doc["cost"].update(sm_tiers=[])),
+            # each part check reports at its own pointer, never at "/"
+            ("/cost", lambda doc: doc["cost"].update(sm_tiers=[])),
+            ("/cost", lambda doc: doc["cost"].update(sm_tiers=[[350, 1.4], [150, 1.75], [None, 1.15]])),
+            ("/matrix", lambda doc: doc["matrix"]["distance"][0].__setitem__(1, -1)),
+            ("/mu", lambda doc: doc.update(mu=-1)),
             ("/name", lambda doc: doc.update(name=5)),
             # numeric fields take JSON numbers only, never strings or booleans
             ("/matrix/distance/0/1", lambda doc: doc["matrix"]["distance"][0].__setitem__(1, "12.5")),
@@ -291,8 +304,9 @@ class TestNativeFormat:
             ("/mu", lambda doc: doc.update(mu="3250")),
             ("/cost/kappa", lambda doc: doc["cost"].update(kappa="1.06")),
             ("/cost/sm_tiers/0/0", lambda doc: doc["cost"]["sm_tiers"][0].__setitem__(0, "150")),
-            ("/cost/explicit_sm_prices/1",
-             lambda doc: doc["cost"].update(explicit_sm_prices={"1": "12.5"})),
+            # requests[].sm_price is the only price; the old override table is refused
+            ("/cost/explicit_sm_prices",
+             lambda doc: doc["cost"].update(explicit_sm_prices={"1": 12.5})),
             ("/horizon/days", lambda doc: doc["horizon"].update(days="20")),
         )
         for pointer, edit in cases:
@@ -316,3 +330,59 @@ class TestNativeFormat:
                 )
                 assert inst.matrix.distance[i][j] == want * 10
                 assert explicit[i][j] == want
+
+    def test_format_doc_names_only_written_fields(self):
+        text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+        example = text.split("## Native instance (JSON)", 1)[1].split("```json", 1)[1]
+        keys = set(re.findall(r'"(\w+)":', example.split("```", 1)[0]))
+        written: set = set()
+
+        def collect(value):
+            if isinstance(value, dict):
+                written.update(value)
+                value = list(value.values())
+            if isinstance(value, list):
+                for item in value:
+                    collect(item)
+
+        collect(instance_to_dict(transform(parse_gh(mini_text()))))
+        assert keys and keys <= written, sorted(keys - written)
+
+
+# one field of the transformed gh_mini, set to one hostile value
+HOSTILE_FIELDS = (
+    "/locations/0/id", "/locations/0/x",
+    "/matrix/distance/0/2", "/matrix/time/0/2",  # request 1's own leg
+    "/requests/0/id", "/requests/0/origin", "/requests/0/pickup_window/start",
+    "/requests/0/delivery_windows/0/end", "/requests/0/sm_price",
+    "/cost/kappa", "/cost/sm_tiers/0/0", "/cost/sm_tiers/0/1",
+    "/regs/tau_n", "/regs/tau_b", "/regs/tau_s", "/regs/sigma", "/regs/nu",
+    "/mu", "/horizon/days", "/horizon/origin_weekday",
+)
+HOSTILE_VALUES = (
+    math.nan, math.inf, -math.inf, -1, 0, 0.5, 10**307, 10**400, 1e308, "1", True, None, [], {},
+)
+MINI_DOC = instance_to_dict(transform(parse_gh(mini_text())))
+
+
+class TestHostileInput:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(HOSTILE_FIELDS), st.sampled_from(HOSTILE_VALUES))
+    def test_one_hostile_field_is_named_or_harmless(self, field, value):
+        # either the reader names the field or an ancestor of it (never "/"),
+        # or the document is sound enough for both searches to run
+        doc = copy.deepcopy(MINI_DOC)
+        *path, last = field[1:].split("/")
+        node = doc
+        for key in path:
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        node[int(last) if isinstance(node, list) else last] = value
+        try:
+            inst = instance_from_dict(doc)
+        except SchemaError as err:
+            assert err.pointer not in ("", "/"), err
+            assert field == err.pointer or field.startswith(err.pointer + "/"), err
+            return
+        config = AlnsConfig(max_iterations=5, seed=1)
+        scenario_mixed(inst, config)
+        scenario_all_fct(inst, config)

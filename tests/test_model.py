@@ -68,11 +68,6 @@ class TestSmPrice:
     def test_zero_distance(self):
         assert CostModel().sm_price(0) == 0
 
-    def test_explicit_price_overrides_tiers(self):
-        cost = CostModel(explicit_sm_prices={7: 12345})
-        assert cost.sm_price(1000, request_id=7) == 12345
-        assert cost.sm_price(1000, request_id=8) == 17500
-
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=10_000))
     def test_monotone_within_tiers_piecewise_linear(self, a, b):
         cost = CostModel()

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from ftlopt.model import (
     CostModel,
     Horizon,
@@ -276,6 +278,16 @@ class TestRepair:
     def test_regret_formula_example(self):
         assert _regret_value([10, 14, 19], k=3, cap=100) == (14 - 10) + (19 - 10)
         assert _regret_value([10], k=3, cap=100) == (100 - 10) * 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=8), st.integers(-10**6, 10**6), st.data())
+    def test_regret_value_equals_the_padded_reference(self, values, cap, data):
+        # the closed form counts the missing routes at cap without a list of
+        # k entries, also when cap is below the cheapest cost
+        from test_repair_reference import regret
+
+        k = data.draw(st.integers(2, len(values) + 5))
+        assert _regret_value(values, k, cap) == regret(values, k, cap)
 
     def test_never_inserts_at_delta_equal_to_price(self):
         # craft delta == s_r exactly: must go to the new-trip/bank branch

@@ -391,6 +391,29 @@ class TestCli:
             assert r.returncode == 2, (col, value, r.stderr)
             assert f"line {row + 1}" in r.stderr
 
+    def test_regret_with_a_huge_k_runs_in_time(self, tmp_path):
+        # regret-k pads the missing routes in closed form, not with k entries
+        native = tmp_path / "mini.json"
+        self.run_cli("transform", "--gh", os.path.join(DATA, "gh_mini.txt"), "--out", str(native))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iterations": 20, "insertion_ops": ["regret1000000000"]}))
+        started = time.perf_counter()
+        r = self.run_cli("solve", "--instance", str(native), "--scenario", "mixed",
+                         "--config", str(cfg), "--out", str(tmp_path / "s.json"), timeout=30)
+        assert r.returncode == 0, r.stderr
+        assert time.perf_counter() - started < 2
+
+    def test_regret_names_take_plain_ascii_digits(self, tmp_path):
+        native = tmp_path / "mini.json"
+        self.run_cli("transform", "--gh", os.path.join(DATA, "gh_mini.txt"), "--out", str(native))
+        cfg = tmp_path / "cfg.json"
+        for name in ("regret 4", "regret+4", "regret04", "regret\u0664", "regret4_0"):
+            cfg.write_text(json.dumps({"insertion_ops": [name]}))
+            r = self.run_cli("solve", "--instance", str(native), "--scenario", "mixed",
+                             "--config", str(cfg), "--out", str(tmp_path / "s.json"))
+            assert r.returncode == 3, (name, r.stderr)
+            assert "unknown insertion operator" in r.stderr, name
+
     def test_regs_that_would_hang_the_scheduler_exit_2(self, tmp_path):
         # a blackout covering the whole week, and an operation that fits in
         # no gap between two blackouts
