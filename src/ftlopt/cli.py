@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import engine, instances, oracle, scenarios
-from .model import PartitionViolation, fmt_money
+from .model import PartitionViolation, fmt_money, read_text, write_text
 
 
 def _load_config(args) -> engine.AlnsConfig:
@@ -25,8 +25,7 @@ def _load_config(args) -> engine.AlnsConfig:
 
 
 def cmd_transform(args) -> int:
-    with open(args.gh, "r", encoding="utf-8") as fh:
-        gh = instances.parse_gh(fh.read())
+    gh = instances.parse_gh(read_text(args.gh))
     instance = instances.transform(gh, args.factor)
     instances.write_instance(instance, args.out)
     print(f"{instance.name or 'instance'}: {len(instance.requests)} requests, "
@@ -44,14 +43,12 @@ def cmd_solve(args) -> int:
         result, solution, report = scenarios.scenario_all_fct(instance, cfg)
     else:
         result, solution, report = scenarios.scenario_mixed(instance, cfg)
-    doc = scenarios.solution_to_dict(instance, solution)
+    doc = scenarios.solution_to_dict(solution)
     doc["scenario"] = result.scenario
     doc["kpis"] = result.csv_row()
     if result.residual:
         doc["residual"] = result.residual
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_text(args.out, json.dumps(doc, indent=2))
     if report is not None:
         engine.write_report(report, args.out + ".report.json", args.out + ".trace.csv")
     if args.dump_schedule:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .model import Instance, Solution, validate_solution
+from .model import Instance, Solution, read_text, validate_solution, write_text
 from .operators import (
     REMOVAL_OPERATORS,
     InsertionEvaluator,
@@ -117,9 +117,7 @@ _JSON_TYPES = {
 
 
 def load_config(path: str) -> AlnsConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return config_from_dict(doc)
+    return config_from_dict(json.loads(read_text(path)))
 
 
 def config_from_dict(doc: dict) -> AlnsConfig:
@@ -310,16 +308,11 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
     return best, report
 
 
-def write_report(report: RunReport, json_path: str, trace_csv_path: Optional[str] = None) -> None:
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
-    if trace_csv_path:
-        with open(trace_csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("iteration,current_cost,best_cost,temperature\n")
-            for row in report.trace:
-                fh.write(
-                    f"{row.iteration},{row.current_cents / 100:.2f},"
-                    f"{row.best_cents / 100:.2f},{row.temperature:.6f}\n"
-                )
-
+def write_report(report: RunReport, json_path: str, trace_csv_path: str) -> None:
+    write_text(json_path, json.dumps(report.to_dict(), indent=2))
+    rows = (
+        f"{row.iteration},{row.current_cents / 100:.2f},"
+        f"{row.best_cents / 100:.2f},{row.temperature:.6f}"
+        for row in report.trace
+    )
+    write_text(trace_csv_path, "\n".join(("iteration,current_cost,best_cost,temperature", *rows)))

@@ -23,6 +23,8 @@ from .model import (
     TravelMatrix,
     cents,
     d10_from_km,
+    read_text,
+    write_text,
 )
 
 
@@ -154,8 +156,25 @@ def transform(gh: GhInstance, factor: int = 6) -> Instance:
 
     if factor < 1:
         raise TransformError(f"factor {factor} must be at least 1")
+
+    def checked(part):
+        """part, once its check passed; a failed check raises TransformError
+        before anything is built from part."""
+        try:
+            part.check()
+        except ValueError as exc:
+            raise TransformError(f"factor {factor}: {exc}") from None
+        return part
+
     index = {node.id: k for k, node in enumerate(customers)}
-    coords = tuple((factor * node.x, factor * node.y) for node in customers)
+    coords = []
+    for node in customers:
+        # the reader's bound, so that every written file reads back
+        try:
+            coords.append((_coord(factor * node.x), _coord(factor * node.y)))
+        except (ValueError, OverflowError) as exc:
+            raise TransformError(f"factor {factor}: node {node.id}: stretched x/y {exc}") from None
+    coords = tuple(coords)
     regs = RegParams()
     matrix = _euclid_matrix(coords, regs.nu)
 
@@ -163,7 +182,7 @@ def transform(gh: GhInstance, factor: int = 6) -> Instance:
     for i in range(1, half + 1):
         ready_days.append((factor * by_id[i].tw_start) // MINUTES_PER_DAY)
     last_ready = max(ready_days)
-    horizon = Horizon(0, last_ready + 1 + SLACK_DAYS)  # day 0 is a Monday
+    horizon = checked(Horizon(0, last_ready + 1 + SLACK_DAYS))  # day 0 is a Monday
 
     cost = CostModel()
     requests = []
@@ -171,9 +190,10 @@ def transform(gh: GhInstance, factor: int = 6) -> Instance:
         pickup = index[i]
         delivery = index[half + i]
         day = ready_days[i - 1]
-        pickup_window = TimeWindow(
-            day * MINUTES_PER_DAY + DAY_OPEN, day * MINUTES_PER_DAY + DAY_CLOSE
+        pickup_window = checked(
+            TimeWindow(day * MINUTES_PER_DAY + DAY_OPEN, day * MINUTES_PER_DAY + DAY_CLOSE)
         )
+        # a checked horizon and pickup day bound the number of windows
         delivery_windows = tuple(
             TimeWindow(d * MINUTES_PER_DAY + DAY_OPEN, d * MINUTES_PER_DAY + DAY_CLOSE)
             for d in range(day, horizon.days)
@@ -185,21 +205,18 @@ def transform(gh: GhInstance, factor: int = 6) -> Instance:
         requests.append(Request(i, pickup, delivery, pickup_window, delivery_windows, price))
 
     mu_d10 = 10 * MU_PER_DAY_KM * len(set(ready_days))
-    instance = Instance(
-        requests=tuple(requests),
-        matrix=matrix,
-        cost=cost,
-        regs=regs,
-        mu_d10=mu_d10,
-        horizon=horizon,
-        name=gh.name,
-        coords=coords,
+    return checked(
+        Instance(
+            requests=tuple(requests),
+            matrix=matrix,
+            cost=cost,
+            regs=regs,
+            mu_d10=mu_d10,
+            horizon=horizon,
+            name=gh.name,
+            coords=coords,
+        )
     )
-    try:
-        instance.check()
-    except ValueError as exc:
-        raise TransformError(f"factor {factor}: {exc}") from None
-    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +305,22 @@ def _layout(value, pad: str = "") -> str:
 
 
 def write_instance(instance: Instance, path: str) -> None:
-    text = _layout(instance_to_dict(instance))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    write_text(path, _layout(instance_to_dict(instance)))
+
+
+def _shown(value) -> str:
+    """repr(value), cut short when long (a JSON integer may have 4,300 digits)."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:24]}... ({len(text)} characters)"
 
 
 def _conv(value, pointer: str, conv):
-    """conv(value); a value that conv rejects raises SchemaError at pointer."""
+    """conv(value); a value that conv rejects raises SchemaError at pointer,
+    with the value and conv's reason."""
     try:
         return conv(value)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(pointer, f"invalid value {value!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(pointer, f"invalid value {_shown(value)}: {exc}") from None
 
 
 def _checked(pointer: str, check, *args) -> None:
@@ -317,22 +339,26 @@ def _need(obj: dict, key: str, where: str, conv=None):
     return obj[key] if conv is None else _conv(obj[key], f"{where}/{key}", conv)
 
 
+# The converters below give a reason without the value, because _conv
+# shows the value once, cut short.
+
+
 def _list(x) -> list:
     if not isinstance(x, list):
-        raise TypeError(f"{x!r} is not a list")
+        raise TypeError("not a list")
     return x
 
 
 def _str(x) -> str:
     if not isinstance(x, str):
-        raise TypeError(f"{x!r} is not a string")
+        raise TypeError("not a string")
     return x
 
 
 def _number(x):
     """x, when it is a JSON number; a string or a boolean raises."""
     if type(x) is not int and type(x) is not float:
-        raise TypeError(f"{x!r} is not a number")
+        raise TypeError("not a number")
     return x
 
 
@@ -340,14 +366,14 @@ def _whole(x) -> int:
     """int(x) of a JSON number, except that a fractional number raises
     instead of truncating."""
     if isinstance(_number(x), float) and not x.is_integer():
-        raise ValueError(f"{x!r} is not a whole number")
+        raise ValueError("not a whole number")
     return int(x)
 
 
 def _finite(x) -> float:
     v = float(_number(x))
     if not math.isfinite(v):
-        raise ValueError(f"{x!r} is not finite")
+        raise ValueError("not finite")
     return v
 
 
@@ -359,9 +385,10 @@ MAX_KM = 10**9
 MAX_EUR = 10**12
 
 
-def _at_most(v, limit):
+def _at_most(v, limit, bound: str):
+    """v, unless it exceeds limit, which the text bound names."""
     if v > limit:
-        raise ValueError(f"{v} exceeds {limit}")
+        raise ValueError(f"more than {bound}")
     return v
 
 
@@ -369,16 +396,16 @@ def _coord(x) -> float:
     """A coordinate in km.  Within MAX_KM / 4 of 0 on both axes, any two
     locations are less than MAX_KM apart, also under the euclidean directive."""
     v = _finite(x)
-    _at_most(abs(v), MAX_KM / 4)
+    _at_most(abs(v), MAX_KM / 4, f"{MAX_KM // 4} km from 0")
     return v
 
 
 def _km(x) -> int:
-    return _at_most(d10_from_km(_number(x)), 10 * MAX_KM)
+    return _at_most(d10_from_km(_number(x)), 10 * MAX_KM, f"{MAX_KM} km")
 
 
 def _money(x) -> int:
-    return _at_most(cents(_number(x)), 100 * MAX_EUR)
+    return _at_most(cents(_number(x)), 100 * MAX_EUR, f"{MAX_EUR} EUR")
 
 
 def _km_row(row: list) -> list[int]:
@@ -386,7 +413,7 @@ def _km_row(row: list) -> list[int]:
     int(round(float(x) * 10)), an int times a float multiplies float(x), and
     round of a float is already an int."""
     out = list(map(round, map(mul, row, repeat(10.0))))
-    _at_most(max(out), 10 * MAX_KM)
+    _at_most(max(out), 10 * MAX_KM, f"{MAX_KM} km")
     return out
 
 
@@ -521,9 +548,9 @@ def instance_from_dict(doc: dict) -> Instance:
 
 
 def read_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("/", f"not valid JSON: {exc}") from None
+    text = read_text(path)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # also an integer past the 4,300-digit limit
+        raise SchemaError("/", f"not valid JSON: {exc}") from None
     return instance_from_dict(doc)

@@ -67,6 +67,22 @@ def travel_minutes(d10: int, nu_kmh: float) -> int:
 
 
 # ---------------------------------------------------------------------------
+# file helpers: every file the package reads or writes goes through these
+
+
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text and one final newline as UTF-8 with LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text + "\n")
+
+
+# ---------------------------------------------------------------------------
 # domain types
 
 

@@ -21,6 +21,7 @@ from .model import (
     Solution,
     fmt_km,
     trip_distances,
+    write_text,
 )
 from .schedule import Infeasible, Schedule, Simulator
 
@@ -271,7 +272,11 @@ def check_schedule_rules(instance: Instance, requests: Sequence[int], sched: Sch
 
 
 def check_sunday_rests(instance: Instance, sched: Schedule) -> list[str]:
-    """Sundays touched by the schedule must hold a tau_s-long quiet block."""
+    """Sundays touched by the schedule must hold a tau_s-long quiet block.
+
+    The block is looked for from Sunday 00:00 over one day, or over tau_s
+    when that is longer: a blackout of more than a day reaches into Monday.
+    """
     regs = instance.regs
     problems = []
     span0 = sched.nodes[0].arrival
@@ -281,7 +286,7 @@ def check_sunday_rests(instance: Instance, sched: Schedule) -> list[str]:
         if (w0 + day) % 7 != SUNDAY:
             continue
         d0 = day * MINUTES_PER_DAY
-        d1 = d0 + MINUTES_PER_DAY
+        d1 = d0 + max(MINUTES_PER_DAY, regs.tau_s)
         if d1 <= span0 or d0 >= span1:
             continue
         busy = sorted(
@@ -565,8 +570,7 @@ def emit_lp(graph: ArcGraph, instance: Instance, path: str) -> None:
     lines.append("Binary")
     lines += [f" {var}" for var in model.binaries]
     lines.append("End")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines))
 
 
 def lp_assignment(graph: ArcGraph, instance: Instance, solution: Solution):

@@ -12,10 +12,9 @@ import os
 import signal
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from .engine import AlnsConfig, RunReport, run, write_report
-from .model import Instance, Solution, fmt_km, fmt_money
+from .model import Instance, Solution, fmt_km, fmt_money, write_text
 from .schedule import Simulator, simulate_trip
 
 CSV_HEADER = (
@@ -61,21 +60,17 @@ class ScenarioResult:
         )
 
 
-def _result(
-    instance: Instance,
-    scenario: str,
-    solution: Solution,
-    cpu_s: float,
-    residual: int = 0,
-    count_outsourced: bool = True,
-) -> ScenarioResult:
+def _result(instance: Instance, scenario: str, solution: Solution, cpu_s: float) -> ScenarioResult:
+    """The KPIs of a solution.  all-fct prices no outsourcing: its bank
+    holds the requests no vehicle could serve, reported as `residual`."""
+    fct = scenario == "all-fct"
     loaded = sum(t.loaded_d10 for t in solution.trips)
     empty = sum(t.empty_d10 for t in solution.trips)
     outsourced_km = sum(instance.direct_d10(rid) for rid in solution.bank)
     n_requests = len(instance.requests)
     pct = 100.0 * solution.planned_count / n_requests if n_requests else 0.0
     totals = [t.total_d10 for t in solution.trips]
-    outsourced_cents = solution.cost_outsourced if count_outsourced else 0
+    outsourced_cents = 0 if fct else solution.cost_outsourced
     return ScenarioResult(
         scenario=scenario,
         total_cents=solution.cost_vehicles + outsourced_cents,
@@ -90,7 +85,7 @@ def _result(
         avg_km=(sum(totals) / len(totals) / 10.0) if totals else 0.0,
         max_d10=max(totals) if totals else 0,
         cpu_s=cpu_s,
-        residual=residual,
+        residual=len(solution.bank) if fct else 0,
     )
 
 
@@ -129,10 +124,7 @@ def scenario_all_fct(
     started = time.perf_counter()
     best, report = run(fct_instance(instance), config)
     cpu = time.perf_counter() - started
-    result = _result(
-        instance, "all-fct", best, cpu, residual=len(best.bank), count_outsourced=False
-    )
-    return result, best, report
+    return _result(instance, "all-fct", best, cpu), best, report
 
 
 def scenario_mixed(
@@ -144,7 +136,7 @@ def scenario_mixed(
     return _result(instance, "mixed", best, cpu), best, report
 
 
-def solution_to_dict(instance: Instance, solution: Solution) -> dict:
+def solution_to_dict(solution: Solution) -> dict:
     return {
         "trips": [
             {
@@ -167,60 +159,49 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_all_fct(instance: Instance, config: AlnsConfig) -> Optional[tuple[int, int]]:
-    """Start `scenario_all_fct` in a forked child; (pid, read end of its pipe),
-    or None when the process may use one core only or cannot fork.
-
-    The child sends `(True, result)` or `(False, exception)` through the
-    pipe with pickle and leaves by `os._exit`, so it never returns into the
-    caller's stack and never flushes the parent's buffers.
-    """
-    if not hasattr(os, "fork") or _usable_cores() < 2:
-        return None
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    status = 1
-    try:
-        os.close(read_fd)
-        try:
-            payload = (True, scenario_all_fct(instance, config))
-        except BaseException as exc:
-            payload = (False, exc)
-        # imported after the search, not at the top: it adds about 0.4 MB of
-        # resident memory to every process that loads this module
-        import pickle
-
-        try:
-            data = pickle.dumps(payload)
-        except Exception:  # an exception that does not pickle keeps its text
-            data = pickle.dumps((False, RuntimeError(f"all-fct search: {payload[1]!r}")))
-        with open(write_fd, "wb") as fh:
-            fh.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _run_searches(instance: Instance, fct_config: AlnsConfig, mixed_config: AlnsConfig):
     """The all-fct and mixed scenario results, computed at the same time
     (all-fct in a forked child) when two cores are usable, else in turn.
 
-    An exception of either search is raised here.  When the mixed search
-    raises, the child is killed and reaped at once; no path leaves a child
-    behind.
+    The child sends `(True, result)` or `(False, exception)` through a pipe
+    with pickle and leaves by `os._exit`, so it never returns into the
+    caller's stack and never flushes the parent's buffers.  An exception of
+    either search is raised here.  When the mixed search raises, the child
+    is killed and reaped at once; no path leaves a child behind.
     """
-    child = _fork_all_fct(instance, fct_config)
-    if child is None:
+    pid = None
+    if hasattr(os, "fork") and _usable_cores() >= 2:
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid is None:
         return scenario_all_fct(instance, fct_config), scenario_mixed(instance, mixed_config)
-    pid, read_fd = child
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = (True, scenario_all_fct(instance, fct_config))
+            except BaseException as exc:
+                payload = (False, exc)
+            # imported after the search, not at the top: it adds about 0.4 MB
+            # of resident memory to every process that loads this module
+            import pickle
+
+            try:
+                data = pickle.dumps(payload)
+            except Exception:  # an exception that does not pickle keeps its text
+                data = pickle.dumps((False, RuntimeError(f"all-fct search: {payload[1]!r}")))
+            with open(write_fd, "wb") as fh:
+                fh.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+
+    os.close(write_fd)
     status = None
     try:
         mixed = scenario_mixed(instance, mixed_config)
@@ -244,72 +225,58 @@ def _run_searches(instance: Instance, fct_config: AlnsConfig, mixed_config: Alns
     return payload, mixed
 
 
-def compare(
-    instance: Instance, config: AlnsConfig, out_dir: str, master_seed: Optional[int] = None
-) -> list[ScenarioResult]:
+def compare(instance: Instance, config: AlnsConfig, out_dir: str) -> list[ScenarioResult]:
     """Run all three scenarios and write compare.csv plus summary.csv.
 
-    Scenario seeds are derived from the master seed by fixed offsets
+    Scenario seeds are derived from the config seed by fixed offsets
     (all-fct: +1, mixed: +2), so the three runs are independent and
     reproducible, and the all-fct and mixed searches can run at the same
     time (see `_run_searches`).
     """
     os.makedirs(out_dir, exist_ok=True)
-    seed = config.seed if master_seed is None else master_seed
     sm_result, sm_solution = scenario_all_sm(instance)
     (fct_result, fct_solution, fct_report), (mixed_result, mixed_solution, mixed_report) = (
-        _run_searches(instance, replace(config, seed=seed + 1), replace(config, seed=seed + 2))
+        _run_searches(
+            instance, replace(config, seed=config.seed + 1), replace(config, seed=config.seed + 2)
+        )
     )
 
     rows = [sm_result, fct_result, mixed_result]
-    with open(os.path.join(out_dir, "compare.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.csv_row() + "\n")
-
+    write_text(
+        os.path.join(out_dir, "compare.csv"),
+        "\n".join((CSV_HEADER, *(row.csv_row() for row in rows))),
+    )
     # one-line overview in the nothing | everything | mixed layout
-    with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "instance,nothing_km,nothing_cost,everything_km,everything_cost,"
-            "mixed_pct_req,mixed_loaded_km,mixed_empty_km,mixed_vehicle_cost,"
-            "mixed_outsourced_km,mixed_outsourced_cost,mixed_total_cost\n"
-        )
-        fh.write(
-            ",".join(
-                (
-                    instance.name or "instance",
-                    fmt_km(fct_result.loaded_d10 + fct_result.empty_d10),
-                    fmt_money(fct_result.total_cents),
-                    fmt_km(sm_result.outsourced_d10),
-                    fmt_money(sm_result.total_cents),
-                    f"{mixed_result.pct_own:.1f}",
-                    fmt_km(mixed_result.loaded_d10),
-                    fmt_km(mixed_result.empty_d10),
-                    fmt_money(mixed_result.vehicle_cents),
-                    fmt_km(mixed_result.outsourced_d10),
-                    fmt_money(mixed_result.outsourced_cents),
-                    fmt_money(mixed_result.total_cents),
-                )
-            )
-            + "\n"
-        )
+    summary = (
+        instance.name or "instance",
+        fmt_km(fct_result.loaded_d10 + fct_result.empty_d10),
+        fmt_money(fct_result.total_cents),
+        fmt_km(sm_result.outsourced_d10),
+        fmt_money(sm_result.total_cents),
+        f"{mixed_result.pct_own:.1f}",
+        fmt_km(mixed_result.loaded_d10),
+        fmt_km(mixed_result.empty_d10),
+        fmt_money(mixed_result.vehicle_cents),
+        fmt_km(mixed_result.outsourced_d10),
+        fmt_money(mixed_result.outsourced_cents),
+        fmt_money(mixed_result.total_cents),
+    )
+    write_text(
+        os.path.join(out_dir, "summary.csv"),
+        "instance,nothing_km,nothing_cost,everything_km,everything_cost,"
+        "mixed_pct_req,mixed_loaded_km,mixed_empty_km,mixed_vehicle_cost,"
+        "mixed_outsourced_km,mixed_outsourced_cost,mixed_total_cost\n" + ",".join(summary),
+    )
 
     for tag, solution, report in (
         ("all-sm", sm_solution, None),
         ("all-fct", fct_solution, fct_report),
         ("mixed", mixed_solution, mixed_report),
     ):
-        with open(
-            os.path.join(out_dir, f"{tag}.solution.json"), "w", encoding="utf-8", newline="\n"
-        ) as fh:
-            json.dump(solution_to_dict(instance, solution), fh, indent=2)
-            fh.write("\n")
+        path = os.path.join(out_dir, tag)
+        write_text(f"{path}.solution.json", json.dumps(solution_to_dict(solution), indent=2))
         if report is not None:
-            write_report(
-                report,
-                os.path.join(out_dir, f"{tag}.report.json"),
-                os.path.join(out_dir, f"{tag}.trace.csv"),
-            )
+            write_report(report, f"{path}.report.json", f"{path}.trace.csv")
     return rows
 
 

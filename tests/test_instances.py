@@ -1,9 +1,12 @@
 import copy
+import io
 import json
 import math
 import os
 import re
+import signal
 import tempfile
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ from ftlopt.instances import (
     transform,
     write_instance,
 )
+from ftlopt import cli
 from ftlopt.engine import AlnsConfig
 from ftlopt.model import travel_minutes
 from ftlopt.scenarios import scenario_all_fct, scenario_mixed
@@ -158,7 +162,7 @@ class TestTransform:
         assert a.read_bytes() == b.read_bytes()
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 
 class TestNativeFormatProperties:
@@ -386,3 +390,86 @@ class TestHostileInput:
         config = AlnsConfig(max_iterations=5, seed=1)
         scenario_mixed(inst, config)
         scenario_all_fct(inst, config)
+
+    def test_rejected_values_name_their_bound_briefly(self):
+        cases = (
+            ("/requests/0/sm_price", "1000000000000 EUR",
+             lambda doc: doc["requests"][0].update(sm_price=1e306)),
+            ("/matrix/distance/0/2", "1000000000 km",
+             lambda doc: doc["matrix"]["distance"][0].__setitem__(2, 10**307)),
+        )
+        for pointer, bound, edit in cases:
+            doc = copy.deepcopy(MINI_DOC)
+            edit(doc)
+            with pytest.raises(SchemaError) as err:
+                instance_from_dict(doc)
+            assert err.value.pointer == pointer
+            assert bound in str(err.value) and len(str(err.value)) < 200, str(err.value)
+
+    def test_an_integer_past_the_digit_limit_is_invalid_json(self, tmp_path):
+        # json raises a bare ValueError for an integer of more than 4,300
+        # digits, not a JSONDecodeError
+        text = json.dumps(MINI_DOC).replace('"mu": 500', '"mu": ' + "9" * 5000)
+        path = tmp_path / "huge.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            read_instance(str(path))
+        assert err.value.pointer == "/"
+
+
+class TooSlow(Exception):
+    """Not an OSError, so that the CLI's input-error handler lets it through."""
+
+
+@contextmanager
+def time_limit(seconds: float):
+    def expire(_signum, _frame):
+        raise TooSlow(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# columns of a benchmark node row, and values a hostile file may put there
+GH_COLUMNS = {"id": 0, "x": 1, "y": 2, "ready": 4, "due": 5}
+GH_VALUES = (
+    "1e18", "-1e18", "1e308", "-1e308", "1e8", "-1e8", "4e7", "1e400", "nan", "inf", "-inf",
+    "0", "-1", "0.5", "1.5", "abc", "99999999999999999999",
+)
+
+
+class TestHostileGhFile:
+    # no shrinking: should a case hang again, its memory grows until the
+    # time limit, so a failure is reported as found instead of re-run
+    @settings(max_examples=150, deadline=None, phases=(Phase.explicit, Phase.generate))
+    @example([(1, "ready", "1e18")]).via("a ready time that built unbounded windows")
+    @example([(1, "x", "1e308")]).via("a coordinate that overflowed once stretched")
+    @example([(1, "x", "1e8")]).via("a coordinate that the reader rejected once stretched")
+    @given(st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from(sorted(GH_COLUMNS)), st.sampled_from(GH_VALUES)),
+        min_size=1, max_size=3,
+    ))
+    def test_transform_exits_2_or_writes_a_readable_file(self, edits):
+        lines = mini_text().splitlines()
+        rows = [i for i, line in enumerate(lines) if len(line.split()) == 7]
+        for node, column, value in edits:
+            tokens = lines[rows[node]].split()
+            tokens[GH_COLUMNS[column]] = value
+            lines[rows[node]] = "  ".join(tokens)
+        with tempfile.TemporaryDirectory() as tmp:
+            gh, out = os.path.join(tmp, "gh.txt"), os.path.join(tmp, "out.json")
+            Path(gh).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            stderr = io.StringIO()
+            with time_limit(2), redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                code = cli.main(["transform", "--gh", gh, "--out", out])
+            if code == 2:
+                assert stderr.getvalue().startswith("input error: "), stderr.getvalue()
+            else:
+                assert code == 0
+                read_instance(out)
+

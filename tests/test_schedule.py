@@ -209,6 +209,41 @@ class TestSimulateTrip:
         assert check_schedule_rules(inst, (1,), sched) == []
         assert check_sunday_rests(inst, sched) == []
 
+    @pytest.mark.parametrize("tau_s", [1320, 2000])
+    def test_sunday_rest_longer_than_a_day_reaches_into_monday(self, tau_s):
+        # 700 km picked up on Saturday and delivered on Monday: the rest that
+        # the stint forces runs into the blackout, which at tau_s = 2000 ends
+        # on Monday, so its quiet block is not inside Sunday alone
+        from ftlopt.model import Solution, Trip, trip_distances, validate_solution
+        from ftlopt.oracle import check_sunday_rests
+        from ftlopt.schedule import Segment
+
+        matrix = TravelMatrix.from_distances([[0, 7000], [7000, 0]], 70)
+        req = Request(
+            1,
+            0,
+            1,
+            TimeWindow(5 * 1440 + 360, 5 * 1440 + 1080),
+            tuple(TimeWindow(d * 1440 + 360, d * 1440 + 1080) for d in range(5, 14)),
+            10_000,
+        )
+        regs = RegParams(tau_s=tau_s)
+        inst = Instance((req,), matrix, CostModel(), regs, 0, Horizon(0, 14))
+        sched = simulate_trip(inst, (1,))
+        assert isinstance(sched, Schedule)
+        assert sched.nodes[0].departure < 6 * 1440 and sched.nodes[-1].arrival > 7 * 1440
+        assert check_schedule_rules(inst, (1,), sched) == []
+        assert check_sunday_rests(inst, sched) == []
+        trip = Trip((1,), *trip_distances(inst, (1,)))
+        assert validate_solution(inst, Solution((trip,), frozenset(), 0, 0, 0)) == []
+
+        # a drive inside the blackout, near its end, is still flagged
+        end = 6 * 1440 + tau_s
+        driven = Schedule(sched.nodes, sched.segments + (Segment("drive", end - 60, end - 30),))
+        assert check_sunday_rests(inst, driven) == [
+            f"Sunday starting at day 6 lacks a {tau_s}-min rest"
+        ]
+
     def test_rejects_duplicates_and_empty(self):
         inst = single_request_instance()
         with pytest.raises(ValueError):
