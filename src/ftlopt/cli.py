@@ -145,7 +145,6 @@ def main(argv=None) -> int:
         PartitionViolation,
         OSError,
         UnicodeDecodeError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

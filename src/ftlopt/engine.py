@@ -12,11 +12,25 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
-from .model import Instance, Solution, read_text, validate_solution, write_text
+from .model import (
+    Instance,
+    SchemaError,
+    Solution,
+    _conv,
+    _finite,
+    _flag,
+    _list,
+    _shown,
+    _str,
+    _whole,
+    read_json,
+    validate_solution,
+    write_text,
+)
 from .operators import (
     REMOVAL_OPERATORS,
     InsertionEvaluator,
@@ -40,6 +54,23 @@ DEFAULT_INSERTION_OPS = ("greedy", "regret4", "regret5", "regret6")
 # cache at the next segment end; caches are pure, so results do not change.
 MAX_CACHED_CELLS = 400_000
 
+# Bounds on run configuration values.  The cooling factor is
+# sa_end_fraction ** (1 / max_iterations), so max_iterations must stay a
+# float-sized count; 10^9 iterations already take days.
+MAX_ITERATIONS = 10**9
+# Operator weights are running averages of scores, so scores of at most
+# 10^9 keep every weight and the roulette's weight sum a finite float.
+MAX_SCORE = 10**9
+# The start temperature is sa_start_gap * initial cost / -ln(acceptance),
+# where -ln(acceptance) lies between 1e-16 and 745, and the last one is
+# sa_end_fraction times the start.  With the gap in [1e-12, 10^6] and the end
+# fraction in [1e-12, 1], every temperature of a run stays between 1e-27 and
+# 1e38 for any cost of 1 cent to the 10^12 EUR money bound: finite and above
+# zero, so the report stays valid JSON and the acceptance test never divides
+# by zero.
+MIN_SA_FRACTION = 1e-12
+MAX_SA_START_GAP = 10**6
+
 
 @dataclass(frozen=True)
 class AlnsConfig:
@@ -57,85 +88,87 @@ class AlnsConfig:
     seed: int = 0
     removal_ops: tuple[str, ...] = DEFAULT_REMOVAL_OPS
     insertion_ops: tuple[str, ...] = DEFAULT_INSERTION_OPS
-    shaw_p: int = 6
     max_seconds: Optional[float] = None
     strict_validation: bool = False
 
+    def __post_init__(self) -> None:
+        self.check()
+
     def check(self) -> None:
-        if self.max_iterations < 0:
-            raise ConfigError("max_iterations must be >= 0")
-        if self.segment_length <= 0:
-            raise ConfigError("segment_length must be positive")
-        if not 0 < self.xi <= 1:
-            raise ConfigError("xi must be in (0, 1]")
-        if self.psi <= 0:
-            raise ConfigError("psi must be positive")
-        if not 0 < self.rho <= 1:
-            raise ConfigError("rho must be in (0, 1]")
-        if min(self.sigma_best, self.sigma_improve, self.sigma_accept) < 0:
-            raise ConfigError("scores must be non-negative")
-        if not 0 < self.sa_start_acceptance < 1:
-            raise ConfigError("sa_start_acceptance must be in (0, 1)")
-        if not 0 < self.sa_end_fraction <= 1:
-            raise ConfigError("sa_end_fraction must be in (0, 1]")
-        if self.sa_start_gap <= 0:
-            raise ConfigError("sa_start_gap must be positive")
+        """Raise ConfigError at the pointer of the first value out of bounds."""
+        rules = (
+            ("max_iterations", 0 <= self.max_iterations <= MAX_ITERATIONS,
+             f"must be 0..{MAX_ITERATIONS}"),
+            ("segment_length", self.segment_length > 0, "must be positive"),
+            ("psi", self.psi > 0, "must be positive"),
+            ("xi", 0 < self.xi <= 1, "must be in (0, 1]"),
+            ("rho", 0 < self.rho <= 1, "must be in (0, 1]"),
+            ("sigma_best", 0 <= self.sigma_best <= MAX_SCORE, f"must be 0..{MAX_SCORE}"),
+            ("sigma_improve", 0 <= self.sigma_improve <= MAX_SCORE, f"must be 0..{MAX_SCORE}"),
+            ("sigma_accept", 0 <= self.sigma_accept <= MAX_SCORE, f"must be 0..{MAX_SCORE}"),
+            ("sa_start_gap", MIN_SA_FRACTION <= self.sa_start_gap <= MAX_SA_START_GAP,
+             f"must be in [{MIN_SA_FRACTION}, {MAX_SA_START_GAP}]"),
+            ("sa_start_acceptance", 0 < self.sa_start_acceptance < 1, "must be in (0, 1)"),
+            ("sa_end_fraction", MIN_SA_FRACTION <= self.sa_end_fraction <= 1,
+             f"must be in [{MIN_SA_FRACTION}, 1]"),
+            ("removal_ops", len(self.removal_ops) > 0, "needs at least one operator"),
+            ("insertion_ops", len(self.insertion_ops) > 0, "needs at least one operator"),
+        )
+        for key, ok, rule in rules:
+            if not ok:
+                raise ConfigError(f"/{key}: {rule}")
         for name in self.removal_ops:
             if name not in REMOVAL_OPERATORS:
-                raise ConfigError(f"unknown removal operator {name!r}")
+                raise ConfigError(f"/removal_ops: unknown removal operator {_shown(name)}")
         for name in self.insertion_ops:
             try:
                 insertion_k(name)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        if not self.removal_ops or not self.insertion_ops:
-            raise ConfigError("need at least one operator per class")
+            except ValueError:
+                raise ConfigError(
+                    f"/insertion_ops: unknown insertion operator {_shown(name)}"
+                    " (greedy or regret<k>, k >= 2)"
+                ) from None
 
 
-# config field -> its annotation, which names the JSON type the field takes
-_CONFIG_FIELDS = {f.name: f.type for f in AlnsConfig.__dataclass_fields__.values()}
-
-
-def _number(value) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-_JSON_TYPES = {
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": ("a finite number", _number),
-    "Optional[float]": ("a finite number or null", lambda v: v is None or _number(v)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "tuple[str, ...]": (
-        "a list of strings",
-        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-    ),
+# the converter of each config field, by the type of its default value
+_CONVERTERS = {
+    bool: _flag,
+    int: _whole,
+    float: _finite,
+    tuple: lambda x: tuple(map(_str, _list(x))),  # the operator lists
+    type(None): lambda x: x if x is None else _finite(x),  # max_seconds
 }
+_DEFAULTS = {f.name: f.default for f in fields(AlnsConfig)}
+MAX_SHOWN_KEYS = 3
 
 
 def load_config(path: str) -> AlnsConfig:
-    return config_from_dict(json.loads(read_text(path)))
+    try:
+        doc = read_json(path)
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from None
+    return config_from_dict(doc)
 
 
 def config_from_dict(doc: dict) -> AlnsConfig:
     """A checked config from a JSON object; the object itself is not changed."""
     if not isinstance(doc, dict):
         raise ConfigError("a run configuration must be a JSON object")
-    unknown = set(doc) - set(_CONFIG_FIELDS)
+    unknown = sorted(set(doc) - set(_DEFAULTS))
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    values = {}
-    for key, value in doc.items():
-        what, fits = _JSON_TYPES[_CONFIG_FIELDS[key]]
-        if not fits(value):
-            raise ConfigError(f"{key} must be {what}, not {value!r}")
-        values[key] = tuple(value) if isinstance(value, list) else value
-    cfg = AlnsConfig(**values)
-    cfg.check()
-    return cfg
+        more = len(unknown) - MAX_SHOWN_KEYS
+        raise ConfigError(
+            f"unknown config keys: {', '.join(map(_shown, unknown[:MAX_SHOWN_KEYS]))}"
+            + (f" and {more} more" if more > 0 else "")
+        )
+    try:
+        values = {
+            key: _conv(value, f"/{key}", _CONVERTERS[type(_DEFAULTS[key])])
+            for key, value in doc.items()
+        }
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from None
+    return AlnsConfig(**values)
 
 
 def temperature_schedule(config: AlnsConfig, initial_cost: int) -> tuple[float, float]:
@@ -211,7 +244,6 @@ class RunReport:
 
 def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution, RunReport]:
     """Execute the full search and return the best solution found."""
-    config.check()
     instance.check()
     rng = random.Random(config.seed)
     sim = Simulator(instance)
@@ -236,11 +268,7 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
         ri = roulette([s.weight for s in removal_stats], rng)
         ii = roulette([s.weight for s in insertion_stats], rng)
         q = removal_count(config.psi, xi, current.planned_count)
-        name = config.removal_ops[ri]
-        if name in ("shaw", "shaw_tw"):
-            trips, removed = REMOVAL_OPERATORS[name](sim, current, q, rng, p=config.shaw_p)
-        else:
-            trips, removed = REMOVAL_OPERATORS[name](sim, current, q, rng)
+        trips, removed = REMOVAL_OPERATORS[config.removal_ops[ri]](sim, current, q, rng)
         # repair is a pure function of this key; revisited states are free
         memo_key = (
             tuple(t.requests for t in trips),

@@ -19,11 +19,18 @@ from .model import (
     Instance,
     RegParams,
     Request,
+    SchemaError,
     TimeWindow,
     TravelMatrix,
+    _conv,
+    _finite,
+    _list,
+    _number,
+    _str,
+    _whole,
     cents,
     d10_from_km,
-    read_text,
+    read_json,
     write_text,
 )
 
@@ -41,16 +48,6 @@ class ParseError(ValueError):
 
 class TransformError(ValueError):
     pass
-
-
-class SchemaError(ValueError):
-    def __init__(self, pointer: str, message: str = ""):
-        super().__init__(f"{pointer}: {message}" if message else pointer)
-        self.pointer = pointer
-        self.message = message
-
-    def __reduce__(self):
-        return type(self), (self.pointer, self.message)
 
 
 @dataclass(frozen=True)
@@ -308,21 +305,6 @@ def write_instance(instance: Instance, path: str) -> None:
     write_text(path, _layout(instance_to_dict(instance)))
 
 
-def _shown(value) -> str:
-    """repr(value), cut short when long (a JSON integer may have 4,300 digits)."""
-    text = repr(value)
-    return text if len(text) <= 40 else f"{text[:24]}... ({len(text)} characters)"
-
-
-def _conv(value, pointer: str, conv):
-    """conv(value); a value that conv rejects raises SchemaError at pointer,
-    with the value and conv's reason."""
-    try:
-        return conv(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(pointer, f"invalid value {_shown(value)}: {exc}") from None
-
-
 def _checked(pointer: str, check, *args) -> None:
     """check(*args); a failed check raises SchemaError at pointer."""
     try:
@@ -337,44 +319,6 @@ def _need(obj: dict, key: str, where: str, conv=None):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{where}/{key}", "missing")
     return obj[key] if conv is None else _conv(obj[key], f"{where}/{key}", conv)
-
-
-# The converters below give a reason without the value, because _conv
-# shows the value once, cut short.
-
-
-def _list(x) -> list:
-    if not isinstance(x, list):
-        raise TypeError("not a list")
-    return x
-
-
-def _str(x) -> str:
-    if not isinstance(x, str):
-        raise TypeError("not a string")
-    return x
-
-
-def _number(x):
-    """x, when it is a JSON number; a string or a boolean raises."""
-    if type(x) is not int and type(x) is not float:
-        raise TypeError("not a number")
-    return x
-
-
-def _whole(x) -> int:
-    """int(x) of a JSON number, except that a fractional number raises
-    instead of truncating."""
-    if isinstance(_number(x), float) and not x.is_integer():
-        raise ValueError("not a whole number")
-    return int(x)
-
-
-def _finite(x) -> float:
-    v = float(_number(x))
-    if not math.isfinite(v):
-        raise ValueError("not finite")
-    return v
 
 
 # Upper bounds on read distances (matrix cells, tier bounds, mu) and money
@@ -548,9 +492,4 @@ def instance_from_dict(doc: dict) -> Instance:
 
 
 def read_instance(path: str) -> Instance:
-    text = read_text(path)
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also an integer past the 4,300-digit limit
-        raise SchemaError("/", f"not valid JSON: {exc}") from None
-    return instance_from_dict(doc)
+    return instance_from_dict(read_json(path))

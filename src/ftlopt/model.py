@@ -7,6 +7,8 @@ distance is tenths of a kilometre (``d10``), money is euro cents.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -80,6 +82,90 @@ def write_text(path: str, text: str) -> None:
     """Write text and one final newline as UTF-8 with LF line ends."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
+
+
+# ---------------------------------------------------------------------------
+# JSON input: one reader and one set of field converters for the instance
+# and the run configuration
+
+
+class SchemaError(ValueError):
+    def __init__(self, pointer: str, message: str = ""):
+        super().__init__(f"{pointer}: {message}" if message else pointer)
+        self.pointer = pointer
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.pointer, self.message)
+
+
+def read_json(path: str):
+    """The JSON document in a UTF-8 file; text that is not JSON raises
+    SchemaError at "/"."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an integer past the 4,300-digit limit
+        raise SchemaError("/", f"not valid JSON: {exc}") from None
+
+
+def _shown(value) -> str:
+    """repr(value), cut short when long (a JSON integer may have 4,300 digits)."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:24]}... ({len(text)} characters)"
+
+
+def _conv(value, pointer: str, conv):
+    """conv(value); a value that conv rejects raises SchemaError at pointer,
+    with the value and conv's reason."""
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(pointer, f"invalid value {_shown(value)}: {exc}") from None
+
+
+# The converters below give a reason without the value, because _conv
+# shows the value once, cut short.
+
+
+def _list(x) -> list:
+    if not isinstance(x, list):
+        raise TypeError("not a list")
+    return x
+
+
+def _str(x) -> str:
+    if not isinstance(x, str):
+        raise TypeError("not a string")
+    return x
+
+
+def _flag(x) -> bool:
+    if not isinstance(x, bool):
+        raise TypeError("not true or false")
+    return x
+
+
+def _number(x):
+    """x, when it is a JSON number; a string or a boolean raises."""
+    if type(x) is not int and type(x) is not float:
+        raise TypeError("not a number")
+    return x
+
+
+def _whole(x) -> int:
+    """int(x) of a JSON number, except that a fractional number raises
+    instead of truncating."""
+    if isinstance(_number(x), float) and not x.is_integer():
+        raise ValueError("not a whole number")
+    return int(x)
+
+
+def _finite(x) -> float:
+    v = float(_number(x))
+    if not math.isfinite(v):
+        raise ValueError("not finite")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +249,9 @@ class TimeWindow:
 
     def check(self) -> None:
         if self.start < 0:
-            raise ValueError(f"window start {self.start} before the horizon origin")
+            raise ValueError(f"window start {_shown(self.start)} before the horizon origin")
         if self.start > self.end:
-            raise ValueError(f"window start {self.start} after end {self.end}")
+            raise ValueError(f"window start {_shown(self.start)} after end {_shown(self.end)}")
 
 
 @dataclass(frozen=True)
@@ -179,17 +265,17 @@ class Request:
 
     def check(self) -> None:
         if self.origin == self.destination:
-            raise ValueError(f"request {self.id}: origin equals destination")
+            raise ValueError(f"request {_shown(self.id)}: origin equals destination")
         if not self.delivery_windows:
-            raise ValueError(f"request {self.id}: no delivery windows")
+            raise ValueError(f"request {_shown(self.id)}: no delivery windows")
         if self.sm_price_cents <= 0:
-            raise ValueError(f"request {self.id}: sm price must be positive")
+            raise ValueError(f"request {_shown(self.id)}: sm price must be positive")
         self.pickup_window.check()
         prev_end = None
         for w in self.delivery_windows:
             w.check()
             if prev_end is not None and w.start <= prev_end:
-                raise ValueError(f"request {self.id}: delivery windows overlap or unsorted")
+                raise ValueError(f"request {_shown(self.id)}: delivery windows overlap or unsorted")
             prev_end = w.end
 
 
@@ -235,7 +321,8 @@ class Horizon:
         if not 0 <= self.origin_weekday <= 6:
             raise ValueError("origin_weekday must be 0..6")
         if not 0 < self.days <= MAX_HORIZON_DAYS:
-            raise ValueError(f"horizon must cover 1..{MAX_HORIZON_DAYS} days, got {self.days}")
+            days = _shown(self.days)
+            raise ValueError(f"horizon must cover 1..{MAX_HORIZON_DAYS} days, got {days}")
 
 
 @dataclass(frozen=True)
@@ -266,14 +353,14 @@ class Instance:
         its id is added."""
         r.check()
         if r.id in seen:
-            raise ValueError(f"duplicate request id {r.id}")
+            raise ValueError(f"duplicate request id {_shown(r.id)}")
         seen.add(r.id)
         for loc in (r.origin, r.destination):
             if not 0 <= loc < self.matrix.n_locations:
-                raise ValueError(f"request {r.id}: unknown location {loc}")
+                raise ValueError(f"request {_shown(r.id)}: unknown location {_shown(loc)}")
         ends = [r.pickup_window.end] + [w.end for w in r.delivery_windows]
         if max(ends) > self.horizon.end_minute:
-            raise ValueError(f"request {r.id}: window beyond horizon")
+            raise ValueError(f"request {_shown(r.id)}: window beyond horizon")
 
     def request(self, rid: int) -> Request:
         return self._by_id()[rid]

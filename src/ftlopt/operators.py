@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
@@ -236,13 +237,18 @@ def _shaw_ranks(sim: Simulator, variant: str) -> dict[int, dict[int, int]]:
     return ranks
 
 
+# Shaw removal's determinism: the request at rank floor(u**p * len(pool)) of
+# the relatedness order is removed next, u uniform on [0, 1); Ropke &
+# Pisinger (2006) use p = 6.
+SHAW_P = 6
+
+
 def remove_shaw(
     sim: Simulator,
     solution: Solution,
     q: int,
     rng: random.Random,
     variant: str = "distance_tw",
-    p: int = 6,
 ):
     """Remove mutually similar shipments; low relatedness value = similar."""
     removed: list[int] = []
@@ -251,7 +257,7 @@ def remove_shaw(
         if removed:
             ref = removed[rng.randrange(len(removed))]
             pool.sort(key=_shaw_ranks(sim, variant)[ref].__getitem__)
-            rank = min(int(rng.random() ** p * len(pool)), len(pool) - 1)
+            rank = min(int(rng.random() ** SHAW_P * len(pool)), len(pool) - 1)
         else:
             rank = rng.randrange(len(pool))
         removed.append(pool.pop(rank))
@@ -264,8 +270,8 @@ REMOVAL_OPERATORS = {
     "srr": remove_stop_routes,
     "rsr": remove_random_shipments,
     "tsr": remove_time_shipments,
-    "shaw": lambda sim, sol, q, rng, p=6: remove_shaw(sim, sol, q, rng, "distance_tw", p),
-    "shaw_tw": lambda sim, sol, q, rng, p=6: remove_shaw(sim, sol, q, rng, "tw", p),
+    "shaw": partial(remove_shaw, variant="distance_tw"),
+    "shaw_tw": partial(remove_shaw, variant="tw"),
 }
 
 

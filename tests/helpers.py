@@ -6,6 +6,8 @@ minutes for time, cents for money) like the package itself.
 
 import math
 import random
+import signal
+from contextlib import contextmanager
 
 from ftlopt.model import (
     SUNDAY,
@@ -255,3 +257,21 @@ def fleet_instance(seed: int) -> Instance:
     instance = Instance(tuple(requests), matrix, cost, REGS, mu, Horizon(0, days))
     instance.check()
     return instance
+
+
+class TooSlow(Exception):
+    """Not an OSError, so that the CLI's input-error handler lets it through."""
+
+
+@contextmanager
+def time_limit(seconds: float):
+    def expire(_signum, _frame):
+        raise TooSlow(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

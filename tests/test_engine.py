@@ -1,9 +1,12 @@
 import json
 import math
+import os
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftlopt.engine import (
     AlnsConfig,
@@ -15,10 +18,11 @@ from ftlopt.engine import (
     temperature_schedule,
     write_report,
 )
+from ftlopt.instances import read_instance
 from ftlopt.model import validate_solution
 from ftlopt.operators import build_initial
 
-from helpers import micro_instance
+from helpers import micro_instance, time_limit
 
 
 class TestConfig:
@@ -82,6 +86,36 @@ class TestConfig:
         assert cfg.max_iterations == 50
         assert cfg.seed == 3
         assert cfg.insertion_ops == ("greedy",)
+
+
+# one config field set to one hostile JSON value
+HOSTILE_CONFIG_FIELDS = sorted(AlnsConfig.__dataclass_fields__)
+HOSTILE_CONFIG_VALUES = (
+    math.nan, math.inf, -math.inf, -1, 0, 0.5, 5e-324, 10**307, 10**400, 1e308, -1e308,
+    "1", True, None, [], {}, "x" * 100_000,
+)
+GOLDEN_MINI = read_instance(os.path.join(os.path.dirname(__file__), "data", "golden_mini.json"))
+
+
+class TestHostileConfig:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(HOSTILE_CONFIG_FIELDS), st.sampled_from(HOSTILE_CONFIG_VALUES))
+    def test_one_hostile_value_is_named_or_harmless(self, key, value):
+        # either the config names the key briefly, or a short run finishes
+        # and its report is valid JSON (no NaN or infinite temperature)
+        try:
+            cfg = config_from_dict({"max_iterations": 5, "seed": 1, key: value})
+        except ConfigError as err:
+            assert str(err).startswith(f"/{key}: ") and len(str(err)) < 200, str(err)
+            return
+        with time_limit(10):
+            _best, report = run(GOLDEN_MINI, cfg)
+        json.dumps(report.to_dict(), allow_nan=False)
+
+    def test_a_config_checks_itself_when_built(self):
+        # replace() (the seed offsets, --seed) builds through the same check
+        with pytest.raises(ConfigError, match="^/xi: "):
+            replace(AlnsConfig(), xi=0)
 
 
 class TestAccept:

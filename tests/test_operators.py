@@ -240,14 +240,22 @@ class TestShaw:
                     )
                     assert ranks[ref] == {rid: i for i, rid in enumerate(order)}, (variant, ref)
 
-    def test_p_one_reachable_ranks(self):
+    def test_draw_at_shaw_p_reaches_beyond_the_most_related(self):
+        # the second pick is at rank floor(u**SHAW_P * 3) of the relatedness
+        # order: mostly the most related request, but not always
+        from ftlopt.operators import _shaw_ranks
+
         inst = line_instance(4)
         sol, sim = planned_solution(inst, [(1, 2, 3, 4)])
-        seen = set()
+        ranks = _shaw_ranks(sim, "distance_tw")
+        drawn = []
         for seed in range(200):
-            _t, removed = remove_shaw(sim, sol, 2, random.Random(seed), p=1)
-            seen.add(tuple(sorted(removed)))
-        assert len(seen) >= 3  # p=1 explores far beyond the most-related pick
+            _t, removed = remove_shaw(sim, sol, 2, random.Random(seed))
+            first, second = removed[:2]
+            pool = sorted(set(sol.planned_ids()) - {first}, key=ranks[first].__getitem__)
+            drawn.append(pool.index(second))
+        assert set(drawn) > {0}
+        assert drawn.count(0) > len(drawn) / 2
 
 
 class TestRepair:

@@ -25,27 +25,38 @@ def test_package_imports_only_the_standard_library():
     assert "pickle" in seen, seen
 
 
+def calls(match):
+    """(file, enclosing function, first argument) of every call in the
+    package whose callee, as source text, match accepts."""
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and match(ast.unparse(child.func)):
+                yield owner, ast.unparse(child.args[0]) if child.args else ""
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            yield from walk(child, inner)
+
+    return sorted(
+        (path.name, owner, target)
+        for path in SRC.glob("*.py")
+        for owner, target in walk(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")
+    )
+
+
 def test_every_file_is_opened_by_the_model_file_helpers():
     # one reader and one writer (model.read_text, model.write_text) open
     # every file; the only other opens are the two ends of compare's pipe
-    def opens(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-                if name in ("open", "fdopen"):
-                    yield owner, ast.unparse(child.args[0]) if child.args else ""
-            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
-            yield from opens(child, inner)
-
-    found = sorted(
-        (path.name, owner, target)
-        for path in SRC.glob("*.py")
-        for owner, target in opens(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")
-    )
+    found = calls(lambda callee: callee.rpartition(".")[2] in ("open", "fdopen"))
     assert found == [
         ("model.py", "read_text", "path"),
         ("model.py", "write_text", "path"),
         ("scenarios.py", "_run_searches", "read_fd"),
         ("scenarios.py", "_run_searches", "write_fd"),
     ]
+
+
+def test_json_is_parsed_only_by_the_model_reader():
+    # one reader (model.read_json) parses the instance and the run
+    # configuration, so both report text that is not JSON the same way
+    found = calls(lambda callee: callee in ("json.loads", "json.load"))
+    assert found == [("model.py", "read_json", "text")]

@@ -391,6 +391,30 @@ class TestCli:
             assert r.returncode == 2, (col, value, r.stderr)
             assert f"line {row + 1}" in r.stderr
 
+    def test_config_faults_exit_3_briefly(self, tmp_path):
+        # numbers that once crashed a run (an overflow, an infinite or a zero
+        # temperature) and text that is not JSON end in one short line
+        native = tmp_path / "mix.json"
+        self.run_cli("transform", "--gh", os.path.join(DATA, "gh_syn_mix.txt"), "--out", str(native))
+        short = {"max_iterations": 50, "segment_length": 1}
+        cases = [
+            (json.dumps({"max_iterations": 10**400}), "/max_iterations: "),
+            *((json.dumps({**short, key: 10**400}), f"/{key}: ")
+              for key in ("sigma_best", "sigma_improve", "sigma_accept")),
+            (json.dumps({**short, "sa_start_gap": 1e308}), "/sa_start_gap: "),
+            (json.dumps({**short, "sa_start_gap": 5e-324, "sa_end_fraction": 5e-324}), "/sa_"),
+            ('{"seed": ' + "9" * 5000 + "}", "/: not valid JSON: "),
+            ("{", "/: not valid JSON: "),
+        ]
+        cfg = tmp_path / "cfg.json"
+        for text, named in cases:
+            cfg.write_text(text)
+            r = self.run_cli("solve", "--instance", str(native), "--scenario", "mixed",
+                             "--config", str(cfg), "--out", str(tmp_path / "s.json"), timeout=30)
+            assert r.returncode == 3, (named, r.stderr)
+            assert r.stderr.startswith("config error: " + named), r.stderr
+            assert len(r.stderr) < 300 and "Traceback" not in r.stderr, r.stderr
+
     def test_regret_with_a_huge_k_runs_in_time(self, tmp_path):
         # regret-k pads the missing routes in closed form, not with k entries
         native = tmp_path / "mini.json"
