@@ -111,6 +111,10 @@ class AlnsConfig:
             ("sa_start_acceptance", 0 < self.sa_start_acceptance < 1, "must be in (0, 1)"),
             ("sa_end_fraction", MIN_SA_FRACTION <= self.sa_end_fraction <= 1,
              f"must be in [{MIN_SA_FRACTION}, 1]"),
+            # random.Random(-n) is random.Random(n)
+            ("seed", self.seed >= 0, "must be non-negative"),
+            ("max_seconds", self.max_seconds is None or self.max_seconds >= 0,
+             "must be non-negative or null"),
             ("removal_ops", len(self.removal_ops) > 0, "needs at least one operator"),
             ("insertion_ops", len(self.insertion_ops) > 0, "needs at least one operator"),
         )
@@ -244,7 +248,6 @@ class RunReport:
 
 def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution, RunReport]:
     """Execute the full search and return the best solution found."""
-    instance.check()
     rng = random.Random(config.seed)
     sim = Simulator(instance)
     ev = InsertionEvaluator(sim)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, floordiv, mod, mul
@@ -154,15 +155,6 @@ def transform(gh: GhInstance, factor: int = 6) -> Instance:
     if factor < 1:
         raise TransformError(f"factor {factor} must be at least 1")
 
-    def checked(part):
-        """part, once its check passed; a failed check raises TransformError
-        before anything is built from part."""
-        try:
-            part.check()
-        except ValueError as exc:
-            raise TransformError(f"factor {factor}: {exc}") from None
-        return part
-
     index = {node.id: k for k, node in enumerate(customers)}
     coords = []
     for node in customers:
@@ -179,31 +171,33 @@ def transform(gh: GhInstance, factor: int = 6) -> Instance:
     for i in range(1, half + 1):
         ready_days.append((factor * by_id[i].tw_start) // MINUTES_PER_DAY)
     last_ready = max(ready_days)
-    horizon = checked(Horizon(0, last_ready + 1 + SLACK_DAYS))  # day 0 is a Monday
 
     cost = CostModel()
-    requests = []
-    for i in range(1, half + 1):
-        pickup = index[i]
-        delivery = index[half + i]
-        day = ready_days[i - 1]
-        pickup_window = checked(
-            TimeWindow(day * MINUTES_PER_DAY + DAY_OPEN, day * MINUTES_PER_DAY + DAY_CLOSE)
-        )
-        # a checked horizon and pickup day bound the number of windows
-        delivery_windows = tuple(
-            TimeWindow(d * MINUTES_PER_DAY + DAY_OPEN, d * MINUTES_PER_DAY + DAY_CLOSE)
-            for d in range(day, horizon.days)
-        )
-        direct = matrix.distance[pickup][delivery]
-        # co-located pairs exist in some benchmark files; a request still
-        # needs a positive outsourcing price
-        price = max(1, cost.sm_price(direct))
-        requests.append(Request(i, pickup, delivery, pickup_window, delivery_windows, price))
+    # each part checks itself when built, so a rejected part raises before
+    # anything is built from it
+    try:
+        horizon = Horizon(0, last_ready + 1 + SLACK_DAYS)  # day 0 is a Monday
+        requests = []
+        for i in range(1, half + 1):
+            pickup = index[i]
+            delivery = index[half + i]
+            day = ready_days[i - 1]
+            pickup_window = TimeWindow(
+                day * MINUTES_PER_DAY + DAY_OPEN, day * MINUTES_PER_DAY + DAY_CLOSE
+            )
+            # a checked horizon and pickup day bound the number of windows
+            delivery_windows = tuple(
+                TimeWindow(d * MINUTES_PER_DAY + DAY_OPEN, d * MINUTES_PER_DAY + DAY_CLOSE)
+                for d in range(day, horizon.days)
+            )
+            direct = matrix.distance[pickup][delivery]
+            # co-located pairs exist in some benchmark files; a request still
+            # needs a positive outsourcing price
+            price = max(1, cost.sm_price(direct))
+            requests.append(Request(i, pickup, delivery, pickup_window, delivery_windows, price))
 
-    mu_d10 = 10 * MU_PER_DAY_KM * len(set(ready_days))
-    return checked(
-        Instance(
+        mu_d10 = 10 * MU_PER_DAY_KM * len(set(ready_days))
+        return Instance(
             requests=tuple(requests),
             matrix=matrix,
             cost=cost,
@@ -213,7 +207,8 @@ def transform(gh: GhInstance, factor: int = 6) -> Instance:
             name=gh.name,
             coords=coords,
         )
-    )
+    except ValueError as exc:
+        raise TransformError(f"factor {factor}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +300,14 @@ def write_instance(instance: Instance, path: str) -> None:
     write_text(path, _layout(instance_to_dict(instance)))
 
 
-def _checked(pointer: str, check, *args) -> None:
-    """check(*args); a failed check raises SchemaError at pointer."""
+@contextmanager
+def _at(pointer: str):
+    """Build a part under its pointer: a constructor's ValueError raises
+    SchemaError at pointer, and a converter's SchemaError passes unchanged."""
     try:
-        check(*args)
+        yield
+    except SchemaError:
+        raise
     except ValueError as exc:
         raise SchemaError(pointer, str(exc)) from None
 
@@ -413,28 +412,28 @@ def instance_from_dict(doc: dict) -> Instance:
         )
 
     regs_doc = _need(doc, "regs", "")
-    regs = RegParams(
-        _need(regs_doc, "tau_n", "/regs", _whole),
-        _need(regs_doc, "tau_b", "/regs", _whole),
-        _need(regs_doc, "tau_s", "/regs", _whole),
-        _need(regs_doc, "sigma", "/regs", _whole),
-        _need(regs_doc, "nu", "/regs", _finite),
-    )
-    _checked("/regs", regs.check)
+    with _at("/regs"):
+        regs = RegParams(
+            _need(regs_doc, "tau_n", "/regs", _whole),
+            _need(regs_doc, "tau_b", "/regs", _whole),
+            _need(regs_doc, "tau_s", "/regs", _whole),
+            _need(regs_doc, "sigma", "/regs", _whole),
+            _need(regs_doc, "nu", "/regs", _finite),
+        )
 
     matrix_doc = _need(doc, "matrix", "")
-    if matrix_doc == "euclidean":
-        if coords is None:
-            raise SchemaError("/matrix", "euclidean directive needs x/y on every location")
-        matrix = _euclid_matrix(coords, regs.nu)
-    else:
-        dist = _grid(_need(matrix_doc, "distance", "/matrix"), "/matrix/distance", _km, _km_row, n)
-        if "time" in matrix_doc:
-            time = _grid(matrix_doc["time"], "/matrix/time", _whole, _whole_row, n)
-            matrix = TravelMatrix(n, tuple(map(tuple, dist)), tuple(map(tuple, time)))
+    with _at("/matrix"):
+        if matrix_doc == "euclidean":
+            if coords is None:
+                raise SchemaError("/matrix", "euclidean directive needs x/y on every location")
+            matrix = _euclid_matrix(coords, regs.nu)
         else:
-            matrix = TravelMatrix.from_distances(dist, regs.nu)
-    _checked("/matrix", matrix.check)
+            dist = _grid(_need(matrix_doc, "distance", "/matrix"), "/matrix/distance", _km, _km_row, n)
+            if "time" in matrix_doc:
+                time = _grid(matrix_doc["time"], "/matrix/time", _whole, _whole_row, n)
+                matrix = TravelMatrix(n, tuple(map(tuple, dist)), tuple(map(tuple, time)))
+            else:
+                matrix = TravelMatrix.from_distances(dist, regs.nu)
 
     cost_doc = _need(doc, "cost", "")
     tiers = []
@@ -446,49 +445,43 @@ def instance_from_dict(doc: dict) -> Instance:
         tiers.append((bound, _conv(tier[1], f"{where}/1", _money)))
     if "explicit_sm_prices" in cost_doc:
         raise SchemaError("/cost/explicit_sm_prices", "put each price in its request's sm_price")
-    cost = CostModel(_need(cost_doc, "kappa", "/cost", _money), tuple(tiers))
-    _checked("/cost", cost.check)
+    with _at("/cost"):
+        cost = CostModel(_need(cost_doc, "kappa", "/cost", _money), tuple(tiers))
 
     horizon_doc = _need(doc, "horizon", "")
-    horizon = Horizon(
-        _need(horizon_doc, "origin_weekday", "/horizon", _whole),
-        _need(horizon_doc, "days", "/horizon", _whole),
-    )
-    _checked("/horizon", horizon.check)
+    with _at("/horizon"):
+        horizon = Horizon(
+            _need(horizon_doc, "origin_weekday", "/horizon", _whole),
+            _need(horizon_doc, "days", "/horizon", _whole),
+        )
 
     requests = []
     for i, rd in enumerate(_need(doc, "requests", "", _list)):
         where = f"/requests/{i}"
-        request = Request(
-            _need(rd, "id", where, _whole),
-            _need(rd, "origin", where, _whole),
-            _need(rd, "destination", where, _whole),
-            _window(_need(rd, "pickup_window", where), f"{where}/pickup_window"),
-            tuple(
-                _window(w, f"{where}/delivery_windows/{k}")
-                for k, w in enumerate(_need(rd, "delivery_windows", where, _list))
-            ),
-            _need(rd, "sm_price", where, _money),
-        )
-        requests.append(request)
+        with _at(where):
+            requests.append(Request(
+                _need(rd, "id", where, _whole),
+                _need(rd, "origin", where, _whole),
+                _need(rd, "destination", where, _whole),
+                _window(_need(rd, "pickup_window", where), f"{where}/pickup_window"),
+                tuple(
+                    _window(w, f"{where}/delivery_windows/{k}")
+                    for k, w in enumerate(_need(rd, "delivery_windows", where, _list))
+                ),
+                _need(rd, "sm_price", where, _money),
+            ))
 
-    mu_d10 = _need(doc, "mu", "", _km)
-    if mu_d10 < 0:
-        raise SchemaError("/mu", "mu must be non-negative")
-    instance = Instance(
+    # the instance reports its own faults at /mu and /requests/<i>
+    return Instance(
         requests=tuple(requests),
         matrix=matrix,
         cost=cost,
         regs=regs,
-        mu_d10=mu_d10,
+        mu_d10=_need(doc, "mu", "", _km),
         horizon=horizon,
         name=_conv(doc.get("name", ""), "/name", _str),
         coords=coords,
     )
-    seen: set[int] = set()
-    for i, request in enumerate(instance.requests):
-        _checked(f"/requests/{i}", instance.check_request, request, seen)
-    return instance
 
 
 def read_instance(path: str) -> Instance:

@@ -172,8 +172,16 @@ def _finite(x) -> float:
 # domain types
 
 
+class _Checked:
+    """Base of the domain types: each runs its own check() when built,
+    through dataclasses.replace too, so an invalid part never exists."""
+
+    def __post_init__(self) -> None:
+        self.check()
+
+
 @dataclass(frozen=True)
-class RegParams:
+class RegParams(_Checked):
     """Simplified driving-time regulation parameters (defaults: production set)."""
 
     tau_n: int = 450   # max cumulative nonstop driving, minutes
@@ -203,7 +211,7 @@ DEFAULT_KAPPA_CENTS = 106  # 1.06 EUR per driven km, loaded or empty
 
 
 @dataclass(frozen=True)
-class CostModel:
+class CostModel(_Checked):
     """Vehicle cost rate plus tiered spot-market rates.
 
     A distance exactly on a tier bound belongs to the upper tier.
@@ -243,7 +251,7 @@ class CostModel:
 
 
 @dataclass(frozen=True, order=True)
-class TimeWindow:
+class TimeWindow(_Checked):
     start: int  # minutes from horizon origin
     end: int
 
@@ -255,7 +263,7 @@ class TimeWindow:
 
 
 @dataclass(frozen=True)
-class Request:
+class Request(_Checked):
     id: int
     origin: int
     destination: int
@@ -270,17 +278,15 @@ class Request:
             raise ValueError(f"request {_shown(self.id)}: no delivery windows")
         if self.sm_price_cents <= 0:
             raise ValueError(f"request {_shown(self.id)}: sm price must be positive")
-        self.pickup_window.check()
         prev_end = None
         for w in self.delivery_windows:
-            w.check()
             if prev_end is not None and w.start <= prev_end:
                 raise ValueError(f"request {_shown(self.id)}: delivery windows overlap or unsorted")
             prev_end = w.end
 
 
 @dataclass(frozen=True)
-class TravelMatrix:
+class TravelMatrix(_Checked):
     """Distances (d10) and times (minutes) per ordered location pair."""
 
     n_locations: int
@@ -309,7 +315,7 @@ class TravelMatrix:
 
 
 @dataclass(frozen=True)
-class Horizon:
+class Horizon(_Checked):
     origin_weekday: int  # 0 = Monday ... 6 = Sunday
     days: int
 
@@ -326,7 +332,7 @@ class Horizon:
 
 
 @dataclass(frozen=True)
-class Instance:
+class Instance(_Checked):
     requests: tuple[Request, ...]
     matrix: TravelMatrix
     cost: CostModel
@@ -337,40 +343,29 @@ class Instance:
     coords: Optional[tuple[tuple[float, float], ...]] = None  # per location, when known
 
     def check(self) -> None:
-        self.matrix.check()
-        self.cost.check()
-        self.regs.check()
-        self.horizon.check()
+        """What ties the parts together, each of which checked itself when it
+        was built.  A fault raises SchemaError at /mu or /requests/<i>."""
         if self.mu_d10 < 0:
-            raise ValueError("mu must be non-negative")
-        seen: set[int] = set()
-        for r in self.requests:
-            self.check_request(r, seen)
-
-    def check_request(self, r: Request, seen: set[int]) -> None:
-        """r's own checks and its fit to this instance's locations, horizon
-        and the ids in `seen` (those of the requests before it), to which
-        its id is added."""
-        r.check()
-        if r.id in seen:
-            raise ValueError(f"duplicate request id {_shown(r.id)}")
-        seen.add(r.id)
-        for loc in (r.origin, r.destination):
-            if not 0 <= loc < self.matrix.n_locations:
-                raise ValueError(f"request {_shown(r.id)}: unknown location {_shown(loc)}")
-        ends = [r.pickup_window.end] + [w.end for w in r.delivery_windows]
-        if max(ends) > self.horizon.end_minute:
-            raise ValueError(f"request {_shown(r.id)}: window beyond horizon")
+            raise SchemaError("/mu", "mu must be non-negative")
+        n_locations = self.matrix.n_locations
+        end = self.horizon.end_minute
+        by_id: dict[int, Request] = {}
+        for i, r in enumerate(self.requests):
+            if r.id in by_id:
+                raise SchemaError(f"/requests/{i}", f"duplicate request id {_shown(r.id)}")
+            by_id[r.id] = r
+            for loc in (r.origin, r.destination):
+                if not 0 <= loc < n_locations:
+                    raise SchemaError(
+                        f"/requests/{i}", f"request {_shown(r.id)}: unknown location {_shown(loc)}"
+                    )
+            # the delivery windows are sorted, so the last one ends last
+            if max(r.pickup_window.end, r.delivery_windows[-1].end) > end:
+                raise SchemaError(f"/requests/{i}", f"request {_shown(r.id)}: window beyond horizon")
+        object.__setattr__(self, "_by_id", by_id)
 
     def request(self, rid: int) -> Request:
-        return self._by_id()[rid]
-
-    def _by_id(self) -> dict[int, Request]:
-        cache = getattr(self, "_id_cache", None)
-        if cache is None:
-            cache = {r.id: r for r in self.requests}
-            object.__setattr__(self, "_id_cache", cache)
-        return cache
+        return self._by_id[rid]
 
     def direct_d10(self, rid: int) -> int:
         r = self.request(rid)

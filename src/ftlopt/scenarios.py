@@ -100,9 +100,10 @@ def scenario_all_sm(instance: Instance) -> tuple[ScenarioResult, Solution]:
 
 def fct_penalty_cents(instance: Instance) -> int:
     """Outsourcing penalty that stands in for 'a huge number': ten times the
-    vehicle cost of all direct distances combined."""
+    vehicle cost of all direct distances combined, and at least 1 cent, the
+    least price a request may have (all of them may be co-located pairs)."""
     total_direct = sum(instance.direct_d10(r.id) for r in instance.requests)
-    return instance.cost.kappa_cents * total_direct
+    return max(1, instance.cost.kappa_cents * total_direct)
 
 
 def fct_instance(instance: Instance) -> Instance:

@@ -68,6 +68,14 @@ class TestConfig:
             config_from_dict(doc)
         assert doc == {"removal_ops": ["nope"]}
 
+    def test_seed_and_time_limit_are_non_negative(self):
+        # random.Random(-7) draws as random.Random(7)
+        for key, bad in (("seed", -7), ("max_seconds", -1)):
+            with pytest.raises(ConfigError, match=f"^/{key}: "):
+                config_from_dict({key: bad})
+        assert config_from_dict({"seed": 0, "max_seconds": 0.0}).max_seconds == 0.0
+        assert config_from_dict({"max_seconds": None}).max_seconds is None
+
     def test_readme_example_is_the_default_config(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         example = readme.split("Run configuration is a JSON file", 1)[1]

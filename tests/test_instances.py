@@ -360,6 +360,10 @@ HOSTILE_FIELDS = (
     "/matrix/distance/0/2", "/matrix/time/0/2",  # request 1's own leg
     "/requests/0/id", "/requests/0/origin", "/requests/0/pickup_window/start",
     "/requests/0/delivery_windows/0/end", "/requests/0/sm_price",
+    # the checks against the instance (a repeated id, an unknown location,
+    # a window past the horizon) fire only after the first request
+    "/requests/1/id", "/requests/1/origin", "/requests/1/pickup_window/start",
+    "/requests/1/delivery_windows/7/end",
     "/cost/kappa", "/cost/sm_tiers/0/0", "/cost/sm_tiers/0/1",
     "/regs/tau_n", "/regs/tau_b", "/regs/tau_s", "/regs/sigma", "/regs/nu",
     "/mu", "/horizon/days", "/horizon/origin_weekday",

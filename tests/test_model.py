@@ -50,9 +50,36 @@ class TestRegParams:
         # the largest blackout and operation that still leave a week schedulable
         RegParams(tau_s=10079, sigma=1).check()
         RegParams(sigma=10080 - 1320).check()
-        for bad in (RegParams(tau_s=10080, sigma=0), RegParams(sigma=10080 - 1320 + 1)):
+        for bad in (dict(tau_s=10080, sigma=0), dict(sigma=10080 - 1320 + 1)):
             with pytest.raises(ValueError, match="tau_s < 10080"):
-                bad.check()
+                RegParams(**bad)
+
+
+class TestChecksWhenBuilt:
+    def test_each_type_rejects_an_invalid_value_when_built(self):
+        inst = three_request_instance()
+        # each type, and one field set to a value that its own check rejects
+        cases = (
+            (RegParams(), "tau_s", 0),
+            (CostModel(), "kappa_cents", 0),
+            (TimeWindow(5, 8), "end", 3),
+            (inst.request(1), "sm_price_cents", 0),
+            (inst.matrix, "n_locations", inst.matrix.n_locations + 1),
+            (Horizon(0, 7), "days", 0),
+            (inst, "mu_d10", -5),
+        )
+        for part, name, bad in cases:
+            values = {f.name: getattr(part, f.name) for f in dataclasses.fields(part)}
+            with pytest.raises(ValueError):
+                type(part)(**{**values, name: bad})
+            with pytest.raises(ValueError):
+                dataclasses.replace(part, **{name: bad})
+
+    def test_a_repeated_request_is_rejected_at_its_index(self):
+        inst = three_request_instance()
+        with pytest.raises(ValueError, match="duplicate request id 1") as err:
+            dataclasses.replace(inst, requests=inst.requests + inst.requests[:1])
+        assert err.value.pointer == "/requests/3"
 
 
 class TestSmPrice:

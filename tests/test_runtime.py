@@ -60,3 +60,11 @@ def test_json_is_parsed_only_by_the_model_reader():
     # configuration, so both report text that is not JSON the same way
     found = calls(lambda callee: callee in ("json.loads", "json.load"))
     assert found == [("model.py", "read_json", "text")]
+
+
+def test_each_type_checks_itself_only_when_built():
+    # the run configuration and the model types (through their base class)
+    # run their own check in __post_init__, so no reader, converter or
+    # search checks a part by hand
+    found = calls(lambda callee: callee.rpartition(".")[2] == "check")
+    assert found == [("engine.py", "__post_init__", ""), ("model.py", "__post_init__", "")]

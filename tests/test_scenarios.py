@@ -415,6 +415,37 @@ class TestCli:
             assert r.stderr.startswith("config error: " + named), r.stderr
             assert len(r.stderr) < 300 and "Traceback" not in r.stderr, r.stderr
 
+    def test_a_negative_seed_exits_3(self, tmp_path):
+        # random.Random(-7) draws as random.Random(7), so -7 is no new search
+        native = tmp_path / "mini.json"
+        self.run_cli("transform", "--gh", os.path.join(DATA, "gh_mini.txt"), "--out", str(native))
+        r = self.run_cli("solve", "--instance", str(native), "--scenario", "mixed",
+                         "--seed", "-7", "--out", str(tmp_path / "s.json"), timeout=30)
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("config error: /seed: "), r.stderr
+
+    def test_all_fct_with_only_co_located_pairs_lists_each_as_residual(self, tmp_path):
+        # every direct distance is 0, so the all-fct penalty is its floor of
+        # 1 cent, and a trip of 0 km never reaches mu
+        with open(os.path.join(DATA, "gh_mini.txt"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        rows = {line.split()[0]: i for i, line in enumerate(lines) if len(line.split()) == 7}
+        for pickup, delivery in (("1", "3"), ("2", "4")):
+            tokens = lines[rows[delivery]].split()
+            tokens[1:3] = lines[rows[pickup]].split()[1:3]
+            lines[rows[delivery]] = "  ".join(tokens)
+        gh, native = tmp_path / "gh.txt", tmp_path / "colo.json"
+        gh.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        r = self.run_cli("transform", "--gh", str(gh), "--out", str(native))
+        assert r.returncode == 0, r.stderr
+        cfg, out = tmp_path / "cfg.json", tmp_path / "s.json"
+        cfg.write_text(json.dumps({"max_iterations": 20}))
+        r = self.run_cli("solve", "--instance", str(native), "--scenario", "all-fct",
+                         "--config", str(cfg), "--out", str(out), timeout=30)
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(out.read_text())
+        assert doc["trips"] == [] and doc["bank"] == [1, 2] and doc["residual"] == 2
+
     def test_regret_with_a_huge_k_runs_in_time(self, tmp_path):
         # regret-k pads the missing routes in closed form, not with k entries
         native = tmp_path / "mini.json"
