@@ -324,8 +324,9 @@ def repair(
     new trip only if all current trips are utilised up to the minimum
     distance and the new trip itself is no dearer than outsourcing; the
     fallback is the outsourcing bank.  Ties go to the lowest request id,
-    then the lowest trip index.  A final pass dissolves trips that ended
-    below the minimum distance.
+    then the lowest trip index.  A shipment that no vehicle can serve even
+    alone goes to the bank before any round.  A final pass dissolves trips
+    that ended below the minimum distance.
     """
     instance = sim.instance
     ev = evaluator or InsertionEvaluator(sim)
@@ -334,9 +335,12 @@ def repair(
     k = insertion_k(mode)
 
     trips = list(trips)
-    s_in = sorted(set(bank) | set(removed))
-    new_bank: list[int] = []
-    solo = {cand: sim.build_trip((cand,)) for cand in s_in}  # each alone on a vehicle
+    solo = {cand: sim.build_trip((cand,)) for cand in set(bank) | set(removed)}
+    # a request that no fresh vehicle can serve alone fits no trip either:
+    # the fresh vehicle's label at its pickup dominates every label a trip
+    # can bring there, so it has no cell anywhere and goes to the bank
+    new_bank = [cand for cand, trip in solo.items() if trip is None]
+    s_in = sorted(cand for cand, trip in solo.items() if trip is not None)
 
     def commit(ti: int, rid: int, pos: int) -> None:
         """Splice rid into trips[ti] at pos; ti == len(trips) opens a new trip."""
@@ -374,7 +378,7 @@ def repair(
             if pick is None:
                 row = rows[cand]
                 if spare:
-                    row = row + [None if solo[cand] is None else (sim.direct[cand], 0)]
+                    row = row + [(sim.direct[cand], 0)]
                 best = _best_cell(row)  # (delta_d10, trip_index, pos)
                 if k:
                     # a candidate that fits nowhere can still win at regret 0
@@ -401,7 +405,7 @@ def repair(
         if cell is not None and kappa * cell[0] < price10:
             ti = cell[1]
             commit(ti, rid, cell[2])
-        elif spare and kappa * sim.direct[rid] <= price10 and solo[rid] is not None:
+        elif spare and kappa * sim.direct[rid] <= price10:
             ti = len(trips)
             commit(ti, rid, 0)
         else:

@@ -222,21 +222,23 @@ class Simulator:
         self._trips: dict[tuple[int, ...], Optional[Trip]] = {}
         self._tables: dict[tuple[int, ...], tuple] = {}
         # splice heads (see _head): predecessor frontier -> its location ->
-        # {rid: frontier at rid's delivery, or None}, and those delivery
-        # frontiers, interned
+        # {rid: frontier at rid's delivery, or None}
         self._heads: dict[Optional[tuple], dict] = {}
-        self._head_fronts: dict[tuple, tuple] = {}
+        # every frontier of a cached trip or head and every feasible cell of
+        # best_insertions, stored once: value -> the one object kept
+        self._interned: dict[tuple, tuple] = {}
         # Shaw relatedness ranks per variant, filled on first use by
         # operators.remove_shaw
         self.shaw_ranks: dict[str, dict[int, dict[int, int]]] = {}
 
     def clear_caches(self) -> None:
-        """Drop memoised trips, per-trip tables and splice heads (bounds
-        memory)."""
+        """Drop memoised trips, per-trip tables, splice heads and the table
+        that stores each frontier and cell once (bounds memory).  All of
+        them are pure, so later results are unchanged."""
         self._trips.clear()
         self._tables.clear()
         self._heads.clear()
-        self._head_fronts.clear()
+        self._interned.clear()
 
     def _fit_nodes(self, requests: Sequence[int]) -> tuple:
         """(loc, firsts, lasts) fit tables of a sequence's nodes, in order."""
@@ -283,7 +285,8 @@ class Simulator:
             trip = None
         else:
             loaded, empty = trip_distances(self.instance, seq)
-            trip = Trip(seq, loaded, empty, frontiers=tuple(fronts[0]))
+            intern = self._interned.setdefault
+            trip = Trip(seq, loaded, empty, frontiers=tuple(intern(f, f) for f in fronts[0]))
         self._trips[seq] = trip
         return trip
 
@@ -296,7 +299,7 @@ class Simulator:
     def best_insertions(self, trip: Trip, asks) -> list:
         """Per (rid, positions) ask, the cheapest schedulable splice of rid
         into trip among the positions (None: all) as (delta_d10, pos), or
-        None.
+        None.  Equal cells are returned as one object (_interned).
 
         The trip's per-position table is built once: the previous delivery
         and its earliest departure, the next pickup and its latest-start
@@ -334,6 +337,7 @@ class Simulator:
                 lats[pos] if pos < n else None,
                 dist[prev_d][next_o] if 0 < pos < n else 0,
             ))
+        intern = self._interned.setdefault
         out = []
         for rid, positions in asks:
             (o, o_firsts, o_lasts), (d, d_firsts, d_lasts) = self._node_data[rid]
@@ -391,12 +395,12 @@ class Simulator:
                         continue
                 cands.append((delta, pos))
             cands.sort()
-            for delta, pos in cands:
-                k = 2 * pos
+            for cell in cands:
+                k = 2 * cell[1]
                 prev = (fronts[k - 1], nodes[k - 1][0]) if k else (None, None)
                 head = self._head(*prev, rid)
                 if head is not None and self._advance(head, d, nodes, fronts, k) is not None:
-                    out.append((delta, pos))
+                    out.append(intern(cell, cell))
                     break
             else:
                 out.append(None)
@@ -410,7 +414,7 @@ class Simulator:
         Memoised in _heads: _advance reads nothing but the key and the
         instance, so an entry holds for every trip that has the same
         predecessor frontier at the same location.  Equal delivery frontiers
-        reached from different keys are stored once (_head_fronts).
+        reached from different keys are stored once (_interned).
         """
         by_loc = self._heads.get(frontier)
         if by_loc is None:
@@ -424,7 +428,7 @@ class Simulator:
         head = None
         if got is not None:
             head = got[0][1]
-            head = self._head_fronts.setdefault(head, head)
+            head = self._interned.setdefault(head, head)
         by_rid[rid] = head
         return head
 
@@ -528,7 +532,8 @@ class Simulator:
 
         Reuses the prefix frontiers, takes the head at rid's delivery from
         _head and, once the propagated suffix re-converges with the cached
-        one, reuses the remaining frontiers as well.
+        one, reuses the remaining frontiers as well.  New frontiers are
+        stored once (_interned).
         """
         seq = trip.requests
         new_seq = seq[:pos] + (rid,) + seq[pos:]
@@ -543,9 +548,11 @@ class Simulator:
         if tail is None:
             out = None
         else:
+            intern = self._interned.setdefault
             pickup = self._advance(frontier, prev_loc, self._node_data[rid][:1])[0][0]
             computed, converged = tail
-            fronts = old[:k] + (pickup, head) + tuple(computed)
+            fronts = old[:k] + (intern(pickup, pickup), head)
+            fronts += tuple(intern(f, f) for f in computed)
             if converged:
                 fronts += old[k + len(computed) :]
             loaded, empty = trip_distances(self.instance, new_seq)

@@ -8,6 +8,7 @@ import math
 import random
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 
 from ftlopt.model import (
     SUNDAY,
@@ -257,6 +258,29 @@ def fleet_instance(seed: int) -> Instance:
     instance = Instance(tuple(requests), matrix, cost, REGS, mu, Horizon(0, days))
     instance.check()
     return instance
+
+
+def blackout_pickup(instance: Instance, rng: random.Random):
+    """(instance, rid): the instance with request rid, drawn at random, given
+    a pickup window inside one of the horizon's Sunday blackouts, so that
+    with sigma > 0 no vehicle can serve it; (instance, None) when the
+    horizon holds no whole blackout."""
+    regs, horizon = instance.regs, instance.horizon
+    sundays = [
+        d * 1440
+        for d in range(horizon.days)
+        if (horizon.origin_weekday + d) % 7 == SUNDAY
+        and d * 1440 + regs.tau_s <= horizon.end_minute
+    ]
+    if not sundays:
+        return instance, None
+    sunday = rng.choice(sundays)
+    start = sunday + rng.randint(0, regs.tau_s - 1)
+    window = TimeWindow(start, rng.randint(start + 1, sunday + regs.tau_s))
+    requests = list(instance.requests)
+    i = rng.randrange(len(requests))
+    requests[i] = replace(requests[i], pickup_window=window)
+    return replace(instance, requests=tuple(requests)), requests[i].id
 
 
 class TooSlow(Exception):

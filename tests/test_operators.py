@@ -1,10 +1,12 @@
 import os
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from ftlopt import engine
 from ftlopt.model import (
     CostModel,
     Horizon,
@@ -29,9 +31,10 @@ from ftlopt.operators import (
     remove_time_shipments,
     repair,
 )
+from ftlopt.scenarios import fct_instance
 from ftlopt.schedule import Simulator
 
-from helpers import kernel_case, micro_instance
+from helpers import fleet_instance, kernel_case, micro_instance
 
 
 def line_instance(n_req=4, gap=50, sm_level=2.0, mu=0):
@@ -540,6 +543,47 @@ class TestEvaluatorConsistency:
         assert reached["head hits"] and reached["cleared"], reached
 
 
+class TestInterning:
+    def test_a_search_stores_each_frontier_and_cell_once(self, monkeypatch):
+        # after an all-fct search whose minimum distance forces bundles,
+        # every frontier of a cached trip or head, every head key and every
+        # cached cell is the simulator's table's own object, so equal values
+        # are stored once, and clearing the caches empties the table
+        made = []
+
+        class Recorded(InsertionEvaluator):
+            def __init__(self, sim):
+                super().__init__(sim)
+                made.append(self)
+
+        monkeypatch.setattr(engine, "InsertionEvaluator", Recorded)
+        for seed in range(3):
+            inst = fct_instance(fleet_instance(seed))
+            longest = max(inst.direct_d10(r.id) for r in inst.requests)
+            inst = replace(inst, mu_d10=3 * longest)
+            engine.run(inst, engine.AlnsConfig(seed=seed, max_iterations=100))
+            ev = made[-1]
+            sim, table = ev.sim, ev.sim._interned
+            fronts = [f for t in sim._trips.values() if t is not None for f in t.frontiers]
+            heads = [
+                head
+                for by_loc in sim._heads.values()
+                for by_rid in by_loc.values()
+                for head in by_rid.values()
+                if head is not None
+            ]
+            keys = [f for f in sim._heads if f is not None]
+            cells = [got for col in ev.cells.values() for got in col.values() if got is not None]
+            assert len(fronts) > 500 and len(cells) > 200, (seed, len(fronts), len(cells))
+            for value in fronts + heads + keys + cells:
+                assert table.get(value) is value, (seed, value)
+            once = {}
+            for f in fronts:
+                assert once.setdefault(f, f) is f, (seed, f)
+            ev.clear()
+            assert not table and not sim._trips and not sim._heads
+
+
 class SpliceWalk:
     """The trips reachable by feasible splices from an instance's
     single-request trips, each visited once.
@@ -569,7 +613,7 @@ class SpliceWalk:
         while self.todo:
             if self.popped == self.clear_at:
                 self.sim.clear_caches()
-                assert not self.sim._heads and not self.sim._head_fronts
+                assert not self.sim._heads and not self.sim._interned
                 self.cleared = True
             self.popped += 1
             yield self.todo.pop()

@@ -14,7 +14,7 @@ from ftlopt.model import Solution
 from ftlopt.operators import REMOVAL_OPERATORS, InsertionEvaluator, build_initial, repair
 from ftlopt.schedule import Simulator
 
-from helpers import fleet_instance, micro_instance
+from helpers import blackout_pickup, fleet_instance, micro_instance
 
 # every way a shipment can leave the reference procedure
 OUTCOMES = {
@@ -226,14 +226,18 @@ def test_repair_matches_reference_on_random_states():
     assert OUTCOMES <= set(outcomes), outcomes
 
 
-def fleet_state(seed):
+def fleet_state(seed, blackout=False):
     """A repair state on a fleet_instance: trips, bank and removed requests.
 
     Half the states start from build_initial and a removal operator; the
     others from random bundles of one to three requests, which may leave
-    trips below the minimum distance."""
+    trips below the minimum distance.  With `blackout`, one request's pickup
+    window lies inside a Sunday blackout when the horizon holds one
+    (blackout_pickup)."""
     rng = random.Random(seed)
     instance = fleet_instance(rng.randrange(1_000_000))
+    if blackout:
+        instance = blackout_pickup(instance, rng)[0]
     sim = Simulator(instance)
     if rng.random() < 0.5:
         start = build_initial(instance, sim)
@@ -275,3 +279,24 @@ def test_repair_matches_reference_on_fleet_states():
     assert OUTCOMES <= set(outcomes), outcomes
     assert events["several trips"] >= 50 and events["spare flip"] and events[
         "changed cell, same best"], events
+
+
+def test_requests_no_vehicle_serves_are_banked_without_being_asked():
+    # a pickup window inside a Sunday blackout leaves a request to the spot
+    # market alone: repair banks it up front and asks no cell for it, and
+    # still matches the reference, which asks every cell
+    outcomes = Counter()
+    states = asked = 0
+    for seed in range(60):
+        sim, trips, bank, removed = fleet_state(seed, blackout=True)
+        gone = {rid for rid in set(bank) | set(removed) if sim.build_trip((rid,)) is None}
+        states += bool(gone)
+        for mode in ("greedy", "regret2", "regret4", "regret6"):
+            warm = InsertionEvaluator(sim)
+            got = repair(sim, trips, bank, removed, mode=mode, evaluator=warm)
+            want = reference_repair(sim, trips, bank, removed, mode, outcomes)
+            assert got == want, (seed, mode)
+            assert gone <= got.bank, (seed, mode)
+            assert not any(gone & col.keys() for col in warm.cells.values()), (seed, mode)
+            asked += bool(gone and warm.cells)
+    assert states >= 40 and asked >= 100, (states, asked)

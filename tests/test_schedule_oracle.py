@@ -6,6 +6,8 @@ optimality and the legality of the fast kernel.
 """
 
 import random
+from collections import Counter
+from itertools import permutations
 
 from ftlopt.model import (
     CostModel,
@@ -16,10 +18,15 @@ from ftlopt.model import (
     TimeWindow,
     TravelMatrix,
 )
-from ftlopt.oracle import brute_force_schedule, check_schedule_rules, check_sunday_rests
-from ftlopt.schedule import Infeasible, simulate_trip
+from ftlopt.oracle import (
+    brute_force_frontiers,
+    brute_force_schedule,
+    check_schedule_rules,
+    check_sunday_rests,
+)
+from ftlopt.schedule import Infeasible, Simulator, simulate_trip
 
-from helpers import trip_case
+from helpers import blackout_pickup, kernel_case, trip_case
 
 
 def oracle_minutes(instance, seq):
@@ -152,3 +159,33 @@ def test_window_safety_on_random_trips():
                 node.service_start >= w.start and node.departure <= w.end for w in wins
             )
     assert checked >= 30
+
+
+def test_a_request_no_fresh_vehicle_serves_fits_no_sequence():
+    # repair banks a request up front when build_trip((rid,)) is None: a
+    # fresh vehicle's label at the pickup dominates any a trip brings there.
+    # The oracle, which shares no code with the kernel, must then find no
+    # schedule for any sequence of up to three requests that holds rid
+    rng = random.Random(23)
+    hits = Counter()
+    for case in range(60):
+        make = trip_case if case % 2 else kernel_case
+        inst, _seq = make(rng.randrange(10_000_000))
+        edited = None
+        if case % 3 == 0:
+            inst, edited = blackout_pickup(inst, rng)
+        sim = Simulator(inst)
+        ids = [r.id for r in inst.requests]
+        for rid in ids:
+            if sim.build_trip((rid,)) is not None:
+                continue
+            hits["unservable"] += 1
+            hits["blackout"] += rid == edited
+            others = [o for o in ids if o != rid]
+            for n in range(3):
+                for rest in permutations(others, n):
+                    for i in range(n + 1):
+                        seq = rest[:i] + (rid,) + rest[i:]
+                        fronts = brute_force_frontiers(seq, inst)
+                        assert isinstance(fronts, Infeasible), (case, seq, fronts[-1])
+    assert hits["blackout"] >= 5 and hits["unservable"] > hits["blackout"], hits
