@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Commands: transform, solve, compare, oracle, emit-lp.  Exit codes:
-0 success, 2 input error or an --out that cannot be written, 3 configuration
-error.
+0 success, 2 input error or an --out or --out-dir that cannot be written,
+3 configuration error.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def cmd_solve(args) -> int:
         result, solution, report = scenarios.scenario_mixed(instance, cfg)
     doc = scenarios.solution_to_dict(solution)
     doc["scenario"] = result.scenario
-    doc["kpis"] = result.csv_row()
+    doc["kpis"] = ",".join(result.csv_row())
     if result.residual:
         doc["residual"] = result.residual
     write_text(args.out, json.dumps(doc, indent=2))
@@ -63,7 +63,7 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args)
     rows = scenarios.compare(instance, cfg, args.out_dir)
     for row in rows:
-        print(row.csv_row())
+        print(",".join(row.csv_row()))
     return 0
 
 
@@ -131,6 +131,14 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None)
     if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
         print(f"output error: {out} is not a file in an existing directory", file=sys.stderr)
+        return 2
+    # and so does an --out-dir whose nearest existing path is not a directory
+    out_dir = getattr(args, "out_dir", None)
+    head = os.path.abspath(out_dir or ".")
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        print(f"output error: {out_dir} is not a directory and cannot be one", file=sys.stderr)
         return 2
     try:
         return args.func(args)

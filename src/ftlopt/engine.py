@@ -27,6 +27,7 @@ from .model import (
     _shown,
     _str,
     _whole,
+    fmt_money,
     read_json,
     validate_solution,
     write_text,
@@ -49,10 +50,6 @@ class ConfigError(ValueError):
 
 DEFAULT_REMOVAL_OPS = ("rrr", "srr", "shaw", "shaw_tw", "tsr", "rsr")
 DEFAULT_INSERTION_OPS = ("greedy", "regret4", "regret5", "regret6")
-
-# Cached insertion cells, the largest cache, above which run() drops every
-# cache at the next segment end; caches are pure, so results do not change.
-MAX_CACHED_CELLS = 400_000
 
 # Bounds on run configuration values.  The cooling factor is
 # sa_end_fraction ** (1 / max_iterations), so max_iterations must stay a
@@ -249,14 +246,14 @@ class RunReport:
 def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution, RunReport]:
     """Execute the full search and return the best solution found."""
     rng = random.Random(config.seed)
-    sim = Simulator(instance)
-    ev = InsertionEvaluator(sim)
+    ev = InsertionEvaluator(Simulator(instance))
+    ks = [insertion_k(name) for name in config.insertion_ops]
 
     removal_stats = [OperatorStats(name) for name in config.removal_ops]
     insertion_stats = [OperatorStats(name) for name in config.insertion_ops]
 
     start = time.perf_counter()
-    current = build_initial(instance, sim)
+    current = build_initial(ev)
     best = current
     t0, cooling = temperature_schedule(config, current.cost_total)
     temperature = t0
@@ -266,25 +263,17 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
     report.trace.append(TraceRow(0, current.cost_total, best.cost_total, temperature))
     stopped_early = False
 
-    repair_memo: dict = {}
     for it in range(1, config.max_iterations + 1):
         ri = roulette([s.weight for s in removal_stats], rng)
         ii = roulette([s.weight for s in insertion_stats], rng)
         q = removal_count(config.psi, xi, current.planned_count)
-        trips, removed = REMOVAL_OPERATORS[config.removal_ops[ri]](sim, current, q, rng)
+        trips, removed = REMOVAL_OPERATORS[config.removal_ops[ri]](ev.sim, current, q, rng)
         # repair is a pure function of this key; revisited states are free
-        memo_key = (
-            tuple(t.requests for t in trips),
-            tuple(sorted(removed)),
-            current.bank,
-            config.insertion_ops[ii],
-        )
-        candidate = repair_memo.get(memo_key)
+        unassigned = current.bank.union(removed)
+        memo_key = (tuple(t.requests for t in trips), unassigned, ks[ii])
+        candidate = ev.repairs.get(memo_key)
         if candidate is None:
-            candidate = repair(
-                sim, trips, current.bank, removed, mode=config.insertion_ops[ii], evaluator=ev
-            )
-            repair_memo[memo_key] = candidate
+            candidate = ev.repairs[memo_key] = repair(ev, trips, unassigned, ks[ii])
         ok = accept(current.cost_total, candidate.cost_total, temperature, rng)
         score = 0
         if candidate.cost_total < best.cost_total:
@@ -319,9 +308,6 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
                     s.segment_score = 0
                     s.segment_uses = 0
             report.trace.append(TraceRow(it, current.cost_total, best.cost_total, temperature))
-            if sum(map(len, ev.cells.values())) > MAX_CACHED_CELLS:
-                ev.clear()
-                repair_memo.clear()
         if config.max_seconds is not None and time.perf_counter() - start > config.max_seconds:
             stopped_early = True
             report.iterations = it
@@ -342,8 +328,8 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
 def write_report(report: RunReport, json_path: str, trace_csv_path: str) -> None:
     write_text(json_path, json.dumps(report.to_dict(), indent=2))
     rows = (
-        f"{row.iteration},{row.current_cents / 100:.2f},"
-        f"{row.best_cents / 100:.2f},{row.temperature:.6f}"
+        f"{row.iteration},{fmt_money(row.current_cents)},"
+        f"{fmt_money(row.best_cents)},{row.temperature:.6f}"
         for row in report.trace
     )
     write_text(trace_csv_path, "\n".join(("iteration,current_cost,best_cost,temperature", *rows)))

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import Instance, Solution, Trip
 from .schedule import Simulator
@@ -30,38 +30,53 @@ def removal_count(psi: int, xi: Fraction, planned: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# insertion evaluation (one evaluator is shared by every repair of a run)
+# insertion evaluation (one evaluator holds the caches of a run)
+
+
+# Cached insertion cells above which the evaluator drops every cache of the
+# search at its next column; caches are pure, so results do not change.
+MAX_CACHED_CELLS = 400_000
 
 
 class InsertionEvaluator:
-    """Cached exact insertion costs: one table per trip sequence, holding
-    each asked request's best feasible (delta_d10, position) or None.
+    """The caches of one search: exact insertion costs, one table per trip
+    sequence holding each asked request's best feasible (delta_d10,
+    position) or None, the repair memo and the simulator's caches.
 
     A changed trip has a new sequence and so a fresh table, and every
     uncached cell is a full sweep of `Simulator.best_insertions`; cached and
-    fresh cells always agree because cells are pure.  The evaluator owns the
-    search's caches, the simulator's included, and `clear` drops them all.
+    fresh cells always agree because cells are pure, and so does a memoised
+    repair.  `column` counts the cells it adds and drops every cache once
+    that count passes MAX_CACHED_CELLS, so memory stays bounded.
     """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         # trip sequence -> {request id: best (delta_d10, pos) or None}
         self.cells: dict[tuple[int, ...], dict[int, Optional[tuple[int, int]]]] = {}
+        # (trip sequences, frozenset of requests to place, k) -> repair's solution
+        self.repairs: dict[tuple, Solution] = {}
+        self.added = 0  # cells added since the last drop
 
     def clear(self) -> None:
         """Drop every cached value; later results are unchanged (bounds memory)."""
         self.cells.clear()
+        self.repairs.clear()
         self.sim.clear_caches()
+        self.added = 0
 
     def column(self, rids: Sequence[int], trip: Trip) -> list[Optional[tuple[int, int]]]:
         """Best feasible (delta_d10, position) of each request in this trip,
         or None, in the order of rids (distinct request ids); uncached cells
         are evaluated together."""
+        if self.added > MAX_CACHED_CELLS:
+            self.clear()
         col = self.cells.get(trip.requests)
         if col is None:
             col = self.cells[trip.requests] = {}
         fresh = [rid for rid in rids if rid not in col]
         if fresh:
+            self.added += len(fresh)
             col.update(zip(fresh, self.sim.best_insertions(trip, [(rid, None) for rid in fresh])))
         return [col[rid] for rid in rids]
 
@@ -294,48 +309,41 @@ def _regret_value(values: list[int], k: int, cap: int) -> int:
 
 def insertion_k(mode: str) -> int:
     """k of an insertion operator name: 0 for "greedy", k for "regret<k>",
-    where k is written in ASCII digits without a leading zero.
+    where k >= 2 is written in ASCII digits without a leading zero.
 
-    Raises ValueError for any other name and for k < 2.
+    Raises ValueError for any other name, and for a k with more digits than
+    int() converts.
     """
     if mode == "greedy":
         return 0
-    digits = re.fullmatch(r"regret([1-9][0-9]*)", mode)
+    digits = re.fullmatch(r"regret([2-9]|[1-9][0-9]+)", mode)
     if digits is None:
         raise ValueError(f"unknown insertion operator {mode!r}")
-    k = int(digits[1])
-    if k < 2:
-        raise ValueError("regret operators need k >= 2")
-    return k
+    return int(digits[1])
 
 
 def repair(
-    sim: Simulator,
-    trips: Sequence[Trip],
-    bank: Sequence[int],
-    removed: Sequence[int],
-    mode: str = "greedy",
-    evaluator: Optional[InsertionEvaluator] = None,
+    ev: InsertionEvaluator, trips: Sequence[Trip], unassigned: Iterable[int], k: int
 ) -> Solution:
-    """Re-plan every unassigned shipment and return a complete solution.
+    """Place every request of `unassigned` into the trips and return a
+    complete solution; cells come from the run's evaluator `ev`.
 
-    mode is "greedy" or "regret<k>".  Each round picks the next shipment,
-    inserts it when cheaper than its outsourcing price, otherwise opens a
-    new trip only if all current trips are utilised up to the minimum
-    distance and the new trip itself is no dearer than outsourcing; the
-    fallback is the outsourcing bank.  Ties go to the lowest request id,
-    then the lowest trip index.  A shipment that no vehicle can serve even
-    alone goes to the bank before any round.  A final pass dissolves trips
-    that ended below the minimum distance.
+    k is the insertion k of `insertion_k`: 0 for greedy, else regret-k.
+    Each round picks the next shipment, inserts it when cheaper than its
+    outsourcing price, otherwise opens a new trip only if all current trips
+    are utilised up to the minimum distance and the new trip itself is no
+    dearer than outsourcing; the fallback is the outsourcing bank.  Ties go
+    to the lowest request id, then the lowest trip index.  A shipment that
+    no vehicle can serve even alone goes to the bank before any round.  A
+    final pass dissolves trips that ended below the minimum distance.
     """
+    sim = ev.sim
     instance = sim.instance
-    ev = evaluator or InsertionEvaluator(sim)
     kappa = instance.cost.kappa_cents
     mu = instance.mu_d10
-    k = insertion_k(mode)
 
     trips = list(trips)
-    solo = {cand: sim.build_trip((cand,)) for cand in set(bank) | set(removed)}
+    solo = {cand: sim.build_trip((cand,)) for cand in unassigned}
     # a request that no fresh vehicle can serve alone fits no trip either:
     # the fresh vehicle's label at its pickup dominates every label a trip
     # can bring there, so it has no cell anywhere and goes to the bank
@@ -446,8 +454,7 @@ def repair(
     )
 
 
-def build_initial(instance: Instance, sim: Optional[Simulator] = None) -> Solution:
-    """Greedy construction from the everything-outsourced start."""
-    sim = sim or Simulator(instance)
-    all_ids = [r.id for r in instance.requests]
-    return repair(sim, [], [], all_ids, mode="greedy")
+def build_initial(ev: InsertionEvaluator) -> Solution:
+    """Greedy construction from the everything-outsourced start, through
+    the run's evaluator, whose caches the search then reuses."""
+    return repair(ev, [], [r.id for r in ev.sim.instance.requests], 0)

@@ -7,6 +7,7 @@ decide.  `compare` runs all three and writes CSV reports.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import signal
@@ -40,23 +41,22 @@ class ScenarioResult:
     cpu_s: float
     residual: int = 0  # all-fct only: requests no vehicle could serve
 
-    def csv_row(self) -> str:
-        return ",".join(
-            (
-                self.scenario,
-                fmt_money(self.total_cents),
-                fmt_money(self.vehicle_cents),
-                fmt_money(self.outsourced_cents),
-                str(self.vehicles),
-                fmt_km(self.loaded_d10),
-                fmt_km(self.empty_d10),
-                fmt_km(self.outsourced_d10),
-                f"{self.pct_own:.1f}",
-                fmt_km(self.min_d10),
-                f"{self.avg_km:.1f}",
-                fmt_km(self.max_d10),
-                f"{self.cpu_s:.2f}",
-            )
+    def csv_row(self) -> tuple[str, ...]:
+        """The KPI fields of compare.csv's row, in CSV_HEADER's order."""
+        return (
+            self.scenario,
+            fmt_money(self.total_cents),
+            fmt_money(self.vehicle_cents),
+            fmt_money(self.outsourced_cents),
+            str(self.vehicles),
+            fmt_km(self.loaded_d10),
+            fmt_km(self.empty_d10),
+            fmt_km(self.outsourced_d10),
+            f"{self.pct_own:.1f}",
+            fmt_km(self.min_d10),
+            f"{self.avg_km:.1f}",
+            fmt_km(self.max_d10),
+            f"{self.cpu_s:.2f}",
         )
 
 
@@ -226,6 +226,25 @@ def _run_searches(instance: Instance, fct_config: AlnsConfig, mixed_config: Alns
     return payload, mixed
 
 
+class _Echo:
+    """A file whose write returns its text, so that csv.writer's writerow
+    returns the row it wrote."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """A CSV file of a header (plain column names) and rows of fields.
+
+    csv.writer quotes only a field that holds a comma, a quote or a line
+    end; it ends each row with CRLF, so it quotes a field that holds either
+    character, and that CRLF becomes the file's LF.
+    """
+    writer = csv.writer(_Echo())
+    write_text(path, "\n".join((header, *(writer.writerow(row)[:-2] for row in rows))))
+
+
 def compare(instance: Instance, config: AlnsConfig, out_dir: str) -> list[ScenarioResult]:
     """Run all three scenarios and write compare.csv plus summary.csv.
 
@@ -243,10 +262,7 @@ def compare(instance: Instance, config: AlnsConfig, out_dir: str) -> list[Scenar
     )
 
     rows = [sm_result, fct_result, mixed_result]
-    write_text(
-        os.path.join(out_dir, "compare.csv"),
-        "\n".join((CSV_HEADER, *(row.csv_row() for row in rows))),
-    )
+    _write_csv(os.path.join(out_dir, "compare.csv"), CSV_HEADER, [row.csv_row() for row in rows])
     # one-line overview in the nothing | everything | mixed layout
     summary = (
         instance.name or "instance",
@@ -262,11 +278,12 @@ def compare(instance: Instance, config: AlnsConfig, out_dir: str) -> list[Scenar
         fmt_money(mixed_result.outsourced_cents),
         fmt_money(mixed_result.total_cents),
     )
-    write_text(
+    _write_csv(
         os.path.join(out_dir, "summary.csv"),
         "instance,nothing_km,nothing_cost,everything_km,everything_cost,"
         "mixed_pct_req,mixed_loaded_km,mixed_empty_km,mixed_vehicle_cost,"
-        "mixed_outsourced_km,mixed_outsourced_cost,mixed_total_cost\n" + ",".join(summary),
+        "mixed_outsourced_km,mixed_outsourced_cost,mixed_total_cost",
+        [summary],
     )
 
     for tag, solution, report in (

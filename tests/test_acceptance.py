@@ -24,7 +24,13 @@ from ftlopt.instances import (
     write_instance,
 )
 from ftlopt.model import DEFAULT_SM_TIERS, RegParams, fmt_money, solution_cost, validate_solution
-from ftlopt.operators import REMOVAL_OPERATORS, build_initial, removal_count, repair
+from ftlopt.operators import (
+    REMOVAL_OPERATORS,
+    InsertionEvaluator,
+    build_initial,
+    removal_count,
+    repair,
+)
 from ftlopt.oracle import (
     brute_force,
     brute_force_schedule,
@@ -119,7 +125,7 @@ def test_criterion_4_lp_soundness():
     while checked < 200:
         instance = micro_instance(rng.randrange(1_000_000))
         if checked % 2:
-            solution = build_initial(instance)
+            solution = build_initial(InsertionEvaluator(Simulator(instance)))
         else:
             solution, _rep = run(instance, AlnsConfig(max_iterations=60, seed=checked))
         graph = build_arc_graph(instance)
@@ -246,7 +252,7 @@ def test_criterion_8_property_suites():
     for seed in range(8):
         instance = micro_instance(seed)
         sim = Simulator(instance)
-        solution = build_initial(instance)
+        solution = build_initial(InsertionEvaluator(Simulator(instance)))
         all_ids = sorted(r.id for r in instance.requests)
         if solution.planned_count:
             q = removal_count(100, Fraction("0.35"), solution.planned_count)
@@ -254,7 +260,7 @@ def test_criterion_8_property_suites():
             for name, op in REMOVAL_OPERATORS.items():
                 trips, removed = op(sim, solution, q, random.Random(seed))
                 assert 1 <= len(removed) <= q + biggest - 1 or len(removed) == len(all_ids)
-                fixed = repair(sim, trips, solution.bank, removed, mode="regret4")
+                fixed = repair(InsertionEvaluator(sim), trips, {*solution.bank, *removed}, 4)
                 assert sorted(fixed.planned_ids() + sorted(fixed.bank)) == all_ids
                 assert validate_solution(instance, fixed) == []
 

@@ -8,9 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ftlopt import operators
 from ftlopt.engine import (
     AlnsConfig,
     ConfigError,
+    RunReport,
+    TraceRow,
     accept,
     config_from_dict,
     load_config,
@@ -20,9 +23,10 @@ from ftlopt.engine import (
 )
 from ftlopt.instances import read_instance
 from ftlopt.model import validate_solution
-from ftlopt.operators import build_initial
+from ftlopt.operators import InsertionEvaluator, build_initial
+from ftlopt.schedule import Simulator
 
-from helpers import micro_instance, time_limit
+from helpers import fleet_instance, micro_instance, time_limit
 
 
 class TestConfig:
@@ -159,7 +163,7 @@ class TestRun:
     def test_zero_iterations_returns_initial(self):
         inst = micro_instance(1)
         best, report = run(inst, AlnsConfig(max_iterations=0, seed=1))
-        assert best == build_initial(inst)
+        assert best == build_initial(InsertionEvaluator(Simulator(inst)))
         assert report.best_cents == best.cost_total
 
     def test_fixed_seed_reproducible(self):
@@ -213,6 +217,15 @@ class TestRun:
         assert lines[0] == "iteration,current_cost,best_cost,temperature"
         assert len(lines) == 1 + len(report.trace)
 
+    def test_trace_money_is_exact(self, tmp_path):
+        # the float cents / 100 prints ...83.94 for this sum, within the
+        # bounds of 100 requests at up to 10^12 EUR each
+        report = RunReport(1, 7_599_752_540_538_393, 7_599_752_540_538_393)
+        report.trace.append(TraceRow(1, 7_599_752_540_538_393, 7_599_752_540_538_393, 1.0))
+        cp = tmp_path / "r.csv"
+        write_report(report, str(tmp_path / "r.json"), str(cp))
+        assert cp.read_text().splitlines()[1] == "1,75997525405383.93,75997525405383.93,1.000000"
+
     def test_empty_instance_runs(self):
         import dataclasses
 
@@ -225,6 +238,37 @@ class TestRun:
         inst = micro_instance(11)
         _best, report = run(inst, AlnsConfig(max_iterations=100_000, seed=11, max_seconds=0.3))
         assert report.stopped_early
+
+    def test_caches_stay_bounded_without_segment_ends(self, monkeypatch):
+        # no segment end falls inside these runs; the evaluator still drops
+        # every cache once it has added more cells than the bound, and since
+        # caches are pure the search is the one whose caches never drop
+        inst = fleet_instance(0)
+        cfg = AlnsConfig(max_iterations=300, segment_length=10**9, seed=0)
+        drops, held = [], []
+        clear, column = InsertionEvaluator.clear, InsertionEvaluator.column
+
+        def counted_column(ev, rids, trip):
+            out = column(ev, rids, trip)
+            held.append(sum(map(len, ev.cells.values())))
+            return out
+
+        monkeypatch.setattr(InsertionEvaluator, "clear", lambda ev: drops.append(clear(ev)))
+        monkeypatch.setattr(InsertionEvaluator, "column", counted_column)
+
+        def search():
+            best, report = run(inst, cfg)
+            return best, [(r.iteration, r.current_cents, r.best_cents, r.temperature)
+                          for r in report.trace]
+
+        unbounded = search()
+        assert not drops and max(held) > 100
+        monkeypatch.setattr(operators, "MAX_CACHED_CELLS", 20)
+        held.clear()
+        assert search() == unbounded
+        assert drops
+        # one column adds at most one cell per request
+        assert max(held) <= 20 + len(inst.requests)
 
     def test_stop_on_a_segment_end_writes_one_row(self):
         # the stop comes after iteration 1, which is also a segment end

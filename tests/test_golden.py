@@ -2,10 +2,11 @@
 
 `tests/data/golden_search.json` holds, per run, the best solution's trip
 sequences and bank, its cost and every trace row, recorded with the default
-cache bound.  The `/segment5` runs end a segment every five iterations, the
-point where the search may drop its caches; they are checked with every
-cache dropped at every segment end.  Regenerate the file only for a change
-that is meant to alter fixed-seed results, with
+cache bound.  The `/segment5` runs end a segment every five iterations;
+they are checked with the cache bound at zero, so that the evaluator drops
+every cache of the search, inside repairs too, at nearly every column it is
+asked.  Regenerate the file only for a change that is meant to alter
+fixed-seed results, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,7 +15,7 @@ import json
 import os
 from dataclasses import replace
 
-from ftlopt import engine
+from ftlopt import engine, operators
 from ftlopt.engine import AlnsConfig
 from ftlopt.instances import parse_gh, transform
 from ftlopt.operators import InsertionEvaluator
@@ -80,13 +81,14 @@ def test_dropping_caches_at_every_segment_end_keeps_results(monkeypatch):
     micro = micro_records()
     clears = []
     clear = InsertionEvaluator.clear
-    monkeypatch.setattr(engine, "MAX_CACHED_CELLS", 0)
+    monkeypatch.setattr(operators, "MAX_CACHED_CELLS", 0)
     monkeypatch.setattr(InsertionEvaluator, "clear", lambda ev: clears.append(clear(ev)))
     assert micro_records() == micro
     for name in SEGMENT5_RUNS:
         assert run_record(name) == golden[name], name
-    # one drop at every segment end: 60 per micro run, 12 and 30 on the desk
-    assert len(clears) == 30 * 60 + 12 + 30
+    # with the bound at zero, every column after one that added a cell
+    # drops every cache first, segment ends or not
+    assert len(clears) == 46_329
 
 
 if __name__ == "__main__":

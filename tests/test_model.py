@@ -168,9 +168,9 @@ class TestSolutionCost:
 
     def test_cached_equals_recomputed(self):
         inst = micro_instance(3)
-        from ftlopt.operators import build_initial
+        from ftlopt.operators import InsertionEvaluator, build_initial
 
-        sol = build_initial(inst)
+        sol = build_initial(InsertionEvaluator(Simulator(inst)))
         got = solution_cost(inst, sol)
         assert (got.vehicles, got.outsourced, got.total) == (
             sol.cost_vehicles,
@@ -182,9 +182,9 @@ class TestSolutionCost:
 class TestValidate:
     def test_feasible_solution_clean(self):
         inst = three_request_instance()
-        from ftlopt.operators import build_initial
+        from ftlopt.operators import InsertionEvaluator, build_initial
 
-        sol = build_initial(inst)
+        sol = build_initial(InsertionEvaluator(Simulator(inst)))
         assert validate_solution(inst, sol) == []
 
     def test_min_distance_violation(self):
@@ -203,9 +203,9 @@ class TestValidate:
         # it emits: one whose first service starts a minute late, so that it
         # no longer ends sigma before the departure, is a violation
         inst = three_request_instance()
-        from ftlopt.operators import build_initial
+        from ftlopt.operators import InsertionEvaluator, build_initial
 
-        sol = build_initial(inst)
+        sol = build_initial(InsertionEvaluator(Simulator(inst)))
         assert sol.trips
         real = schedule.simulate_trip
 
@@ -241,8 +241,8 @@ class TestTripDistances:
 
     def test_partition_property_multiset(self):
         inst = micro_instance(11)
-        from ftlopt.operators import build_initial
+        from ftlopt.operators import InsertionEvaluator, build_initial
 
-        sol = build_initial(inst)
+        sol = build_initial(InsertionEvaluator(Simulator(inst)))
         seen = sorted(sol.planned_ids() + sorted(sol.bank))
         assert seen == sorted(r.id for r in inst.requests)

@@ -265,7 +265,7 @@ class TestRepair:
     def test_insert_when_cheaper_than_outsourcing(self):
         inst = line_instance(2, gap=10, sm_level=2.0)
         sol, sim = planned_solution(inst, [(1,)])
-        out = repair(sim, list(sol.trips), [], [2], mode="greedy")
+        out = repair(InsertionEvaluator(sim), list(sol.trips), [2], 0)
         assert out.planned_count == 2
         assert not out.bank
 
@@ -283,7 +283,7 @@ class TestRepair:
         inst = Instance(reqs, matrix, cost, RegParams(), 99_000_000, Horizon(0, 12))
         sim = Simulator(inst)
         base = sim.build_trip((1,))
-        out = repair(sim, [base], [], [2], mode="greedy")
+        out = repair(InsertionEvaluator(sim), [base], [2], 0)
         assert 2 in out.bank
 
     def test_regret_formula_example(self):
@@ -317,26 +317,26 @@ class TestRepair:
             tight = dataclasses.replace(inst, requests=reqs)
             sim2 = Simulator(tight)
             base2 = sim2.build_trip((1,))
-            out = repair(sim2, [base2], [], [2], mode="greedy")
+            out = repair(InsertionEvaluator(sim2), [base2], [2], 0)
             for t in out.trips:
                 assert t.requests in ((1,), (2,))  # rode alone or banked, never together
 
     def test_closure_property(self):
         for seed in range(12):
             inst = micro_instance(seed)
-            sol = build_initial(inst)
+            sol = build_initial(InsertionEvaluator(Simulator(inst)))
             sim = Simulator(inst)
             rng = random.Random(seed)
             for name in ("rrr", "rsr", "shaw", "tsr"):
                 trips, removed = REMOVAL_OPERATORS[name](sim, sol, 2, rng)
-                fixed = repair(sim, trips, sol.bank, removed, mode="regret4")
+                fixed = repair(InsertionEvaluator(sim), trips, {*sol.bank, *removed}, 4)
                 seen = sorted(fixed.planned_ids() + sorted(fixed.bank))
                 assert seen == sorted(r.id for r in inst.requests)
 
     def test_removal_bound_property(self):
         for seed in range(12):
             inst = micro_instance(seed, mu_mode="small")
-            sol = build_initial(inst)
+            sol = build_initial(InsertionEvaluator(Simulator(inst)))
             if sol.planned_count == 0:
                 continue
             sim = Simulator(inst)
@@ -348,7 +348,7 @@ class TestRepair:
 
     def test_sub_mu_trips_dissolved(self):
         inst = line_instance(3, gap=10, sm_level=2.0, mu=99_000_000)
-        out = build_initial(inst)
+        out = build_initial(InsertionEvaluator(Simulator(inst)))
         assert out.trips == ()
         assert len(out.bank) == 3
 
@@ -356,19 +356,19 @@ class TestRepair:
 class TestBuildInitial:
     def test_all_banked_when_vehicles_unprofitable(self):
         inst = line_instance(3, gap=4000, sm_level=0.5)
-        out = build_initial(inst)
+        out = build_initial(InsertionEvaluator(Simulator(inst)))
         assert out.planned_count == 0
         assert out.cost_total == sum(r.sm_price_cents for r in inst.requests)
 
     def test_single_request_served_when_profitable(self):
         inst = line_instance(1, sm_level=2.0, mu=0)
-        out = build_initial(inst)
+        out = build_initial(InsertionEvaluator(Simulator(inst)))
         assert [t.requests for t in out.trips] == [(1,)]
 
     def test_never_worse_than_all_outsourced(self):
         for seed in range(20):
             inst = micro_instance(seed)
-            out = build_initial(inst)
+            out = build_initial(InsertionEvaluator(Simulator(inst)))
             assert out.cost_total <= sum(r.sm_price_cents for r in inst.requests)
 
 
@@ -378,13 +378,13 @@ class TestEvaluatorConsistency:
             inst = micro_instance(seed)
             sim = Simulator(inst)
             warm = InsertionEvaluator(sim)
-            sol = build_initial(inst)
+            sol = build_initial(InsertionEvaluator(Simulator(inst)))
             rng = random.Random(seed)
             trips, removed = remove_random_shipments(sim, sol, 2, rng)
-            a = repair(sim, trips, sol.bank, removed, mode="regret4", evaluator=warm)
-            b = repair(sim, trips, sol.bank, removed, mode="regret4", evaluator=None)
+            a = repair(warm, trips, {*sol.bank, *removed}, 4)
+            b = repair(InsertionEvaluator(sim), trips, {*sol.bank, *removed}, 4)
             assert a == b
-            c = repair(sim, trips, sol.bank, removed, mode="regret4", evaluator=warm)
+            c = repair(warm, trips, {*sol.bank, *removed}, 4)
             assert a == c
 
     def test_matrix_matches_naive_scan(self):
@@ -393,7 +393,7 @@ class TestEvaluatorConsistency:
             inst = micro_instance(seed)
             sim = Simulator(inst)
             ev = InsertionEvaluator(sim)
-            sol = build_initial(inst)
+            sol = build_initial(InsertionEvaluator(Simulator(inst)))
             for trip in sol.trips:
                 for r in inst.requests:
                     if r.id in trip.requests:

@@ -20,7 +20,7 @@ from ftlopt.model import (
     TravelMatrix,
     solution_cost,
 )
-from ftlopt.operators import build_initial
+from ftlopt.operators import InsertionEvaluator, build_initial
 from ftlopt.oracle import (
     TooLarge,
     brute_force,
@@ -214,7 +214,7 @@ class TestLp:
         checked = 0
         while checked < 60:
             inst = micro_instance(rng.randrange(1_000_000))
-            sol = build_initial(inst)
+            sol = build_initial(InsertionEvaluator(Simulator(inst)))
             graph = build_arc_graph(inst)
             assert check_lp_assignment(graph, inst, sol) == []
             got = lp_objective_cents(graph, inst, sol)
@@ -291,7 +291,7 @@ class TestLpFile:
     def test_micro_solutions_satisfy_the_file(self, tmp_path):
         for seed in range(20):
             inst = micro_instance(seed, mu_mode="large" if seed % 4 == 3 else "small")
-            self.check_file(inst, build_initial(inst), tmp_path)
+            self.check_file(inst, build_initial(InsertionEvaluator(Simulator(inst))), tmp_path)
             searched, _rep = run(inst, AlnsConfig(max_iterations=40, seed=seed))
             self.check_file(inst, searched, tmp_path)
 
@@ -301,5 +301,5 @@ class TestLpFile:
             inst = transform(parse_gh(fh.read()))
         searched, _rep = run(inst, AlnsConfig(max_iterations=30, seed=1))
         assert searched.trips
-        for sol in (build_initial(inst), searched):
+        for sol in (build_initial(InsertionEvaluator(Simulator(inst))), searched):
             assert self.check_file(inst, sol, tmp_path) > len(inst.requests)

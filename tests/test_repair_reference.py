@@ -11,7 +11,13 @@ import random
 from collections import Counter
 
 from ftlopt.model import Solution
-from ftlopt.operators import REMOVAL_OPERATORS, InsertionEvaluator, build_initial, repair
+from ftlopt.operators import (
+    REMOVAL_OPERATORS,
+    InsertionEvaluator,
+    build_initial,
+    insertion_k,
+    repair,
+)
 from ftlopt.schedule import Simulator
 
 from helpers import blackout_pickup, fleet_instance, micro_instance
@@ -212,16 +218,16 @@ def test_repair_matches_reference_on_random_states():
             rng.randrange(1_000_000), mu_mode=rng.choice(("small", "large")), levels=levels
         )
         sim = Simulator(instance)
-        start = build_initial(instance, sim)
+        start = build_initial(InsertionEvaluator(sim))
         op = rng.choice(list(REMOVAL_OPERATORS))
         q = rng.randint(1, max(1, start.planned_count))
         trips, removed = REMOVAL_OPERATORS[op](sim, start, q, rng)
         for mode in ("greedy", "regret2", "regret4", "regret6"):
             warm = InsertionEvaluator(sim)
-            got = repair(sim, trips, start.bank, removed, mode=mode, evaluator=warm)
+            got = repair(warm, trips, {*start.bank, *removed}, insertion_k(mode))
             want = reference_repair(sim, trips, start.bank, removed, mode, outcomes)
             assert got == want, (case, op, mode)
-            again = repair(sim, trips, start.bank, removed, mode=mode, evaluator=warm)
+            again = repair(warm, trips, {*start.bank, *removed}, insertion_k(mode))
             assert again == got, (case, mode, "warm cache changed the result")
     assert OUTCOMES <= set(outcomes), outcomes
 
@@ -240,7 +246,7 @@ def fleet_state(seed, blackout=False):
         instance = blackout_pickup(instance, rng)[0]
     sim = Simulator(instance)
     if rng.random() < 0.5:
-        start = build_initial(instance, sim)
+        start = build_initial(InsertionEvaluator(sim))
         op = rng.choice(list(REMOVAL_OPERATORS))
         q = rng.randint(1, max(1, start.planned_count))
         trips, removed = REMOVAL_OPERATORS[op](sim, start, q, rng)
@@ -271,10 +277,10 @@ def test_repair_matches_reference_on_fleet_states():
         events["several trips"] += len(trips) > 1
         for mode in ("greedy", "regret2", "regret4", "regret6"):
             warm = InsertionEvaluator(sim)
-            got = repair(sim, trips, bank, removed, mode=mode, evaluator=warm)
+            got = repair(warm, trips, {*bank, *removed}, insertion_k(mode))
             want = reference_repair(sim, trips, bank, removed, mode, outcomes, events)
             assert got == want, (seed, mode)
-            again = repair(sim, trips, bank, removed, mode=mode, evaluator=warm)
+            again = repair(warm, trips, {*bank, *removed}, insertion_k(mode))
             assert again == got, (seed, mode, "warm cache changed the result")
     assert OUTCOMES <= set(outcomes), outcomes
     assert events["several trips"] >= 50 and events["spare flip"] and events[
@@ -293,7 +299,7 @@ def test_requests_no_vehicle_serves_are_banked_without_being_asked():
         states += bool(gone)
         for mode in ("greedy", "regret2", "regret4", "regret6"):
             warm = InsertionEvaluator(sim)
-            got = repair(sim, trips, bank, removed, mode=mode, evaluator=warm)
+            got = repair(warm, trips, {*bank, *removed}, insertion_k(mode))
             want = reference_repair(sim, trips, bank, removed, mode, outcomes)
             assert got == want, (seed, mode)
             assert gone <= got.bank, (seed, mode)

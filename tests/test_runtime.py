@@ -68,3 +68,12 @@ def test_each_type_checks_itself_only_when_built():
     # search checks a part by hand
     found = calls(lambda callee: callee.rpartition(".")[2] == "check")
     assert found == [("engine.py", "__post_init__", ""), ("model.py", "__post_init__", "")]
+
+
+def test_the_evaluator_alone_drops_the_caches_of_a_search():
+    # InsertionEvaluator.clear is the one call that drops the simulator's
+    # caches, and the engine holds no cache that it would have to drop
+    found = calls(lambda callee: callee.rpartition(".")[2] == "clear_caches")
+    assert found == [("operators.py", "clear", "")]
+    found = calls(lambda callee: callee.rpartition(".")[2] == "clear")
+    assert [call for call in found if call[0] == "engine.py"] == []

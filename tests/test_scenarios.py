@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -73,11 +74,12 @@ class TestAllSm:
         assert result.total_cents == 0
 
     def test_upper_bounds_initial_solution(self):
-        from ftlopt.operators import build_initial
+        from ftlopt.operators import InsertionEvaluator, build_initial
+        from ftlopt.schedule import Simulator
 
         inst = micro_instance(14)
         result, _sol = scenario_all_sm(inst)
-        assert build_initial(inst).cost_total <= result.total_cents
+        assert build_initial(InsertionEvaluator(Simulator(inst))).cost_total <= result.total_cents
 
 
 class TestAllFct:
@@ -173,6 +175,15 @@ class TestCompare:
 
         assert strip_cpu(a_dir / "compare.csv") == strip_cpu(b_dir / "compare.csv")
         assert (a_dir / "summary.csv").read_bytes() == (b_dir / "summary.csv").read_bytes()
+
+    def test_summary_quotes_the_instance_name(self, tmp_path):
+        # a comma, a quote and line ends in the name stay inside one field
+        name = 'C1,2\n"1"\r'
+        compare(replace(micro_instance(21), name=name), AlnsConfig(max_iterations=20), str(tmp_path))
+        with open(tmp_path / "summary.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [12, 12]
+        assert rows[0][0] == "instance" and rows[1][0] == name
 
 
 def cores(monkeypatch, n):
@@ -291,10 +302,11 @@ class TestKpiClosure:
 
 class TestDumpSchedules:
     def test_csv_shape(self):
-        from ftlopt.operators import build_initial
+        from ftlopt.operators import InsertionEvaluator, build_initial
+        from ftlopt.schedule import Simulator
 
         inst = micro_instance(23)
-        sol = build_initial(inst)
+        sol = build_initial(InsertionEvaluator(Simulator(inst)))
         text = dump_schedules(inst, sol)
         lines = text.splitlines()
         assert lines[0] == "trip,node,location,arrival,service_start,departure,segments"
@@ -570,15 +582,21 @@ class TestCli:
             assert r.stderr.startswith("input error: ") and "Traceback" not in r.stderr, args
 
     def test_unwritable_out_exits_2_before_any_work(self, tmp_path):
-        # a search that would run for minutes, and outputs in a missing
-        # directory or onto a directory, fail at once
+        # a search that would run for minutes, outputs in a missing
+        # directory or onto a directory, and an output directory that is a
+        # file or lies under one, fail at once; the compare cases name an
+        # instance that does not exist, so their output check comes first
         gh = os.path.join(DATA, "gh_syn_c1.txt")
         native = tmp_path / "c1.json"
         self.run_cli("transform", "--gh", gh, "--out", str(native))
         cfg = tmp_path / "long.json"
         cfg.write_text(json.dumps({"max_iterations": 1_000_000}))
         missing = str(tmp_path / "missing" / "x.json")
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
         for args in (
+            ("compare", "--instance", missing, "--out-dir", str(afile)),
+            ("compare", "--instance", missing, "--out-dir", str(afile / "sub")),
             ("solve", "--instance", str(native), "--scenario", "all-fct",
              "--config", str(cfg), "--out", missing),
             ("solve", "--instance", str(native), "--scenario", "mixed",
@@ -591,7 +609,7 @@ class TestCli:
             assert time.perf_counter() - started < 5, args
             assert r.returncode == 2, (args, r.stderr)
             assert r.stderr.startswith(f"output error: {args[-1]} "), r.stderr
-        assert not (tmp_path / "missing").exists()
+        assert not (tmp_path / "missing").exists() and afile.read_text() == "kept"
 
     def test_package_runs_as_a_module(self):
         r = self.run_cli("--help", module="ftlopt", timeout=10)
