@@ -50,7 +50,7 @@ def cmd_solve(args) -> int:
         doc["residual"] = result.residual
     write_text(args.out, json.dumps(doc, indent=2))
     if report is not None:
-        engine.write_report(report, args.out + ".report.json", args.out + ".trace.csv")
+        engine.write_report(report, args.out)
     if args.dump_schedule:
         sys.stdout.write(scenarios.dump_schedules(instance, solution))
     print(f"{result.scenario}: total {fmt_money(result.total_cents)} EUR, "

@@ -12,7 +12,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -129,6 +129,11 @@ class AlnsConfig:
                     f"/insertion_ops: unknown insertion operator {_shown(name)}"
                     " (greedy or regret<k>, k >= 2)"
                 ) from None
+        # a repeated name would get one roulette share per copy
+        for key, names in (("removal_ops", self.removal_ops), ("insertion_ops", self.insertion_ops)):
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ConfigError(f"/{key}: repeated operator {_shown(name)}")
 
 
 # the converter of each config field, by the type of its default value
@@ -216,16 +221,19 @@ class TraceRow:
     temperature: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunReport:
+    """What a run did, built once when it ends.  `iterations` is the last
+    iteration run; `stopped_early` means the time limit left iterations."""
+
     iterations: int
     initial_cents: int
     best_cents: int
-    trace: list[TraceRow] = field(default_factory=list)
-    removal_stats: list[OperatorStats] = field(default_factory=list)
-    insertion_stats: list[OperatorStats] = field(default_factory=list)
-    wall_s: float = 0.0
-    stopped_early: bool = False
+    trace: tuple[TraceRow, ...]
+    removal_stats: tuple[OperatorStats, ...]
+    insertion_stats: tuple[OperatorStats, ...]
+    wall_s: float
+    stopped_early: bool
 
     def to_dict(self) -> dict:
         return {
@@ -244,7 +252,8 @@ class RunReport:
 
 
 def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution, RunReport]:
-    """Execute the full search and return the best solution found."""
+    """Search until max_iterations or max_seconds and return the best
+    solution found with the run's report, built after the last iteration."""
     rng = random.Random(config.seed)
     ev = InsertionEvaluator(Simulator(instance))
     ks = [insertion_k(name) for name in config.insertion_ops]
@@ -259,10 +268,9 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
     temperature = t0
     xi = Fraction(str(config.xi))
 
-    report = RunReport(config.max_iterations, current.cost_total, current.cost_total)
-    report.trace.append(TraceRow(0, current.cost_total, best.cost_total, temperature))
-    stopped_early = False
+    trace = [TraceRow(0, current.cost_total, best.cost_total, temperature)]
 
+    it = 0
     for it in range(1, config.max_iterations + 1):
         ri = roulette([s.weight for s in removal_stats], rng)
         ii = roulette([s.weight for s in insertion_stats], rng)
@@ -280,6 +288,7 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
             score = config.sigma_best
             removal_stats[ri].best_count += 1
             insertion_stats[ii].best_count += 1
+            best = candidate
         elif candidate.cost_total < current.cost_total:
             score = config.sigma_improve
         elif ok:
@@ -294,8 +303,6 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
                 if problems:
                     raise RuntimeError(f"accepted infeasible solution: {problems[:3]}")
             current = candidate
-        if candidate.cost_total < best.cost_total:
-            best = candidate
         temperature *= cooling
 
         if it % config.segment_length == 0:
@@ -307,29 +314,30 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
                         )
                     s.segment_score = 0
                     s.segment_uses = 0
-            report.trace.append(TraceRow(it, current.cost_total, best.cost_total, temperature))
+            trace.append(TraceRow(it, current.cost_total, best.cost_total, temperature))
         if config.max_seconds is not None and time.perf_counter() - start > config.max_seconds:
-            stopped_early = True
-            report.iterations = it
             break
 
-    if report.trace[-1].iteration != report.iterations:  # no segment end wrote it
-        report.trace.append(
-            TraceRow(report.iterations, current.cost_total, best.cost_total, temperature)
-        )
-    report.best_cents = best.cost_total
-    report.removal_stats = removal_stats
-    report.insertion_stats = insertion_stats
-    report.wall_s = time.perf_counter() - start
-    report.stopped_early = stopped_early
-    return best, report
+    if trace[-1].iteration != it:  # no segment end wrote it
+        trace.append(TraceRow(it, current.cost_total, best.cost_total, temperature))
+    return best, RunReport(
+        iterations=it,
+        initial_cents=trace[0].current_cents,
+        best_cents=best.cost_total,
+        trace=tuple(trace),
+        removal_stats=tuple(removal_stats),
+        insertion_stats=tuple(insertion_stats),
+        wall_s=time.perf_counter() - start,
+        stopped_early=it < config.max_iterations,
+    )
 
 
-def write_report(report: RunReport, json_path: str, trace_csv_path: str) -> None:
-    write_text(json_path, json.dumps(report.to_dict(), indent=2))
+def write_report(report: RunReport, stem: str) -> None:
+    """Write `<stem>.report.json` and the trace as `<stem>.trace.csv`."""
+    write_text(f"{stem}.report.json", json.dumps(report.to_dict(), indent=2))
     rows = (
         f"{row.iteration},{fmt_money(row.current_cents)},"
         f"{fmt_money(row.best_cents)},{row.temperature:.6f}"
         for row in report.trace
     )
-    write_text(trace_csv_path, "\n".join(("iteration,current_cost,best_cost,temperature", *rows)))
+    write_text(f"{stem}.trace.csv", "\n".join(("iteration,current_cost,best_cost,temperature", *rows)))

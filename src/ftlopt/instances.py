@@ -145,6 +145,8 @@ def transform(gh: GhInstance, factor: int = 6) -> Instance:
         raise TransformError("node 0 (depot) not found")
     customers = sorted((n for n in gh.nodes if n.id != 0), key=lambda n: n.id)
     n = len(customers)
+    if not n:
+        raise TransformError("no customer nodes")
     if n % 2:
         raise TransformError(f"{n} non-depot nodes cannot be paired")
     half = n // 2

@@ -272,6 +272,9 @@ class Request(_Checked):
     sm_price_cents: int  # resolved s_r
 
     def check(self) -> None:
+        # ids name LP variables, where a minus sign would read as an operator
+        if self.id < 0:
+            raise ValueError(f"request {_shown(self.id)}: id must be non-negative")
         if self.origin == self.destination:
             raise ValueError(f"request {_shown(self.id)}: origin equals destination")
         if not self.delivery_windows:
@@ -439,6 +442,17 @@ def trip_distances(instance: Instance, requests: tuple[int, ...]) -> tuple[int, 
         loaded += dist[r.origin][r.destination]
         prev_dest = r.destination
     return loaded, empty
+
+
+def priced_solution(instance: Instance, trips: Iterable[Trip], bank: Iterable[int]) -> Solution:
+    """The solution of these trips and banked requests, with its costs: the
+    vehicle cost of the summed trip distances, rounded once, plus the banked
+    requests' spot-market prices.  Every search result is built here."""
+    trips = tuple(trips)
+    bank = frozenset(bank)
+    vehicles = instance.cost.vehicle_cost(sum(t.total_d10 for t in trips))
+    outsourced = sum(instance.request(rid).sm_price_cents for rid in bank)
+    return Solution(trips, bank, vehicles, outsourced, vehicles + outsourced)
 
 
 def _check_partition(instance: Instance, solution: Solution) -> list[str]:

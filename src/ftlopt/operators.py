@@ -17,7 +17,7 @@ from functools import partial
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .model import Instance, Solution, Trip
+from .model import Instance, Solution, Trip, priced_solution
 from .schedule import Simulator
 
 
@@ -335,7 +335,8 @@ def repair(
     dearer than outsourcing; the fallback is the outsourcing bank.  Ties go
     to the lowest request id, then the lowest trip index.  A shipment that
     no vehicle can serve even alone goes to the bank before any round.  A
-    final pass dissolves trips that ended below the minimum distance.
+    final pass dissolves trips that ended below the minimum distance, and
+    `model.priced_solution` prices what is left.
     """
     sim = ev.sim
     instance = sim.instance
@@ -446,12 +447,7 @@ def repair(
             else:
                 new_bank.append(rid)
 
-    total_d10 = sum(t.total_d10 for t in trips)
-    cost_vehicles = instance.cost.vehicle_cost(total_d10)
-    cost_out = sum(sim.price10[rid] for rid in new_bank) // 10
-    return Solution(
-        tuple(trips), frozenset(new_bank), cost_vehicles, cost_out, cost_vehicles + cost_out
-    )
+    return priced_solution(instance, trips, new_bank)
 
 
 def build_initial(ev: InsertionEvaluator) -> Solution:

@@ -20,6 +20,7 @@ from .model import (
     Instance,
     Solution,
     fmt_km,
+    priced_solution,
     trip_distances,
     write_text,
 )
@@ -73,26 +74,22 @@ def _prune(states: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return kept
 
 
-def brute_force_schedule(
-    sequence: Sequence[int], instance: Instance, granularity: int = 1
-):
+def brute_force_schedule(sequence: Sequence[int], instance: Instance):
     """True earliest service start at the last node of a request sequence:
     the minute, or Infeasible when no legal timeline exists (see
     brute_force_frontiers)."""
-    fronts = brute_force_frontiers(sequence, instance, granularity)
+    fronts = brute_force_frontiers(sequence, instance)
     return fronts if isinstance(fronts, Infeasible) else fronts[-1][0][0]
 
 
-def brute_force_frontiers(
-    sequence: Sequence[int], instance: Instance, granularity: int = 1
-):
+def brute_force_frontiers(sequence: Sequence[int], instance: Instance):
     """Per node of a request sequence, the Pareto frontier of (service
     start, nonstop counter) states, sorted; or Infeasible with the first
     node that no legal timeline reaches or serves.
 
-    Explores every rest placement at the given time granularity, including
-    rests taken before the nonstop counter is full.  Granularity 1 is exact;
-    coarser values only ever miss improvements.
+    Drives one minute at a time and explores every rest placement between
+    those minutes, including rests taken before the nonstop counter is full,
+    so the frontiers are exact.
     """
     if len(sequence) > 3:
         raise TooLarge("scheduling oracle is limited to 3 requests")
@@ -122,19 +119,15 @@ def brute_force_frontiers(
 
     def drive_leg(states: list[tuple[int, int]], minutes: int) -> list[tuple[int, int]]:
         layer = _prune(list(states))
-        remaining = minutes
-        while remaining > 0:
-            step = min(granularity, remaining)
+        for _minute in range(minutes):
             layer = expand(layer)
             nxt = []
             for t, c in layer:
-                if c + step <= tau_n and t + step <= horizon_end:
-                    if not _overlaps(t, t + step, blocks):
-                        nxt.append((t + step, c + step))
+                if c < tau_n and t < horizon_end and not _overlaps(t, t + 1, blocks):
+                    nxt.append((t + 1, c + 1))
             layer = _prune(nxt)
             if not layer:
                 return []
-            remaining -= step
         return layer
 
     def serve(states: list[tuple[int, int]], windows) -> list[tuple[int, int]]:
@@ -356,7 +349,8 @@ def _partitions(elems: tuple, usable) -> "itertools.chain":
 
 
 def brute_force(instance: Instance) -> Solution:
-    """Minimum-cost feasible solution by full enumeration (|R| <= 8)."""
+    """Minimum-cost feasible solution by full enumeration (|R| <= 8),
+    priced by `model.priced_solution` like every search result."""
     n = len(instance.requests)
     if n > 8:
         raise TooLarge(f"{n} requests exceed the enumeration guard of 8")
@@ -380,10 +374,7 @@ def brute_force(instance: Instance) -> Solution:
                 best_key = key
                 best_plan = (bank, seqs)
     bank, seqs = best_plan
-    trips = tuple(sim.build_trip(seq) for seq in seqs)
-    cost_vehicles = instance.cost.vehicle_cost(sum(t.total_d10 for t in trips))
-    cost_out = sum(sm[rid] for rid in bank)
-    return Solution(trips, frozenset(bank), cost_vehicles, cost_out, cost_vehicles + cost_out)
+    return priced_solution(instance, (sim.build_trip(seq) for seq in seqs), bank)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .engine import AlnsConfig, RunReport, run, write_report
-from .model import Instance, Solution, fmt_km, fmt_money, write_text
+from .model import Instance, Solution, fmt_km, fmt_money, priced_solution, write_text
 from .schedule import Simulator, simulate_trip
 
 CSV_HEADER = (
@@ -92,9 +92,7 @@ def _result(instance: Instance, scenario: str, solution: Solution, cpu_s: float)
 def scenario_all_sm(instance: Instance) -> tuple[ScenarioResult, Solution]:
     """Everything to the spot market; a sum, not a search."""
     started = time.perf_counter()
-    bank = frozenset(r.id for r in instance.requests)
-    cost = sum(r.sm_price_cents for r in instance.requests)
-    solution = Solution((), bank, 0, cost, cost)
+    solution = priced_solution(instance, (), (r.id for r in instance.requests))
     return _result(instance, "all-sm", solution, time.perf_counter() - started), solution
 
 
@@ -114,6 +112,15 @@ def fct_instance(instance: Instance) -> Instance:
     )
 
 
+def _timed_search(
+    instance: Instance, scenario: str, config: AlnsConfig
+) -> tuple[ScenarioResult, Solution, RunReport]:
+    """One timed search of a scenario; all-fct searches `fct_instance`."""
+    started = time.perf_counter()
+    best, report = run(fct_instance(instance) if scenario == "all-fct" else instance, config)
+    return _result(instance, scenario, best, time.perf_counter() - started), best, report
+
+
 def scenario_all_fct(
     instance: Instance, config: AlnsConfig
 ) -> tuple[ScenarioResult, Solution, RunReport]:
@@ -122,19 +129,14 @@ def scenario_all_fct(
     KPIs cover the trips only; requests that no vehicle could serve within
     the rules are reported in `residual`.
     """
-    started = time.perf_counter()
-    best, report = run(fct_instance(instance), config)
-    cpu = time.perf_counter() - started
-    return _result(instance, "all-fct", best, cpu), best, report
+    return _timed_search(instance, "all-fct", config)
 
 
 def scenario_mixed(
     instance: Instance, config: AlnsConfig
 ) -> tuple[ScenarioResult, Solution, RunReport]:
-    started = time.perf_counter()
-    best, report = run(instance, config)
-    cpu = time.perf_counter() - started
-    return _result(instance, "mixed", best, cpu), best, report
+    """Let the search choose between own vehicles and the spot market."""
+    return _timed_search(instance, "mixed", config)
 
 
 def solution_to_dict(solution: Solution) -> dict:
@@ -294,7 +296,7 @@ def compare(instance: Instance, config: AlnsConfig, out_dir: str) -> list[Scenar
         path = os.path.join(out_dir, tag)
         write_text(f"{path}.solution.json", json.dumps(solution_to_dict(solution), indent=2))
         if report is not None:
-            write_report(report, f"{path}.report.json", f"{path}.trace.csv")
+            write_report(report, path)
     return rows
 
 

@@ -102,7 +102,7 @@ def test_criterion_3_schedule_oracle_equivalence():
         instance, seq = trip_case(rng.randrange(100_000_000))
         cases += 1
         got = simulate_trip(instance, seq)
-        want = brute_force_schedule(seq, instance, granularity=1)
+        want = brute_force_schedule(seq, instance)
         got_bad = isinstance(got, Infeasible)
         want_bad = isinstance(want, Infeasible)
         assert got_bad == want_bad, (cases, got, want)

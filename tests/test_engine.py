@@ -71,6 +71,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
         assert doc == {"removal_ops": ["nope"]}
+        # a repeated name would take one roulette share per copy
+        for doc, message in (
+            ({"removal_ops": ["rrr", "rrr", "shaw"]}, "/removal_ops: repeated operator 'rrr'"),
+            ({"insertion_ops": ["greedy", "greedy"]}, "/insertion_ops: repeated operator 'greedy'"),
+        ):
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                config_from_dict(doc)
 
     def test_seed_and_time_limit_are_non_negative(self):
         # random.Random(-7) draws as random.Random(7)
@@ -208,9 +215,9 @@ class TestRun:
     def test_report_files(self, tmp_path):
         inst = micro_instance(10)
         _best, report = run(inst, AlnsConfig(max_iterations=120, segment_length=40, seed=10))
-        jp = tmp_path / "r.json"
-        cp = tmp_path / "r.csv"
-        write_report(report, str(jp), str(cp))
+        write_report(report, str(tmp_path / "r"))
+        jp = tmp_path / "r.report.json"
+        cp = tmp_path / "r.trace.csv"
         doc = json.loads(jp.read_text())
         assert doc["iterations"] == 120
         lines = cp.read_text().splitlines()
@@ -220,11 +227,12 @@ class TestRun:
     def test_trace_money_is_exact(self, tmp_path):
         # the float cents / 100 prints ...83.94 for this sum, within the
         # bounds of 100 requests at up to 10^12 EUR each
-        report = RunReport(1, 7_599_752_540_538_393, 7_599_752_540_538_393)
-        report.trace.append(TraceRow(1, 7_599_752_540_538_393, 7_599_752_540_538_393, 1.0))
-        cp = tmp_path / "r.csv"
-        write_report(report, str(tmp_path / "r.json"), str(cp))
-        assert cp.read_text().splitlines()[1] == "1,75997525405383.93,75997525405383.93,1.000000"
+        cents = 7_599_752_540_538_393
+        row = TraceRow(1, cents, cents, 1.0)
+        report = RunReport(1, cents, cents, (row,), (), (), 0.0, False)
+        write_report(report, str(tmp_path / "r"))
+        text = (tmp_path / "r.trace.csv").read_text()
+        assert text.splitlines()[1] == "1,75997525405383.93,75997525405383.93,1.000000"
 
     def test_empty_instance_runs(self):
         import dataclasses
@@ -233,6 +241,13 @@ class TestRun:
         best, report = run(inst, AlnsConfig(max_iterations=50, seed=12))
         assert best.cost_total == 0 and best.trips == () and not best.bank
         assert report.best_cents == 0
+
+    def test_a_run_that_did_every_iteration_did_not_stop_early(self):
+        # the time limit passes during the last iteration, which leaves none
+        cfg = AlnsConfig(max_iterations=1, max_seconds=0.0, seed=1)
+        _best, report = run(micro_instance(3), cfg)
+        assert report.iterations == 1 and report.stopped_early is False
+        assert [row.iteration for row in report.trace] == [0, 1]
 
     def test_wall_clock_stop(self):
         inst = micro_instance(11)

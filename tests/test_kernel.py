@@ -144,7 +144,7 @@ def check_trip(inst, seq, trip, oracle):
         assert check_schedule_rules(inst, seq, full) == [], seq
         assert check_sunday_rests(inst, full) == [], seq
     if oracle and len(seq) <= 3:
-        want = brute_force_frontiers(seq, inst, granularity=1)
+        want = brute_force_frontiers(seq, inst)
         if not isinstance(want, Infeasible):
             want = tuple(map(tuple, want))
         assert (full if trip is None else trip.frontiers) == want, seq
@@ -269,7 +269,7 @@ def test_departures_at_blackout_edges():
         inst.check()
         trip = Simulator(inst).build_trip((1,))
         assert trip.frontiers[1][0][0] == arrive, depart
-        assert brute_force_schedule((1,), inst, granularity=1) == arrive, depart
+        assert brute_force_schedule((1,), inst) == arrive, depart
 
 
 def test_blackout_wait_of_exactly_tau_b_resets_the_counter():
@@ -293,7 +293,7 @@ def test_blackout_wait_of_exactly_tau_b_resets_the_counter():
     sched = simulate_trip(inst, (1, 2))
     assert not isinstance(sched, Infeasible)
     assert sched.nodes[-1].service_start == sunday + 3210
-    assert brute_force_schedule((1, 2), inst, granularity=1) == sunday + 3210
+    assert brute_force_schedule((1, 2), inst) == sunday + 3210
     assert check_schedule_rules(inst, (1, 2), sched) == []
 
 

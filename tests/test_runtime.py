@@ -77,3 +77,18 @@ def test_the_evaluator_alone_drops_the_caches_of_a_search():
     assert found == [("operators.py", "clear", "")]
     found = calls(lambda callee: callee.rpartition(".")[2] == "clear")
     assert [call for call in found if call[0] == "engine.py"] == []
+
+
+def test_every_search_result_is_priced_by_one_function():
+    # repair, the enumeration oracle and the all-sm scenario all return
+    # through model.priced_solution, so every scenario is priced alike;
+    # model.solution_cost recomputes a cost on its own
+    found = calls(lambda callee: callee.rpartition(".")[2] == "Solution")
+    assert found == [("model.py", "priced_solution", "trips")]
+    found = calls(lambda callee: callee.rpartition(".")[2] == "priced_solution")
+    assert "solution_cost" not in [owner for _file, owner, _arg in found]
+
+
+def test_a_run_report_is_built_once_when_the_run_ends():
+    found = calls(lambda callee: callee.rpartition(".")[2] == "RunReport")
+    assert found == [("engine.py", "run", "")]

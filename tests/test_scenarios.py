@@ -402,6 +402,12 @@ class TestCli:
             r = self.run_cli("transform", "--gh", str(bad_gh), "--out", str(tmp_path / "g.json"))
             assert r.returncode == 2, (col, value, r.stderr)
             assert f"line {row + 1}" in r.stderr
+        # a file with only its depot row has no request to make
+        bad_gh.write_text("\n".join(gh_lines[:row]))
+        r = self.run_cli("transform", "--gh", str(bad_gh), "--out", str(tmp_path / "g.json"))
+        assert r.returncode == 2, r.stderr
+        assert "no customer nodes" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "g.json").exists()
 
     def test_config_faults_exit_3_briefly(self, tmp_path):
         # numbers that once crashed a run (an overflow, an infinite or a zero
@@ -625,3 +631,11 @@ class TestCli:
         r = self.run_cli("emit-lp", "--instance", str(native), "--out", str(lp))
         assert r.returncode == 0
         assert lp.read_text().startswith("\\")
+        # an LP reader would take the minus sign of x_o-1_d-1 for an operator
+        doc = json.loads(native.read_text())
+        doc["requests"][1]["id"] = -1
+        native.write_text(json.dumps(doc))
+        r = self.run_cli("emit-lp", "--instance", str(native), "--out", str(tmp_path / "n.lp"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("input error: /requests/1: ") and "non-negative" in r.stderr
+        assert not (tmp_path / "n.lp").exists()

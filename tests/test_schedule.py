@@ -286,7 +286,7 @@ class TestCheckInsertion:
                 assert full.nodes[-1].service_start == built.frontiers[-1][0][0]
                 assert check_schedule_rules(inst, new_seq, full) == []
             if checked % 10 == 0:  # the minute-level oracle's frontiers
-                want = brute_force_frontiers(new_seq, inst, granularity=1)
+                want = brute_force_frontiers(new_seq, inst)
                 if isinstance(want, Infeasible):
                     assert full == want
                 else:
