@@ -330,6 +330,20 @@ MAX_KM = 10**9
 MAX_EUR = 10**12
 
 
+def _known(obj, where: str, *keys: str) -> None:
+    """Reject a member of the JSON object obj that keys does not name, with
+    its pointer: a misspelt optional field would otherwise read as absent.
+    Anything but an object passes, for _need to report."""
+    if isinstance(obj, dict):
+        unknown = sorted(set(obj).difference(keys))
+        if unknown:
+            more = f" (and {len(unknown) - 1} more)" if len(unknown) > 1 else ""
+            key = unknown[0].replace("~", "~0").replace("/", "~1")
+            if len(key) > 40:  # cut short, as _shown cuts a long value
+                key = f"{key[:24]}... ({len(key)} characters)"
+            raise SchemaError(f"{where}/{key}", "unknown key" + more)
+
+
 def _at_most(v, limit, bound: str):
     """v, unless it exceeds limit, which the text bound names."""
     if v > limit:
@@ -397,15 +411,18 @@ def _grid(rows, where: str, conv, row_conv, n: int) -> list[list]:
 
 
 def _window(obj, where: str) -> TimeWindow:
+    _known(obj, where, "start", "end")
     return TimeWindow(_need(obj, "start", where, _whole), _need(obj, "end", where, _whole))
 
 
 def instance_from_dict(doc: dict) -> Instance:
+    _known(doc, "", "name", "locations", "matrix", "requests", "cost", "regs", "mu", "horizon")
     locations = _need(doc, "locations", "", _list)
     n = len(locations)
     for i, loc in enumerate(locations):
         if _need(loc, "id", f"/locations/{i}", _whole) != i:
             raise SchemaError(f"/locations/{i}/id", "ids must be 0..n-1 in order")
+        _known(loc, f"/locations/{i}", "id", "x", "y")
     coords = None
     if locations and all("x" in loc and "y" in loc for loc in locations):
         coords = tuple(
@@ -414,6 +431,7 @@ def instance_from_dict(doc: dict) -> Instance:
         )
 
     regs_doc = _need(doc, "regs", "")
+    _known(regs_doc, "/regs", "tau_n", "tau_b", "tau_s", "sigma", "nu")
     with _at("/regs"):
         regs = RegParams(
             _need(regs_doc, "tau_n", "/regs", _whole),
@@ -430,6 +448,7 @@ def instance_from_dict(doc: dict) -> Instance:
                 raise SchemaError("/matrix", "euclidean directive needs x/y on every location")
             matrix = _euclid_matrix(coords, regs.nu)
         else:
+            _known(matrix_doc, "/matrix", "distance", "time")
             dist = _grid(_need(matrix_doc, "distance", "/matrix"), "/matrix/distance", _km, _km_row, n)
             if "time" in matrix_doc:
                 time = _grid(matrix_doc["time"], "/matrix/time", _whole, _whole_row, n)
@@ -447,10 +466,12 @@ def instance_from_dict(doc: dict) -> Instance:
         tiers.append((bound, _conv(tier[1], f"{where}/1", _money)))
     if "explicit_sm_prices" in cost_doc:
         raise SchemaError("/cost/explicit_sm_prices", "put each price in its request's sm_price")
+    _known(cost_doc, "/cost", "kappa", "sm_tiers")
     with _at("/cost"):
         cost = CostModel(_need(cost_doc, "kappa", "/cost", _money), tuple(tiers))
 
     horizon_doc = _need(doc, "horizon", "")
+    _known(horizon_doc, "/horizon", "origin_weekday", "days")
     with _at("/horizon"):
         horizon = Horizon(
             _need(horizon_doc, "origin_weekday", "/horizon", _whole),
@@ -460,6 +481,9 @@ def instance_from_dict(doc: dict) -> Instance:
     requests = []
     for i, rd in enumerate(_need(doc, "requests", "", _list)):
         where = f"/requests/{i}"
+        _known(
+            rd, where, "id", "origin", "destination", "pickup_window", "delivery_windows", "sm_price"
+        )
         with _at(where):
             requests.append(Request(
                 _need(rd, "id", where, _whole),

@@ -350,15 +350,21 @@ def repair(
     # can bring there, so it has no cell anywhere and goes to the bank
     new_bank = [cand for cand, trip in solo.items() if trip is None]
     s_in = sorted(cand for cand, trip in solo.items() if trip is not None)
+    # how many trips are below the minimum distance, kept by commit; the
+    # rounds read it in place of a scan over the trips
+    below = sum(t.total_d10 < mu for t in trips)
 
     def commit(ti: int, rid: int, pos: int) -> None:
         """Splice rid into trips[ti] at pos; ti == len(trips) opens a new trip."""
+        nonlocal below
         if ti == len(trips):
             trips.append(solo[rid])
-            return
-        rebuilt = sim.splice_trip(trips[ti], rid, pos)
-        assert rebuilt is not None
-        trips[ti] = rebuilt
+        else:
+            rebuilt = sim.splice_trip(trips[ti], rid, pos)
+            assert rebuilt is not None
+            below -= trips[ti].total_d10 < mu
+            trips[ti] = rebuilt
+        below += trips[ti].total_d10 < mu
 
     # one row of cells per candidate and one column per trip, for every mode;
     # a round re-evaluates only the changed trip's column, which matches
@@ -376,7 +382,7 @@ def repair(
         # a spare vehicle (empty route) is one more column, at index
         # len(trips), while every used vehicle is utilised up to the minimum
         # distance; its cell is the single trip's (direct, 0)
-        spare = all(t.total_d10 >= mu for t in trips)
+        spare = not below
         if spare != was_spare:
             picks.clear()
             was_spare = spare

@@ -199,6 +199,19 @@ class Simulator:
         self.cal = calendar_for(instance)
         self.dist = instance.matrix.distance
         self.time = instance.matrix.time
+        sigma, tau_n, tau_b = self.regs.sigma, self.regs.tau_n, self.regs.tau_b
+        # per location pair: the travel time plus its unavoidable rests, a
+        # lower bound on the leg from any label (no carried counter, no
+        # blackouts on the way)
+        self.rested = tuple(
+            tuple(t if t <= tau_n else t + tau_b * ((t - 1) // tau_n) for t in row)
+            for row in self.time
+        )
+        # _advance's constants, unpacked once per call
+        self._kernel = (
+            sigma, tau_n, tau_b, self.cal.tau_s, self.cal.horizon_end, self.cal.first_sunday,
+            self.time, self.regs, self.cal,
+        )
         # per-request flat tables for the hot paths
         self.origin: dict[int, int] = {}
         self.dest: dict[int, int] = {}
@@ -207,17 +220,28 @@ class Simulator:
         # per request: the (loc, firsts, lasts) fit tables (see _fit_table)
         # of its pickup and of its delivery
         self._node_data: dict[int, tuple] = {}
+        # per request: its ask record for best_insertions, or None when its
+        # pickup or its delivery has no valid start: (o, o_firsts, o_lasts,
+        # len(o_lasts), d, d_firsts, d_lasts, len(d_lasts), direct, dist[d],
+        # rested[d], rested t_od, the earliest delivery end from the first
+        # pickup start, the pickup's last start)
+        self._asks: dict[int, Optional[tuple]] = {}
         for r in instance.requests:
-            self.origin[r.id] = r.origin
-            self.dest[r.id] = r.destination
-            self.direct[r.id] = instance.matrix.distance[r.origin][r.destination]
+            o, d = r.origin, r.destination
+            self.origin[r.id] = o
+            self.dest[r.id] = d
+            self.direct[r.id] = self.dist[o][d]
             self.price10[r.id] = r.sm_price_cents * 10
-            self._node_data[r.id] = tuple(
-                (loc, *_fit_table(windows, self.regs.sigma, self.cal))
-                for loc, windows in (
-                    (r.origin, (r.pickup_window,)), (r.destination, r.delivery_windows)
-                )
+            (_, o_firsts, o_lasts), (_, d_firsts, d_lasts) = self._node_data[r.id] = tuple(
+                (loc, *_fit_table(windows, sigma, self.cal))
+                for loc, windows in ((o, (r.pickup_window,)), (d, r.delivery_windows))
             )
+            t_od = self.rested[o][d]
+            self._asks[r.id] = (
+                o, o_firsts, o_lasts, len(o_lasts), d, d_firsts, d_lasts, len(d_lasts),
+                self.direct[r.id], self.dist[d], self.rested[d], t_od,
+                o_firsts[0] + 2 * sigma + t_od, o_lasts[-1],
+            ) if o_lasts and d_lasts else None
         # per-trip caches, keyed by request sequence
         self._trips: dict[tuple[int, ...], Optional[Trip]] = {}
         self._tables: dict[tuple[int, ...], tuple] = {}
@@ -249,15 +273,12 @@ class Simulator:
         service start that can still finish the trip.
 
         That bound is the node's last valid start, or less when the next
-        node's bound leaves less room after sigma and the travel time with
-        its unavoidable rests (a relaxation: no carried counter, no
-        blackouts on the way)."""
+        node's bound leaves less room after sigma and the rested travel
+        time (see rested)."""
         tables = self._tables.get(trip.requests)
         if tables is not None:
             return tables
-        sigma = self.regs.sigma
-        tau_n, tau_b = self.regs.tau_n, self.regs.tau_b
-        time = self.time
+        sigma, rested = self.regs.sigma, self.rested
         nodes = self._fit_nodes(trip.requests)
         out = [0] * len(nodes)
         nxt = None
@@ -265,10 +286,7 @@ class Simulator:
             loc, _firsts, lasts = nodes[i]
             bound = lasts[-1]
             if nxt is not None:
-                t = time[loc][nxt]
-                if t > tau_n:
-                    t += tau_b * ((t - 1) // tau_n)  # unavoidable rests
-                bound = min(bound, out[i + 1] - sigma - t)
+                bound = min(bound, out[i + 1] - sigma - rested[loc][nxt])
             out[i] = bound
             nxt = loc
         tables = self._tables[trip.requests] = (nodes, tuple(out))
@@ -301,79 +319,50 @@ class Simulator:
         into trip among the positions (None: all) as (delta_d10, pos), or
         None.  Equal cells are returned as one object (_interned).
 
-        The trip's per-position table is built once: the previous delivery
-        and its earliest departure, the next pickup and its latest-start
-        bound (_trip_tables), and the replaced edge.  Per ask, one fused
-        sweep computes the distance delta and a screen per position; only
-        surviving positions are simulated, cheapest delta first.  The screen
-        fits the pickup and then the delivery to their fit tables (one
-        bisect each, so window gaps and Sunday blackouts count) from lower
-        bounds on their arrivals: the previous node's earliest label plus
-        the travel time with its unavoidable rests.  Fits are monotone, so a
-        position the screen drops has no schedule; the next node must then
-        still be reachable by its latest-start bound.
+        Per ask, one sweep screens each position and computes the distance
+        delta of the positions that pass; only those are simulated, cheapest
+        delta first.  The screen fits the pickup and then the delivery to
+        their fit tables (one bisect each, so window gaps and Sunday
+        blackouts count) from lower bounds on their arrivals: the previous
+        node's earliest label plus the rested travel time (see rested).
+        Fits are monotone, so a position the screen drops has no schedule;
+        the next node must then still be reachable by its latest-start bound
+        (_trip_tables).  The request's constants come from its compiled ask
+        record (_asks), the previous delivery and the next pickup from the
+        trip's nodes.
         """
-        seq = trip.requests
-        n = len(seq)
-        dist = self.dist
-        time = self.time
-        sigma = self.regs.sigma
-        tau_n, tau_b = self.regs.tau_n, self.regs.tau_b
+        n = len(trip.requests)
+        dist, rested, sigma = self.dist, self.rested, self.regs.sigma
         nodes, lat = self._trip_tables(trip)
         fronts = trip.frontiers
-        # per position: (previous delivery, its earliest departure, next
-        # pickup, its latest start, replaced edge); None where there is none.
-        # Departures and latest starts never decrease along the trip.
-        deps = [fronts[2 * pos - 1][0][0] + sigma for pos in range(1, n + 1)]
+        # per position: the previous delivery's earliest departure (pos > 0)
+        # and the next pickup's latest start (pos < n); neither decreases
+        # along the trip
+        deps = [fronts[k][0][0] + sigma for k in range(1, 2 * n, 2)]
         lats = lat[0::2]
-        slots = []
-        for pos in range(n + 1):
-            prev_d = nodes[2 * pos - 1][0] if pos else None
-            next_o = nodes[2 * pos][0] if pos < n else None
-            slots.append((
-                prev_d,
-                deps[pos - 1] if pos else None,
-                next_o,
-                lats[pos] if pos < n else None,
-                dist[prev_d][next_o] if 0 < pos < n else 0,
-            ))
         intern = self._interned.setdefault
+        compiled = self._asks
         out = []
         for rid, positions in asks:
-            (o, o_firsts, o_lasts), (d, d_firsts, d_lasts) = self._node_data[rid]
-            if not o_lasts or not d_lasts:
+            ask = compiled[rid]
+            if ask is None:
                 out.append(None)
                 continue
-            n_o, n_d = len(o_lasts), len(d_lasts)
-            direct = self.direct[rid]
-            dist_d = dist[d]
-            time_d = time[d]
-            t_od = time[o][d]
-            if t_od > tau_n:
-                t_od += tau_b * ((t_od - 1) // tau_n)
+            (o, o_firsts, o_lasts, n_o, d, d_firsts, d_lasts, n_d,
+             direct, dist_d, rested_d, t_od, end_key, start_key) = ask
             if positions is None:
                 # positions the screen would drop anyway: those whose next
                 # latest start comes before the earliest possible delivery
                 # end, and those whose previous departure is past the
                 # pickup's last start
-                positions = range(
-                    bisect_left(lats, o_firsts[0] + 2 * sigma + t_od),
-                    bisect_right(deps, o_lasts[-1]) + 1,
-                )
+                positions = range(bisect_left(lats, end_key), bisect_right(deps, start_key) + 1)
             cands = []
             for pos in positions:
-                prev_d, dep, next_o, lat_o, saved = slots[pos]
-                if prev_d is None:
-                    delta = direct
-                    arr_o = o_firsts[0]
+                if pos:
+                    prev_d = nodes[2 * pos - 1][0]
+                    arr_o = deps[pos - 1] + rested[prev_d][o]
                 else:
-                    delta = dist[prev_d][o] + direct - saved
-                    t_in = time[prev_d][o]
-                    if t_in > tau_n:
-                        t_in += tau_b * ((t_in - 1) // tau_n)
-                    arr_o = dep + t_in
-                if next_o is not None:
-                    delta += dist_d[next_o]
+                    arr_o = o_firsts[0]
                 j = bisect_left(o_lasts, arr_o)
                 if j == n_o:
                     continue
@@ -387,19 +376,26 @@ class Simulator:
                 s_d = d_firsts[j]
                 if s_d < arr_d:
                     s_d = arr_d
-                if next_o is not None:
-                    t_out = time_d[next_o]
-                    if t_out > tau_n:
-                        t_out += tau_b * ((t_out - 1) // tau_n)
-                    if s_d + sigma + t_out > lat_o:
+                delta = direct
+                if pos < n:
+                    next_o = nodes[2 * pos][0]
+                    if s_d + sigma + rested_d[next_o] > lats[pos]:
                         continue
+                    delta += dist_d[next_o]
+                    if pos:
+                        delta -= dist[prev_d][next_o]
+                if pos:
+                    delta += dist[prev_d][o]
                 cands.append((delta, pos))
             cands.sort()
             for cell in cands:
                 k = 2 * cell[1]
                 prev = (fronts[k - 1], nodes[k - 1][0]) if k else (None, None)
                 head = self._head(*prev, rid)
-                if head is not None and self._advance(head, d, nodes, fronts, k) is not None:
+                # a request that goes last leaves no node to propagate
+                if head is not None and (
+                    k == 2 * n or self._advance(head, d, nodes, fronts, k) is not None
+                ):
                     out.append(intern(cell, cell))
                     break
             else:
@@ -454,7 +450,8 @@ class Simulator:
         leg's whole frontier, a single state: one more rest would leave a
         counter <= 0, and driving up to the blackout to rest through it
         finishes the leg before the blackout.  Any other leg goes through
-        _leg_arrivals.  The arrivals of all labels are merged by _pareto.
+        _leg_arrivals.  The arrivals of all labels are merged as _pareto
+        merges them, two arrivals inline.
         Each arrival (t, c), in that order, yields its earliest fit s (one
         bisect of the node's fit table) with counter 0 when c == 0 or
         s - t >= tau_b, else c; while no label with counter 0 is known, a
@@ -462,11 +459,7 @@ class Simulator:
         with counter 0.  Arrivals at or after the earliest known rested
         start yield only dominated labels and are skipped.
         """
-        regs, cal = self.regs, self.cal
-        sigma = regs.sigma
-        tau_n, tau_b, tau_s = regs.tau_n, regs.tau_b, cal.tau_s
-        horizon_end, first_sunday = cal.horizon_end, cal.first_sunday
-        time = self.time
+        sigma, tau_n, tau_b, tau_s, horizon_end, first_sunday, time, regs, cal = self._kernel
         computed = []
         for i in range(start, len(nodes)):
             loc, firsts, lasts = nodes[i]
@@ -491,7 +484,12 @@ class Simulator:
                         leg = _leg_arrivals(t0, c0, travel, regs, cal)
                         if leg is not None:
                             arrivals.append(leg[:2])
-                if len(arrivals) > 1:
+                if len(arrivals) == 2:
+                    a, b = arrivals
+                    if b < a:
+                        a, b = b, a
+                    arrivals = (a, b) if b[1] < a[1] else (a,)
+                elif len(arrivals) > 2:
                     arrivals = _pareto(arrivals)
             out = []
             zero_s = None  # earliest known fresh-counter service start

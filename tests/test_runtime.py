@@ -25,21 +25,31 @@ def test_package_imports_only_the_standard_library():
     assert "pickle" in seen, seen
 
 
-def calls(match):
-    """(file, enclosing function, first argument) of every call in the
-    package whose callee, as source text, match accepts."""
+def nodes(match):
+    """(file, enclosing function, node) of every syntax node of the package
+    that match accepts."""
 
     def walk(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and match(ast.unparse(child.func)):
-                yield owner, ast.unparse(child.args[0]) if child.args else ""
+            if match(child):
+                yield owner, child
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
             yield from walk(child, inner)
 
+    return [
+        (path.name, owner, node)
+        for path in sorted(SRC.glob("*.py"))
+        for owner, node in walk(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")
+    ]
+
+
+def calls(match):
+    """(file, enclosing function, first argument) of every call in the
+    package whose callee, as source text, match accepts."""
+    found = nodes(lambda node: isinstance(node, ast.Call) and match(ast.unparse(node.func)))
     return sorted(
-        (path.name, owner, target)
-        for path in SRC.glob("*.py")
-        for owner, target in walk(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")
+        (name, owner, ast.unparse(call.args[0]) if call.args else "")
+        for name, owner, call in found
     )
 
 
@@ -92,3 +102,18 @@ def test_every_search_result_is_priced_by_one_function():
 def test_a_run_report_is_built_once_when_the_run_ends():
     found = calls(lambda callee: callee.rpartition(".")[2] == "RunReport")
     assert found == [("engine.py", "run", "")]
+
+
+def test_the_scheduler_writes_the_rest_rule_once():
+    # a floor division by tau_n counts the rests of a leg: Simulator.__init__
+    # compiles the rested travel times from it, and _advance's closed-form
+    # leg carries the label's counter; every other reader takes
+    # Simulator.rested, so no inline copy of the rule can drift from it
+    found = nodes(
+        lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+        and ast.unparse(node.right).rpartition(".")[2] == "tau_n"
+    )
+    assert [(name, owner) for name, owner, _node in found if name == "schedule.py"] == [
+        ("schedule.py", "__init__"),
+        ("schedule.py", "_advance"),
+    ]

@@ -567,6 +567,43 @@ class TestCli:
             assert "/requests/1: " in r.stderr and message in r.stderr, r.stderr
             assert "Traceback" not in r.stderr, message
 
+    def test_unknown_instance_keys_exit_2(self, tmp_path):
+        # every object of the instance takes only its own keys, so that a
+        # misspelt optional field, such as matrix.times, is not read as absent
+        native = tmp_path / "mini.json"
+        self.run_cli("transform", "--gh", os.path.join(DATA, "gh_mini.txt"), "--out", str(native))
+        base = json.loads(native.read_text())
+        assert self.run_cli("solve", "--instance", str(native), "--scenario", "all-sm",
+                            "--out", str(tmp_path / "ok.json")).returncode == 0
+        spoils = {
+            "/names": lambda doc: doc.update(names="x"),
+            "/matrix/times": lambda doc: doc["matrix"].update(times=doc["matrix"].pop("time")),
+            "/cost/currency": lambda doc: doc["cost"].update(currency="EUR"),
+            "/regs/tau_x": lambda doc: doc["regs"].update(tau_x=1),
+            "/horizon/start": lambda doc: doc["horizon"].update(start=0),
+            "/locations/1/z": lambda doc: doc["locations"][1].update(z=0.0),
+            "/requests/1/price": lambda doc: doc["requests"][1].update(price=1),
+            "/requests/0/pickup_window/stop":
+                lambda doc: doc["requests"][0]["pickup_window"].update(stop=1),
+            "/requests/0/delivery_windows/2/open":
+                lambda doc: doc["requests"][0]["delivery_windows"][2].update(open=1),
+            # a key's "/" and "~" are escaped in its pointer, and a long key
+            # is cut short
+            "/requests/1/a~1b~0": lambda doc: doc["requests"][1].update({"a/b~": 1}),
+            "/regs/" + "k" * 24 + "... (5000 characters)":
+                lambda doc: doc["regs"].update({"k" * 5000: 1}),
+        }
+        for pointer, spoil in spoils.items():
+            doc = json.loads(json.dumps(base))
+            spoil(doc)
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            r = self.run_cli("solve", "--instance", str(bad), "--scenario", "all-sm",
+                             "--out", str(tmp_path / "r.json"), timeout=10)
+            assert r.returncode == 2, (pointer, r.stderr)
+            assert f"{pointer}: unknown key" in r.stderr, r.stderr
+            assert len(r.stderr) < 200 and "Traceback" not in r.stderr, pointer
+
     def test_unreadable_inputs_exit_2(self, tmp_path):
         # a directory where a file is expected, and files that are not UTF-8
         latin1 = tmp_path / "latin1.txt"

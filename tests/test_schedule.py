@@ -1,10 +1,11 @@
 import hashlib
 import random
-from types import SimpleNamespace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ftlopt.instances import parse_gh, transform
 from ftlopt.model import (
     SUNDAY,
     CostModel,
@@ -22,6 +23,7 @@ from ftlopt.schedule import (
     Calendar,
     Infeasible,
     Schedule,
+    WEEK,
     Simulator,
     _fit_table,
     _leg_arrivals,
@@ -37,12 +39,20 @@ CAL = Calendar(0, REGS.tau_s, 365 * 1440)
 def propagate(counter, depart, drive, windows, cal=CAL):
     """Earliest (service start, counter) after one leg through the kernel
     (Simulator._advance), or Infeasible: HORIZON when the leg itself runs
-    past the horizon, as simulate_trip tells them apart."""
+    past the horizon, as simulate_trip tells them apart.
+
+    The leg runs in a two-location instance on cal's weekday and horizon,
+    from location 0 to the delivery of a request with the given windows."""
     if _leg_arrivals(depart, counter, drive, REGS, cal) is None:
         return Infeasible(HORIZON)
-    sim = SimpleNamespace(regs=REGS, cal=cal, time=((0, drive), (drive, 0)))
-    node = (1, *_fit_table(windows, REGS.sigma, cal))
-    got = Simulator._advance(sim, ((depart - REGS.sigma, counter),), 0, (node,))
+    matrix = TravelMatrix(2, ((0, 10), (10, 0)), ((0, drive), (drive, 0)))
+    request = Request(1, 0, 1, windows[0], tuple(windows), 1000)
+    horizon = Horizon(cal.origin_weekday, cal.horizon_end // 1440)
+    sim = Simulator(Instance((request,), matrix, CostModel(), REGS, 0, horizon))
+    assert sim.cal == cal
+    delivery = sim._node_data[1][1]
+    assert delivery == (1, *_fit_table(windows, REGS.sigma, cal))
+    got = sim._advance(((depart - REGS.sigma, counter),), 0, (delivery,))
     if got is None:
         return Infeasible(NO_WINDOW)
     return got[0][0][0]
@@ -250,6 +260,65 @@ class TestSimulateTrip:
             simulate_trip(inst, (1, 1))
         with pytest.raises(ValueError):
             simulate_trip(inst, ())
+
+
+def rested_time(regs, t):
+    """t minutes of driving plus the rests they need from a fresh counter."""
+    return t + regs.tau_b * ((t - 1) // regs.tau_n) if t > regs.tau_n else t
+
+
+def test_compiled_records_equal_the_inline_computation():
+    # Simulator.__init__ compiles the rested travel times and one ask record
+    # per request; both must equal the values written out here, and a
+    # request whose pickup or delivery has no valid start gets no record
+    data = Path(__file__).parent / "data"
+    cases = [
+        transform(parse_gh((data / name).read_text(encoding="utf-8")))
+        for name in ("gh_mini.txt", "gh_syn_c1.txt", "gh_syn_mix.txt")
+    ]
+    cases += [kernel_case(seed)[0] for seed in range(400)]
+    # a pickup window too short for sigma, and one delivery window too short
+    short = TimeWindow(600, 600 + REGS.sigma - 1)
+    cases.append(Instance(
+        (Request(1, 0, 1, short, WIDE, 1000), Request(2, 1, 0, WIDE[0], (short,), 1000)),
+        TravelMatrix(2, ((0, 10), (10, 0)), ((0, 500), (500, 0))), CostModel(), REGS, 0,
+        Horizon(0, 7),
+    ))
+    seen = {"none": 0, "record": 0, "leg": 0}
+    for inst in cases:
+        sim = Simulator(inst)
+        regs, dist, time = inst.regs, inst.matrix.distance, inst.matrix.time
+        locations = range(inst.matrix.n_locations)
+        assert sim.rested == tuple(
+            tuple(rested_time(regs, time[a][b]) for b in locations) for a in locations
+        )
+        # from a fresh counter, just after a blackout, a leg that ends before
+        # the next one takes exactly its rested time
+        cal = Calendar(0, regs.tau_s, 10**9)
+        t0 = cal.first_sunday + regs.tau_s
+        for row, rested_row in zip(time, sim.rested):
+            for t, rested in zip(row, rested_row):
+                arrival = _leg_arrivals(t0, 0, t, regs, cal)[0]
+                if arrival <= cal.first_sunday + WEEK:
+                    assert arrival - t0 == rested, (t, rested)
+                    seen["leg"] += 1
+        for r in inst.requests:
+            o, d = r.origin, r.destination
+            o_firsts, o_lasts = _fit_table((r.pickup_window,), regs.sigma, sim.cal)
+            d_firsts, d_lasts = _fit_table(r.delivery_windows, regs.sigma, sim.cal)
+            if not o_lasts or not d_lasts:
+                assert sim._asks[r.id] is None, r
+                seen["none"] += 1
+                continue
+            t_od = rested_time(regs, time[o][d])
+            assert sim._asks[r.id] == (
+                o, o_firsts, o_lasts, len(o_lasts), d, d_firsts, d_lasts, len(d_lasts),
+                dist[o][d], dist[d], tuple(rested_time(regs, t) for t in time[d]), t_od,
+                o_firsts[0] + 2 * regs.sigma + t_od, o_lasts[-1],
+            ), r
+            seen["record"] += 1
+    assert sim._asks == {1: None, 2: None}
+    assert seen["none"] >= 5 and seen["record"] >= 1000 and seen["leg"] >= 1000, seen
 
 
 class TestCheckInsertion:
