@@ -20,10 +20,10 @@ from .model import (
     Instance,
     SchemaError,
     Solution,
-    _conv,
     _finite,
     _flag,
     _list,
+    _members,
     _shown,
     _str,
     _whole,
@@ -144,8 +144,7 @@ _CONVERTERS = {
     tuple: lambda x: tuple(map(_str, _list(x))),  # the operator lists
     type(None): lambda x: x if x is None else _finite(x),  # max_seconds
 }
-_DEFAULTS = {f.name: f.default for f in fields(AlnsConfig)}
-MAX_SHOWN_KEYS = 3
+_FIELDS = {f.name: _CONVERTERS[type(f.default)] for f in fields(AlnsConfig)}
 
 
 def load_config(path: str) -> AlnsConfig:
@@ -157,21 +156,10 @@ def load_config(path: str) -> AlnsConfig:
 
 
 def config_from_dict(doc: dict) -> AlnsConfig:
-    """A checked config from a JSON object; the object itself is not changed."""
-    if not isinstance(doc, dict):
-        raise ConfigError("a run configuration must be a JSON object")
-    unknown = sorted(set(doc) - set(_DEFAULTS))
-    if unknown:
-        more = len(unknown) - MAX_SHOWN_KEYS
-        raise ConfigError(
-            f"unknown config keys: {', '.join(map(_shown, unknown[:MAX_SHOWN_KEYS]))}"
-            + (f" and {more} more" if more > 0 else "")
-        )
+    """A checked config from a JSON object; the object itself is not changed.
+    Every field is optional and takes its default when absent."""
     try:
-        values = {
-            key: _conv(value, f"/{key}", _CONVERTERS[type(_DEFAULTS[key])])
-            for key, value in doc.items()
-        }
+        values = _members(doc, "", _FIELDS, optional=_FIELDS)
     except SchemaError as exc:
         raise ConfigError(str(exc)) from None
     return AlnsConfig(**values)

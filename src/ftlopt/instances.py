@@ -26,6 +26,7 @@ from .model import (
     _conv,
     _finite,
     _list,
+    _members,
     _number,
     _str,
     _whole,
@@ -314,34 +315,12 @@ def _at(pointer: str):
         raise SchemaError(pointer, str(exc)) from None
 
 
-def _need(obj: dict, key: str, where: str, conv=None):
-    """obj[key], passed through conv when given; a missing field, or one that
-    conv rejects, raises SchemaError with the field's pointer."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(f"{where}/{key}", "missing")
-    return obj[key] if conv is None else _conv(obj[key], f"{where}/{key}", conv)
-
-
 # Upper bounds on read distances (matrix cells, tier bounds, mu) and money
 # values (prices, kappa, tier rates).  A cost total is a sum of a few
 # thousand products of the two at most, so it stays far inside float range,
 # which the annealing temperature and the acceptance test compute in.
 MAX_KM = 10**9
 MAX_EUR = 10**12
-
-
-def _known(obj, where: str, *keys: str) -> None:
-    """Reject a member of the JSON object obj that keys does not name, with
-    its pointer: a misspelt optional field would otherwise read as absent.
-    Anything but an object passes, for _need to report."""
-    if isinstance(obj, dict):
-        unknown = sorted(set(obj).difference(keys))
-        if unknown:
-            more = f" (and {len(unknown) - 1} more)" if len(unknown) > 1 else ""
-            key = unknown[0].replace("~", "~0").replace("/", "~1")
-            if len(key) > 40:  # cut short, as _shown cuts a long value
-                key = f"{key[:24]}... ({len(key)} characters)"
-            raise SchemaError(f"{where}/{key}", "unknown key" + more)
 
 
 def _at_most(v, limit, bound: str):
@@ -411,90 +390,75 @@ def _grid(rows, where: str, conv, row_conv, n: int) -> list[list]:
 
 
 def _window(obj, where: str) -> TimeWindow:
-    _known(obj, where, "start", "end")
-    return TimeWindow(_need(obj, "start", where, _whole), _need(obj, "end", where, _whole))
+    return TimeWindow(**_members(obj, where, {"start": _whole, "end": _whole}))
 
 
 def instance_from_dict(doc: dict) -> Instance:
-    _known(doc, "", "name", "locations", "matrix", "requests", "cost", "regs", "mu", "horizon")
-    locations = _need(doc, "locations", "", _list)
+    doc = _members(doc, "", {
+        "name": _str, "locations": _list, "matrix": None, "requests": _list,
+        "cost": None, "regs": None, "mu": _km, "horizon": None,
+    }, ("name",))
+    locations = []
+    for i, loc in enumerate(doc["locations"]):
+        where = f"/locations/{i}"
+        locations.append(_members(loc, where, {"id": _whole, "x": _coord, "y": _coord}, ("x", "y")))
+        if locations[i]["id"] != i:
+            raise SchemaError(f"{where}/id", "ids must be 0..n-1 in order")
     n = len(locations)
-    for i, loc in enumerate(locations):
-        if _need(loc, "id", f"/locations/{i}", _whole) != i:
-            raise SchemaError(f"/locations/{i}/id", "ids must be 0..n-1 in order")
-        _known(loc, f"/locations/{i}", "id", "x", "y")
     coords = None
-    if locations and all("x" in loc and "y" in loc for loc in locations):
-        coords = tuple(
-            tuple(_need(loc, axis, f"/locations/{i}", _coord) for axis in ("x", "y"))
-            for i, loc in enumerate(locations)
-        )
+    if locations and all(len(loc) == 3 for loc in locations):  # x and y on every location
+        coords = tuple((loc["x"], loc["y"]) for loc in locations)
 
-    regs_doc = _need(doc, "regs", "")
-    _known(regs_doc, "/regs", "tau_n", "tau_b", "tau_s", "sigma", "nu")
     with _at("/regs"):
-        regs = RegParams(
-            _need(regs_doc, "tau_n", "/regs", _whole),
-            _need(regs_doc, "tau_b", "/regs", _whole),
-            _need(regs_doc, "tau_s", "/regs", _whole),
-            _need(regs_doc, "sigma", "/regs", _whole),
-            _need(regs_doc, "nu", "/regs", _finite),
-        )
+        regs = RegParams(**_members(doc["regs"], "/regs", {
+            "tau_n": _whole, "tau_b": _whole, "tau_s": _whole, "sigma": _whole, "nu": _finite,
+        }))
 
-    matrix_doc = _need(doc, "matrix", "")
     with _at("/matrix"):
-        if matrix_doc == "euclidean":
+        if doc["matrix"] == "euclidean":
             if coords is None:
                 raise SchemaError("/matrix", "euclidean directive needs x/y on every location")
             matrix = _euclid_matrix(coords, regs.nu)
         else:
-            _known(matrix_doc, "/matrix", "distance", "time")
-            dist = _grid(_need(matrix_doc, "distance", "/matrix"), "/matrix/distance", _km, _km_row, n)
-            if "time" in matrix_doc:
-                time = _grid(matrix_doc["time"], "/matrix/time", _whole, _whole_row, n)
+            grids = _members(doc["matrix"], "/matrix", {"distance": None, "time": None}, ("time",))
+            dist = _grid(grids["distance"], "/matrix/distance", _km, _km_row, n)
+            if "time" in grids:
+                time = _grid(grids["time"], "/matrix/time", _whole, _whole_row, n)
                 matrix = TravelMatrix(n, tuple(map(tuple, dist)), tuple(map(tuple, time)))
             else:
                 matrix = TravelMatrix.from_distances(dist, regs.nu)
 
-    cost_doc = _need(doc, "cost", "")
+    kappa, sm_tiers = _members(doc["cost"], "/cost", {"kappa": _money, "sm_tiers": _list}).values()
     tiers = []
-    for i, tier in enumerate(_need(cost_doc, "sm_tiers", "/cost", _list)):
+    for i, tier in enumerate(sm_tiers):
         where = f"/cost/sm_tiers/{i}"
         if len(_conv(tier, where, _list)) != 2:
             raise SchemaError(where, "expected [bound, rate]")
         bound = None if tier[0] is None else _conv(tier[0], f"{where}/0", _km)
         tiers.append((bound, _conv(tier[1], f"{where}/1", _money)))
-    if "explicit_sm_prices" in cost_doc:
-        raise SchemaError("/cost/explicit_sm_prices", "put each price in its request's sm_price")
-    _known(cost_doc, "/cost", "kappa", "sm_tiers")
     with _at("/cost"):
-        cost = CostModel(_need(cost_doc, "kappa", "/cost", _money), tuple(tiers))
+        cost = CostModel(kappa, tuple(tiers))
 
-    horizon_doc = _need(doc, "horizon", "")
-    _known(horizon_doc, "/horizon", "origin_weekday", "days")
     with _at("/horizon"):
         horizon = Horizon(
-            _need(horizon_doc, "origin_weekday", "/horizon", _whole),
-            _need(horizon_doc, "days", "/horizon", _whole),
+            **_members(doc["horizon"], "/horizon", {"origin_weekday": _whole, "days": _whole})
         )
 
     requests = []
-    for i, rd in enumerate(_need(doc, "requests", "", _list)):
+    for i, rd in enumerate(doc["requests"]):
         where = f"/requests/{i}"
-        _known(
-            rd, where, "id", "origin", "destination", "pickup_window", "delivery_windows", "sm_price"
-        )
+        rid, origin, destination, pickup, deliveries, price = _members(rd, where, {
+            "id": _whole, "origin": _whole, "destination": _whole,
+            "pickup_window": None, "delivery_windows": _list, "sm_price": _money,
+        }).values()
         with _at(where):
             requests.append(Request(
-                _need(rd, "id", where, _whole),
-                _need(rd, "origin", where, _whole),
-                _need(rd, "destination", where, _whole),
-                _window(_need(rd, "pickup_window", where), f"{where}/pickup_window"),
+                rid, origin, destination,
+                _window(pickup, f"{where}/pickup_window"),
                 tuple(
-                    _window(w, f"{where}/delivery_windows/{k}")
-                    for k, w in enumerate(_need(rd, "delivery_windows", where, _list))
+                    _window(w, f"{where}/delivery_windows/{k}") for k, w in enumerate(deliveries)
                 ),
-                _need(rd, "sm_price", where, _money),
+                price,
             ))
 
     # the instance reports its own faults at /mu and /requests/<i>
@@ -503,9 +467,9 @@ def instance_from_dict(doc: dict) -> Instance:
         matrix=matrix,
         cost=cost,
         regs=regs,
-        mu_d10=_need(doc, "mu", "", _km),
+        mu_d10=doc["mu"],
         horizon=horizon,
-        name=_conv(doc.get("name", ""), "/name", _str),
+        name=doc.get("name", ""),
         coords=coords,
     )
 

@@ -85,8 +85,8 @@ def write_text(path: str, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON input: one reader and one set of field converters for the instance
-# and the run configuration
+# JSON input: one reader, one member reader and one set of field converters
+# for the instance and the run configuration
 
 
 class SchemaError(ValueError):
@@ -122,6 +122,36 @@ def _conv(value, pointer: str, conv):
         return conv(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(pointer, f"invalid value {_shown(value)}: {exc}") from None
+
+
+def _members(obj, where: str, convs: dict, optional=()) -> dict:
+    """The members of the JSON object obj at pointer where, in the order of
+    the table convs (member name to converter), each through its converter
+    (None keeps the value); a member that optional names may be absent.
+
+    Raises SchemaError, in this order, when obj is not an object, when it
+    holds a member that convs does not name (a misspelt optional member
+    would otherwise read as absent), when it lacks a member, and at the
+    first value that its converter rejects.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError(where or "/", "not an object")
+    if not obj.keys() <= convs.keys():
+        unknown = sorted(obj.keys() - convs.keys())
+        more = f" (and {len(unknown) - 1} more)" if len(unknown) > 1 else ""
+        key = unknown[0].replace("~", "~0").replace("/", "~1")
+        if len(key) > 40:  # cut short, as _shown cuts a long value
+            key = f"{key[:24]}... ({len(key)} characters)"
+        raise SchemaError(f"{where}/{key}", "unknown key" + more)
+    if len(obj) < len(convs):
+        for key in convs:
+            if key not in obj and key not in optional:
+                raise SchemaError(f"{where}/{key}", "missing")
+    return {
+        key: obj[key] if conv is None else _conv(obj[key], f"{where}/{key}", conv)
+        for key, conv in convs.items()
+        if key in obj
+    }
 
 
 # The converters below give a reason without the value, because _conv

@@ -136,8 +136,12 @@ def roulette(weights: Sequence[float], rng: random.Random) -> int:
     """One index drawn with probability proportional to its weight.
 
     Consumes exactly one random number; the last index absorbs rounding.
+    When every weight is 0 (scores of 0 with rho 1), every index is alike.
     """
-    shot = rng.random() * sum(weights)
+    total = sum(weights)
+    if not total:
+        return int(rng.random() * len(weights))
+    shot = rng.random() * total
     acc = 0.0
     for i, w in enumerate(weights):
         acc += w

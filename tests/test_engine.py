@@ -212,6 +212,21 @@ class TestRun:
         assert sum(s.uses for s in report.removal_stats) == 450
         assert sum(s.uses for s in report.insertion_stats) == 450
 
+    def test_operators_whose_weights_all_fell_to_zero_are_drawn_alike(self):
+        # scores of 0 with rho 1 zero each weight after the first segment
+        # that uses its operator; the roulette then draws every operator
+        # alike, where it once gave every draw to the last one
+        cfg = AlnsConfig(max_iterations=300, segment_length=1, rho=1, seed=1,
+                         sigma_best=0, sigma_improve=0, sigma_accept=0)
+        _best, report = run(GOLDEN_MINI, cfg)
+        for stats in (report.removal_stats, report.insertion_stats):
+            assert all(s.weight == 0 for s in stats)
+            fair = 300 / len(stats)
+            assert all(fair / 2 < s.uses < 2 * fair for s in stats), [s.uses for s in stats]
+        assert operators.roulette([0.0, 0.0, 0.0], random.Random(5)) == int(
+            random.Random(5).random() * 3
+        )
+
     def test_report_files(self, tmp_path):
         inst = micro_instance(10)
         _best, report = run(inst, AlnsConfig(max_iterations=120, segment_length=40, seed=10))

@@ -321,6 +321,12 @@ class TestNativeFormat:
                 instance_from_dict(doc)
             assert err.value.pointer == pointer
 
+    def test_a_document_that_is_not_an_object_is_named_at_the_root(self):
+        for doc in ([], "x", 5, None):
+            with pytest.raises(SchemaError) as err:
+                instance_from_dict(doc)
+            assert str(err.value) == "/: not an object"
+
     def test_euclidean_directive(self):
         doc = instance_to_dict(transform(parse_gh(mini_text())))
         explicit = [row[:] for row in doc["matrix"]["distance"]]
@@ -367,35 +373,56 @@ HOSTILE_FIELDS = (
     "/cost/kappa", "/cost/sm_tiers/0/0", "/cost/sm_tiers/0/1",
     "/regs/tau_n", "/regs/tau_b", "/regs/tau_s", "/regs/sigma", "/regs/nu",
     "/mu", "/horizon/days", "/horizon/origin_weekday",
+    # whole objects: a value that is not an object names the object, and {}
+    # names its first missing member
+    "/regs", "/cost", "/horizon", "/matrix", "/locations/0", "/requests/0",
+    "/requests/0/pickup_window", "/requests/0/delivery_windows/0",
 )
 HOSTILE_VALUES = (
     math.nan, math.inf, -math.inf, -1, 0, 0.5, 10**307, 10**400, 1e308, "1", True, None, [], {},
 )
 MINI_DOC = instance_to_dict(transform(parse_gh(mini_text())))
+# the same instance with its distances computed from the coordinates
+EUCLIDEAN_DOC = {**MINI_DOC, "matrix": "euclidean"}
+EUCLIDEAN_FIELDS = (
+    "/matrix", *(f"/locations/{i}/{axis}" for i in range(len(MINI_DOC["locations"])) for axis in "xy"),
+)
+
+
+def assert_named_or_harmless(base, field, value):
+    """Either the reader names the field, an ancestor of it (never "/") or,
+    at an object position, a member below it, or the document with the
+    field set to value is sound enough for both searches to run."""
+    doc = copy.deepcopy(base)
+    *path, last = field[1:].split("/")
+    node = doc
+    for key in path:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    try:
+        inst = instance_from_dict(doc)
+    except SchemaError as err:
+        assert err.pointer not in ("", "/"), err
+        assert field == err.pointer or field.startswith(err.pointer + "/") or (
+            isinstance(value, dict) and err.pointer.startswith(field + "/")
+        ), err
+        assert len(str(err)) < 200, str(err)
+        return
+    config = AlnsConfig(max_iterations=5, seed=1)
+    scenario_mixed(inst, config)
+    scenario_all_fct(inst, config)
 
 
 class TestHostileInput:
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(HOSTILE_FIELDS), st.sampled_from(HOSTILE_VALUES))
     def test_one_hostile_field_is_named_or_harmless(self, field, value):
-        # either the reader names the field or an ancestor of it (never "/"),
-        # or the document is sound enough for both searches to run
-        doc = copy.deepcopy(MINI_DOC)
-        *path, last = field[1:].split("/")
-        node = doc
-        for key in path:
-            node = node[int(key)] if isinstance(node, list) else node[key]
-        node[int(last) if isinstance(node, list) else last] = value
-        try:
-            inst = instance_from_dict(doc)
-        except SchemaError as err:
-            assert err.pointer not in ("", "/"), err
-            assert field == err.pointer or field.startswith(err.pointer + "/"), err
-            assert len(str(err)) < 200, str(err)
-            return
-        config = AlnsConfig(max_iterations=5, seed=1)
-        scenario_mixed(inst, config)
-        scenario_all_fct(inst, config)
+        assert_named_or_harmless(MINI_DOC, field, value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(EUCLIDEAN_FIELDS), st.sampled_from(HOSTILE_VALUES))
+    def test_one_hostile_field_of_a_euclidean_document_is_named_or_harmless(self, field, value):
+        assert_named_or_harmless(EUCLIDEAN_DOC, field, value)
 
     def test_rejected_values_name_their_bound_briefly(self):
         cases = (

@@ -43,12 +43,13 @@ def nodes(match):
     ]
 
 
-def calls(match):
-    """(file, enclosing function, first argument) of every call in the
-    package whose callee, as source text, match accepts."""
+def calls(match, arg=0):
+    """(file, enclosing function, argument at index arg, or "" when there is
+    none) of every call in the package whose callee, as source text, match
+    accepts."""
     found = nodes(lambda node: isinstance(node, ast.Call) and match(ast.unparse(node.func)))
     return sorted(
-        (name, owner, ast.unparse(call.args[0]) if call.args else "")
+        (name, owner, ast.unparse(call.args[arg]) if len(call.args) > arg else "")
         for name, owner, call in found
     )
 
@@ -117,3 +118,26 @@ def test_the_scheduler_writes_the_rest_rule_once():
         ("schedule.py", "__init__"),
         ("schedule.py", "_advance"),
     ]
+
+
+def test_one_reader_checks_the_members_of_every_json_object():
+    # model._members alone rejects a value that is not an object, an
+    # unknown member and a missing one, so the instance and the run
+    # configuration name each fault with a pointer in one way
+    found = calls(lambda callee: callee.rpartition(".")[2] == "SchemaError", arg=1)
+    faults = [
+        (name, owner) for name, owner, message in found
+        if any(word in message for word in ("unknown key", "missing", "not an object"))
+    ]
+    assert faults == [("model.py", "_members")] * 3, faults
+    # and neither reader compares key sets by hand
+    set_methods = ("keys", "difference", "symmetric_difference", "issubset", "issuperset")
+    found = nodes(
+        lambda node: isinstance(node, ast.Call)
+        and ast.unparse(node.func).rpartition(".")[2] in set_methods
+        or isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Sub, ast.BitAnd, ast.BitXor))
+        and any(isinstance(side, ast.Call) and ast.unparse(side.func) in ("set", "frozenset")
+                for side in (node.left, node.right))
+    )
+    assert [(name, owner) for name, owner, _node in found
+            if name in ("instances.py", "engine.py")] == []

@@ -423,6 +423,7 @@ class TestCli:
             (json.dumps({**short, "sa_start_gap": 5e-324, "sa_end_fraction": 5e-324}), "/sa_"),
             ('{"seed": ' + "9" * 5000 + "}", "/: not valid JSON: "),
             ("{", "/: not valid JSON: "),
+            (json.dumps(["seed", 1]), "/: not an object"),
         ]
         cfg = tmp_path / "cfg.json"
         for text, named in cases:
@@ -432,6 +433,26 @@ class TestCli:
             assert r.returncode == 3, (named, r.stderr)
             assert r.stderr.startswith("config error: " + named), r.stderr
             assert len(r.stderr) < 300 and "Traceback" not in r.stderr, r.stderr
+
+    def test_unknown_config_keys_exit_3_with_their_pointer(self, tmp_path):
+        # a config key is named as an instance key is: escaped, cut short
+        # when long, the first in sorted order with a count of the others
+        native = tmp_path / "mini.json"
+        self.run_cli("transform", "--gh", os.path.join(DATA, "gh_mini.txt"), "--out", str(native))
+        cases = {
+            "/" + "k" * 24 + "... (100000 characters)": {"k" * 100_000: 1},
+            "/a~1b~0c": {"a/b~c": 1},
+            "/literal_regret": {"shaw_p": 6, "literal_regret": True, "zeta": 0, "seed": 1},
+        }
+        cfg = tmp_path / "cfg.json"
+        for pointer, doc in cases.items():
+            cfg.write_text(json.dumps(doc))
+            r = self.run_cli("solve", "--instance", str(native), "--scenario", "mixed",
+                             "--config", str(cfg), "--out", str(tmp_path / "s.json"), timeout=30)
+            assert r.returncode == 3, (pointer, r.stderr)
+            assert r.stderr.startswith(f"config error: {pointer}: unknown key"), r.stderr
+            assert len(r.stderr) < 200 and "Traceback" not in r.stderr, r.stderr
+        assert "(and 2 more)" in r.stderr, r.stderr
 
     def test_a_negative_seed_exits_3(self, tmp_path):
         # random.Random(-7) draws as random.Random(7), so -7 is no new search
