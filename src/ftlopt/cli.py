@@ -14,12 +14,12 @@ import os
 import sys
 
 from . import engine, instances, oracle, scenarios
-from .model import PartitionViolation, fmt_money, read_text, write_text
+from .model import fmt_money, read_text, write_text
 
 
 def _load_config(args) -> engine.AlnsConfig:
     cfg = engine.load_config(args.config) if args.config else engine.AlnsConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
@@ -89,36 +89,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ftlopt", description="Full-truck-load fleet vs. spot-market planning"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    command = parser.add_subparsers(dest="command", required=True).add_parser
+    # the options that several commands share, each declared once
+    inst = argparse.ArgumentParser(add_help=False)
+    inst.add_argument("--instance", required=True)
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--config", help="JSON run configuration")
+    search.add_argument("--seed", type=int, help="overrides the config seed")
 
-    p = sub.add_parser("transform", help="turn a benchmark file into a native instance")
+    p = command("transform", help="turn a benchmark file into a native instance")
     p.add_argument("--gh", required=True, help="benchmark file in the whitespace-column layout")
     p.add_argument("--factor", type=int, default=6, help="distance/time stretch factor")
     p.add_argument("--out", required=True, help="native instance JSON to write")
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("solve", help="solve one scenario")
-    p.add_argument("--instance", required=True)
+    p = command("solve", help="solve one scenario", parents=[inst, search])
     p.add_argument("--scenario", choices=("all-sm", "all-fct", "mixed"), required=True)
-    p.add_argument("--config", help="JSON run configuration")
-    p.add_argument("--seed", type=int, help="overrides the config seed")
     p.add_argument("--out", required=True, help="solution JSON to write")
     p.add_argument("--dump-schedule", action="store_true", help="print trip schedules as CSV")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("compare", help="run all three scenarios and write reports")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--config", help="JSON run configuration")
-    p.add_argument("--seed", type=int, help="overrides the config seed")
+    p = command("compare", help="run all three scenarios and write reports", parents=[inst, search])
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("oracle", help="exact optimum by enumeration (micro instances)")
-    p.add_argument("--instance", required=True)
+    p = command("oracle", help="exact optimum by enumeration (micro instances)", parents=[inst])
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("emit-lp", help="write the routing/min-distance model as an LP file")
-    p.add_argument("--instance", required=True)
+    p = command(
+        "emit-lp", help="write the routing/min-distance model as an LP file", parents=[inst]
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_emit_lp)
     return parser
@@ -127,9 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # an output that cannot be written fails before any input is read
+    # an output that cannot be written fails before any input is read; an
+    # empty path would name the working directory
     out = getattr(args, "out", None)
-    if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+    if out is not None and (
+        not out or os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")
+    ):
         print(f"output error: {out} is not a file in an existing directory", file=sys.stderr)
         return 2
     # and so does an --out-dir whose nearest existing path is not a directory
@@ -137,7 +140,7 @@ def main(argv=None) -> int:
     head = os.path.abspath(out_dir or ".")
     while not os.path.lexists(head):
         head = os.path.dirname(head)
-    if not os.path.isdir(head):
+    if out_dir == "" or not os.path.isdir(head):
         print(f"output error: {out_dir} is not a directory and cannot be one", file=sys.stderr)
         return 2
     try:
@@ -150,7 +153,6 @@ def main(argv=None) -> int:
         instances.SchemaError,
         instances.TransformError,
         oracle.TooLarge,
-        PartitionViolation,
         OSError,
         UnicodeDecodeError,
     ) as exc:

@@ -241,7 +241,10 @@ class RunReport:
 
 def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution, RunReport]:
     """Search until max_iterations or max_seconds and return the best
-    solution found with the run's report, built after the last iteration."""
+    solution found with the run's report, built after the last iteration.
+    The run's clock starts on entry, so `wall_s` and `max_seconds` cover
+    the simulator's set-up as well as the search."""
+    start = time.perf_counter()
     rng = random.Random(config.seed)
     ev = InsertionEvaluator(Simulator(instance))
     ks = [insertion_k(name) for name in config.insertion_ops]
@@ -249,7 +252,6 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
     removal_stats = [OperatorStats(name) for name in config.removal_ops]
     insertion_stats = [OperatorStats(name) for name in config.insertion_ops]
 
-    start = time.perf_counter()
     current = build_initial(ev)
     best = current
     t0, cooling = temperature_schedule(config, current.cost_total)

@@ -141,7 +141,10 @@ def transform(gh: GhInstance, factor: int = 6) -> Instance:
     the minimum driven distance scales with the number of days that have
     pickups.
     """
-    by_id = {n.id: n for n in gh.nodes}
+    by_id = {}
+    for node in gh.nodes:
+        if by_id.setdefault(node.id, node) is not node:
+            raise TransformError(f"node {node.id} appears twice")
     if 0 not in by_id:
         raise TransformError("node 0 (depot) not found")
     customers = sorted((n for n in gh.nodes if n.id != 0), key=lambda n: n.id)

@@ -156,6 +156,14 @@ class TestTransform:
         with pytest.raises(TransformError):
             transform(gh)
 
+    def test_repeated_node_id_is_named(self):
+        # a second row with id 3 would replace the first and leave node 4
+        # missing; the repeated id itself is the fault
+        gh = parse_gh(mini_text().replace("    4      30", "    3      30"))
+        assert [node.id for node in gh.nodes] == [0, 1, 2, 3, 3]
+        with pytest.raises(TransformError, match=r"^node 3 appears twice$"):
+            transform(gh)
+
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_instance(transform(parse_gh(mini_text())), str(a))

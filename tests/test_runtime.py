@@ -141,3 +141,24 @@ def test_one_reader_checks_the_members_of_every_json_object():
     )
     assert [(name, owner) for name, owner, _node in found
             if name in ("instances.py", "engine.py")] == []
+
+
+def test_engine_run_alone_reads_the_clock():
+    # a search scenario's cpu_s is its report's wall_s, and max_seconds
+    # counts on the same clock, from the entry of engine.run
+    found = calls(lambda callee: callee.rpartition(".")[2] == "perf_counter")
+    assert {(name, owner) for name, owner, _arg in found} == {("engine.py", "run")}
+
+
+def test_each_shared_cli_option_is_declared_once():
+    found = calls(lambda callee: callee.rpartition(".")[2] == "add_argument")
+    declared = [option for name, _owner, option in found if name == "cli.py"]
+    for option in ("--instance", "--config", "--seed"):
+        assert declared.count(repr(option)) == 1, (option, declared)
+
+
+def test_the_cli_catches_no_error_that_its_commands_cannot_raise():
+    # only model.solution_cost raises PartitionViolation, and the package
+    # never calls it
+    assert calls(lambda callee: callee.rpartition(".")[2] == "solution_cost") == []
+    assert "PartitionViolation" not in (SRC / "cli.py").read_text(encoding="utf-8")

@@ -145,6 +145,15 @@ class TestAllFct:
         assert result.residual >= 1
 
 
+def test_a_search_reports_its_run_time_and_all_sm_none():
+    # one clock: a search's cpu_s is the wall_s of its run, set-up included
+    inst = micro_instance(21)
+    for scenario in (scenario_all_fct, scenario_mixed):
+        result, _sol, report = scenario(inst, AlnsConfig(max_iterations=30, seed=1))
+        assert result.cpu_s == report.wall_s > 0
+    assert scenario_all_sm(inst)[0].cpu_s == 0.0
+
+
 class TestCompare:
     def test_report_layout_and_invariants(self, tmp_path):
         inst = micro_instance(21)
@@ -647,9 +656,10 @@ class TestCli:
 
     def test_unwritable_out_exits_2_before_any_work(self, tmp_path):
         # a search that would run for minutes, outputs in a missing
-        # directory or onto a directory, and an output directory that is a
-        # file or lies under one, fail at once; the compare cases name an
-        # instance that does not exist, so their output check comes first
+        # directory, onto a directory or to an empty path, and an output
+        # directory that is a file, lies under one or is empty, fail at
+        # once; the compare cases name an instance that does not exist, so
+        # their output check comes first
         gh = os.path.join(DATA, "gh_syn_c1.txt")
         native = tmp_path / "c1.json"
         self.run_cli("transform", "--gh", gh, "--out", str(native))
@@ -661,10 +671,13 @@ class TestCli:
         for args in (
             ("compare", "--instance", missing, "--out-dir", str(afile)),
             ("compare", "--instance", missing, "--out-dir", str(afile / "sub")),
+            ("compare", "--instance", missing, "--out-dir", ""),
             ("solve", "--instance", str(native), "--scenario", "all-fct",
              "--config", str(cfg), "--out", missing),
             ("solve", "--instance", str(native), "--scenario", "mixed",
              "--config", str(cfg), "--out", str(tmp_path)),
+            ("solve", "--instance", str(native), "--scenario", "all-fct",
+             "--config", str(cfg), "--out", ""),
             ("transform", "--gh", gh, "--out", missing),
             ("emit-lp", "--instance", str(native), "--out", missing),
         ):
