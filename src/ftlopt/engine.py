@@ -3,7 +3,8 @@
 Each iteration draws one removal and one insertion operator by roulette on
 adaptive weights, partially destroys the current solution, repairs it, and
 accepts the candidate under simulated annealing.  Weights are refreshed
-every segment from the scores the operators earned.
+every segment from the scores the operators earned, and the two roulette
+wheels are rebuilt from them then and only then.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
 from .model import (
@@ -35,11 +37,11 @@ from .model import (
 from .operators import (
     REMOVAL_OPERATORS,
     InsertionEvaluator,
+    Wheel,
     build_initial,
     insertion_k,
     removal_count,
     repair,
-    roulette,
 )
 from .schedule import Simulator
 
@@ -239,6 +241,9 @@ class RunReport:
         }
 
 
+_requests = attrgetter("requests")
+
+
 def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution, RunReport]:
     """Search until max_iterations or max_seconds and return the best
     solution found with the run's report, built after the last iteration.
@@ -251,51 +256,65 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
 
     removal_stats = [OperatorStats(name) for name in config.removal_ops]
     insertion_stats = [OperatorStats(name) for name in config.insertion_ops]
+    removal_wheel = Wheel([s.weight for s in removal_stats])
+    insertion_wheel = Wheel([s.weight for s in insertion_stats])
 
     current = build_initial(ev)
     best = current
     t0, cooling = temperature_schedule(config, current.cost_total)
     temperature = t0
-    xi = Fraction(str(config.xi))
+    # the loop's constants, read once
+    removal_ops, psi, segment_length = config.removal_ops, config.psi, config.segment_length
+    xi = Fraction(str(config.xi)).as_integer_ratio()
+    sigma_best, sigma_improve, sigma_accept = (
+        config.sigma_best, config.sigma_improve, config.sigma_accept)
+    max_seconds, strict = config.max_seconds, config.strict_validation
+    # the removal count, read once per accepted solution; a search's
+    # solutions partition the requests, so the planned ones are those not
+    # banked
+    n_requests = len(instance.requests)
+    q = removal_count(psi, xi, n_requests - len(current.bank))
 
     trace = [TraceRow(0, current.cost_total, best.cost_total, temperature)]
 
     it = 0
     for it in range(1, config.max_iterations + 1):
-        ri = roulette([s.weight for s in removal_stats], rng)
-        ii = roulette([s.weight for s in insertion_stats], rng)
-        q = removal_count(config.psi, xi, current.planned_count)
-        trips, removed = REMOVAL_OPERATORS[config.removal_ops[ri]](ev.sim, current, q, rng)
+        ri = removal_wheel.spin(rng)
+        ii = insertion_wheel.spin(rng)
+        trips, removed = REMOVAL_OPERATORS[removal_ops[ri]](ev.sim, current, q, rng)
         # repair is a pure function of this key; revisited states are free
         unassigned = current.bank.union(removed)
-        memo_key = (tuple(t.requests for t in trips), unassigned, ks[ii])
+        memo_key = (tuple(map(_requests, trips)), unassigned, ks[ii])
         candidate = ev.repairs.get(memo_key)
         if candidate is None:
             candidate = ev.repairs[memo_key] = repair(ev, trips, unassigned, ks[ii])
-        ok = accept(current.cost_total, candidate.cost_total, temperature, rng)
+        cost = candidate.cost_total
+        ok = accept(current.cost_total, cost, temperature, rng)
         score = 0
-        if candidate.cost_total < best.cost_total:
-            score = config.sigma_best
-            removal_stats[ri].best_count += 1
-            insertion_stats[ii].best_count += 1
+        used = (removal_stats[ri], insertion_stats[ii])
+        if cost < best.cost_total:
+            score = sigma_best
+            for s in used:
+                s.best_count += 1
             best = candidate
-        elif candidate.cost_total < current.cost_total:
-            score = config.sigma_improve
+        elif cost < current.cost_total:
+            score = sigma_improve
         elif ok:
-            score = config.sigma_accept
-        for stats, idx in ((removal_stats, ri), (insertion_stats, ii)):
-            stats[idx].segment_score += score
-            stats[idx].segment_uses += 1
-            stats[idx].uses += 1
+            score = sigma_accept
+        for s in used:
+            s.segment_score += score
+            s.segment_uses += 1
+            s.uses += 1
         if ok:
-            if config.strict_validation:
+            if strict:
                 problems = validate_solution(instance, candidate)
                 if problems:
                     raise RuntimeError(f"accepted infeasible solution: {problems[:3]}")
             current = candidate
+            q = removal_count(psi, xi, n_requests - len(current.bank))
         temperature *= cooling
 
-        if it % config.segment_length == 0:
+        if it % segment_length == 0:
             for stats in (removal_stats, insertion_stats):
                 for s in stats:
                     if s.segment_uses:
@@ -304,8 +323,10 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
                         )
                     s.segment_score = 0
                     s.segment_uses = 0
+            removal_wheel = Wheel([s.weight for s in removal_stats])
+            insertion_wheel = Wheel([s.weight for s in insertion_stats])
             trace.append(TraceRow(it, current.cost_total, best.cost_total, temperature))
-        if config.max_seconds is not None and time.perf_counter() - start > config.max_seconds:
+        if max_seconds is not None and time.perf_counter() - start > max_seconds:
             break
 
     if trace[-1].iteration != it:  # no segment end wrote it

@@ -12,21 +12,22 @@ from __future__ import annotations
 
 import random
 import re
-from fractions import Fraction
+from bisect import bisect_right
 from functools import partial
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import Instance, Solution, Trip, priced_solution
 from .schedule import Simulator
 
 
-def removal_count(psi: int, xi: Fraction, planned: int) -> int:
-    """q = min(psi, ceil(xi * planned), planned)."""
+def removal_count(psi: int, xi: tuple[int, int], planned: int) -> int:
+    """q = min(psi, ceil(xi * planned), planned), with xi given as its
+    integer ratio (numerator, denominator)."""
     if planned <= 0:
         return 0
-    rel = -((-xi.numerator * planned) // xi.denominator)
-    return min(psi, rel, planned)
+    num, den = xi
+    return min(psi, -((-num * planned) // den), planned)
 
 
 # ---------------------------------------------------------------------------
@@ -132,33 +133,42 @@ def _take_out(
     return trips, removed + extra
 
 
-def roulette(weights: Sequence[float], rng: random.Random) -> int:
-    """One index drawn with probability proportional to its weight.
+class Wheel:
+    """A roulette wheel over fixed non-negative weights: built once while
+    the weights hold, then spun once per draw.
 
-    Consumes exactly one random number; the last index absorbs rounding.
-    When every weight is 0 (scores of 0 with rho 1), every index is alike.
+    `total` is sum(weights) and `sums` holds the running sums, the same
+    left-to-right additions as a scan that stops at the first running sum
+    above the shot.  A spin consumes exactly one random number; the last
+    index absorbs rounding.  When every weight is 0 (scores of 0 with rho
+    1), every index is alike.
     """
-    total = sum(weights)
-    if not total:
-        return int(rng.random() * len(weights))
-    shot = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if shot < acc:
-            return i
-    return len(weights) - 1
+
+    __slots__ = ("total", "sums")
+
+    def __init__(self, weights: Sequence[float]):
+        self.total = sum(weights)
+        self.sums = list(accumulate(weights))
+
+    def spin(self, rng: random.Random) -> int:
+        """One index drawn with probability proportional to its weight."""
+        sums = self.sums
+        if not self.total:
+            return int(rng.random() * len(sums))
+        i = bisect_right(sums, rng.random() * self.total)
+        return i if i < len(sums) else len(sums) - 1
 
 
 def _roulette_without_replacement(weights: list[float], rng: random.Random) -> Iterator[int]:
     """Indices drawn lazily by weight, no repeats; weights must be positive.
 
-    Each draw consumes one random number when the next index is requested,
-    so a caller that stops early leaves the rest of the stream untouched.
+    Each draw spins a wheel over the weights still alive and so consumes one
+    random number when the next index is requested; a caller that stops
+    early leaves the rest of the stream untouched.
     """
     alive = list(range(len(weights)))
     while alive:
-        yield alive.pop(roulette([weights[i] for i in alive], rng))
+        yield alive.pop(Wheel([weights[i] for i in alive]).spin(rng))
 
 
 def _route_travel_time(sim: Simulator, trip: Trip) -> int:

@@ -327,9 +327,10 @@ class Simulator:
         node's earliest label plus the rested travel time (see rested).
         Fits are monotone, so a position the screen drops has no schedule;
         the next node must then still be reachable by its latest-start bound
-        (_trip_tables).  The request's constants come from its compiled ask
-        record (_asks), the previous delivery and the next pickup from the
-        trip's nodes.
+        (_trip_tables).  That last test is made again from the exact
+        delivery frontier (_head) before the suffix is propagated.  The
+        request's constants come from its compiled ask record (_asks), the
+        previous delivery and the next pickup from the trip's nodes.
         """
         n = len(trip.requests)
         dist, rested, sigma = self.dist, self.rested, self.regs.sigma
@@ -392,9 +393,13 @@ class Simulator:
                 k = 2 * cell[1]
                 prev = (fronts[k - 1], nodes[k - 1][0]) if k else (None, None)
                 head = self._head(*prev, rid)
-                # a request that goes last leaves no node to propagate
+                # a request that goes last leaves no node to propagate; else
+                # the screen's next-start test is made again from the exact
+                # delivery frontier before the suffix is propagated
                 if head is not None and (
-                    k == 2 * n or self._advance(head, d, nodes, fronts, k) is not None
+                    k == 2 * n
+                    or head[0][0] + sigma + rested_d[nodes[k][0]] <= lats[cell[1]]
+                    and self._advance(head, d, nodes, fronts, k) is not None
                 ):
                     out.append(intern(cell, cell))
                     break

@@ -255,7 +255,7 @@ def test_criterion_8_property_suites():
         solution = build_initial(InsertionEvaluator(Simulator(instance)))
         all_ids = sorted(r.id for r in instance.requests)
         if solution.planned_count:
-            q = removal_count(100, Fraction("0.35"), solution.planned_count)
+            q = removal_count(100, Fraction("0.35").as_integer_ratio(), solution.planned_count)
             biggest = max(len(t.requests) for t in solution.trips)
             for name, op in REMOVAL_OPERATORS.items():
                 trips, removed = op(sim, solution, q, random.Random(seed))

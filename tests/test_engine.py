@@ -223,7 +223,7 @@ class TestRun:
             assert all(s.weight == 0 for s in stats)
             fair = 300 / len(stats)
             assert all(fair / 2 < s.uses < 2 * fair for s in stats), [s.uses for s in stats]
-        assert operators.roulette([0.0, 0.0, 0.0], random.Random(5)) == int(
+        assert operators.Wheel([0.0, 0.0, 0.0]).spin(random.Random(5)) == int(
             random.Random(5).random() * 3
         )
 

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate, islice
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +21,8 @@ from ftlopt.model import (
 from ftlopt.operators import (
     REMOVAL_OPERATORS,
     InsertionEvaluator,
+    Wheel,
+    _roulette_without_replacement,
     _regret_value,
     build_initial,
     removal_count,
@@ -31,10 +34,13 @@ from ftlopt.operators import (
     remove_time_shipments,
     repair,
 )
+from ftlopt.instances import parse_gh, transform
 from ftlopt.scenarios import fct_instance
-from ftlopt.schedule import Simulator
+from ftlopt.schedule import Infeasible, Simulator, simulate_trip
 
 from helpers import fleet_instance, kernel_case, micro_instance
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def line_instance(n_req=4, gap=50, sm_level=2.0, mu=0):
@@ -79,16 +85,94 @@ def planned_solution(inst, groups):
     return Solution(tuple(trips), bank, veh, out, veh + out), sim
 
 
+def roulette_scan(weights, rng):
+    """The weighted draw as a scan of the running sum, transcribed from the
+    loop that the wheels replaced: the reference of Wheel.spin."""
+    total = sum(weights)
+    if not total:
+        return int(rng.random() * len(weights))
+    shot = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if shot < acc:
+            return i
+    return len(weights) - 1
+
+
+def scan_without_replacement(weights, rng):
+    alive = list(range(len(weights)))
+    while alive:
+        yield alive.pop(roulette_scan([weights[i] for i in alive], rng))
+
+
+class Stream:
+    """A stub stream that returns one number again and again."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+WEIGHTS = st.floats(min_value=1e-300, max_value=1e9)
+WEIGHT_LISTS = st.one_of(
+    st.lists(st.one_of(st.just(0.0), WEIGHTS), min_size=1, max_size=12),
+    st.lists(st.just(0.0), min_size=1, max_size=12),
+)
+
+
+class TestWheel:
+    @settings(max_examples=500, deadline=None)
+    @given(WEIGHT_LISTS, st.integers(0, 2**64))
+    def test_a_spin_is_the_scan_with_one_random_number(self, weights, seed):
+        rng, ref, once = random.Random(seed), random.Random(seed), random.Random(seed)
+        assert Wheel(weights).spin(rng) == roulette_scan(weights, ref)
+        once.random()
+        assert rng.getstate() == ref.getstate() == once.getstate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(WEIGHT_LISTS)
+    def test_the_top_of_the_range_draws_as_the_scan(self, weights):
+        # the highest shot lands on the first running sum that reaches the
+        # total; the last index absorbs a shot past the last running sum,
+        # which a sum() that rounds apart from the running sums would make
+        top = Stream(1 - 2**-53)  # the largest number random() returns
+        assert Wheel(weights).spin(top) == roulette_scan(weights, top)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 4).map(float), min_size=1, max_size=8), st.data())
+    def test_a_shot_on_a_running_sum_draws_as_the_scan(self, weights, data):
+        # whole weights and a shot on one of their running sums: the draw
+        # passes every index whose running sum is the shot, zeros included;
+        # a shot on the last sum (a stub's 1.0) goes to the last index
+        total = sum(weights)
+        acc = data.draw(st.sampled_from(list(accumulate(weights))))
+        shot = Stream(acc / total if total else 0.5)
+        assert Wheel(weights).spin(shot) == roulette_scan(weights, shot)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(WEIGHTS, min_size=1, max_size=10), st.integers(0, 10), st.integers(0, 2**64))
+    def test_draws_without_replacement_are_the_scans(self, weights, stop, seed):
+        # also when the caller stops early, both leave the stream alike
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = list(islice(_roulette_without_replacement(weights, rng), stop))
+        assert got == list(islice(scan_without_replacement(weights, ref), stop))
+        assert rng.getstate() == ref.getstate()
+        assert len(got) == min(stop, len(weights)) and len(set(got)) == len(got)
+
+
 class TestRemovalCount:
     def test_table_values(self):
-        xi = Fraction("0.35")
+        xi = Fraction("0.35").as_integer_ratio()
         assert removal_count(100, xi, 100) == 35
         assert removal_count(100, xi, 1000) == 100
         assert removal_count(100, xi, 2) == 1
         assert removal_count(100, xi, 0) == 0
 
     def test_exact_ceiling_no_float_drift(self):
-        assert removal_count(100, Fraction("0.35"), 20) == 7  # not 8
+        assert removal_count(100, Fraction("0.35").as_integer_ratio(), 20) == 7  # not 8
 
 
 class TestRouteRemoval:
@@ -340,7 +424,7 @@ class TestRepair:
             if sol.planned_count == 0:
                 continue
             sim = Simulator(inst)
-            q = removal_count(100, Fraction("0.35"), sol.planned_count)
+            q = removal_count(100, Fraction("0.35").as_integer_ratio(), sol.planned_count)
             biggest = max(len(t.requests) for t in sol.trips)
             for name, op in REMOVAL_OPERATORS.items():
                 trips, removed = op(sim, sol, q, random.Random(seed))
@@ -542,6 +626,55 @@ class TestEvaluatorConsistency:
         assert reached["mixed"], reached
         assert reached["head hits"] and reached["cleared"], reached
 
+    def test_exact_head_screen_drops_only_unschedulable_splices(self):
+        # all-fct gh_syn_c1, the trips of a short search: per trip, request
+        # and inner position, best_insertions runs _head and then tests the
+        # next pickup's latest start from the exact delivery frontier before
+        # it propagates the suffix.  Each time that test fires, the splice
+        # has no schedule, and every request it fired for gets the cell of a
+        # from-scratch simulation of every splice
+        with open(os.path.join(DATA, "gh_syn_c1.txt"), encoding="utf-8") as fh:
+            inst = fct_instance(transform(parse_gh(fh.read())))
+        best, _ = engine.run(inst, engine.AlnsConfig(seed=2, max_iterations=30))
+        sim = Simulator(inst)
+        head, advance = sim._head, sim._advance
+        log = []
+
+        def logged_head(*args):
+            got = head(*args)
+            log.append(got)
+            return got
+
+        def logged_advance(*args):
+            # _head propagates its two nodes with three arguments; a suffix
+            # propagation passes the cached frontiers and a start as well
+            if len(args) > 3:
+                log.append("suffix")
+            return advance(*args)
+
+        sim._head, sim._advance = logged_head, logged_advance
+        fired = Counter()
+        heads = 0
+        for trip in best.trips:
+            n = len(trip.requests)
+            for r in inst.requests:
+                if r.id in trip.requests:
+                    continue
+                for pos in range(n):
+                    log.clear()
+                    got = sim.best_insertions(trip, [(r.id, (pos,))])[0]
+                    if not log or log[0] is None:
+                        continue
+                    heads += 1
+                    if len(log) == 1:
+                        assert got is None, (trip.requests, r.id, pos)
+                        seq = trip.requests[:pos] + (r.id,) + trip.requests[pos:]
+                        assert isinstance(simulate_trip(inst, seq), Infeasible), seq
+                        fired[trip, r.id] += 1
+        assert sum(fired.values()) >= 20 and heads > sum(fired.values()), (heads, fired)
+        for trip, rid in fired:
+            assert sim.best_insertions(trip, [(rid, None)])[0] == naive_cell(sim, trip, rid)
+
 
 class TestInterning:
     def test_a_search_stores_each_frontier_and_cell_once(self, monkeypatch):
@@ -648,8 +781,6 @@ def cached_naive_cell(naive, sim, trip, rid):
 
 def naive_cell(sim, trip, rid):
     """Cheapest (delta_d10, pos) over a from-scratch simulation of every splice."""
-    from ftlopt.schedule import Infeasible, simulate_trip
-
     best = None
     for pos in range(len(trip.requests) + 1):
         seq = trip.requests[:pos] + (rid,) + trip.requests[pos:]

@@ -162,3 +162,66 @@ def test_the_cli_catches_no_error_that_its_commands_cannot_raise():
     # never calls it
     assert calls(lambda callee: callee.rpartition(".")[2] == "solution_cost") == []
     assert "PartitionViolation" not in (SRC / "cli.py").read_text(encoding="utf-8")
+
+
+def test_one_function_spins_wheels():
+    # Wheel.spin is the package's one weighted draw: it alone reads a random
+    # number against the running sums of a Wheel, which alone accumulates
+    # weights; the engine's operator draws and the draws without
+    # replacement of the removal operators spin wheels
+    found = calls(lambda callee: callee.rpartition(".")[2] == "spin")
+    assert {(name, owner) for name, owner, _arg in found} == {
+        ("engine.py", "run"),
+        ("operators.py", "_roulette_without_replacement"),
+    }
+    found = calls(lambda callee: callee == "accumulate")
+    assert [(name, owner) for name, owner, _arg in found] == [("operators.py", "__init__")]
+    found = calls(lambda callee: callee == "rng.random")
+    assert {owner for name, owner, _arg in found if name == "operators.py"} == {"spin", "remove_shaw"}
+
+
+def run_loop():
+    """engine.run, its iteration loop and the loop's segment-end block."""
+    tree = ast.parse((SRC / "engine.py").read_text(encoding="utf-8"))
+    run = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "run")
+    loop = next(node for node in run.body if isinstance(node, ast.For))
+    segment_end = next(
+        node for node in loop.body
+        if isinstance(node, ast.If) and "segment_length" in ast.unparse(node.test)
+    )
+    return run, loop, segment_end
+
+
+def test_engine_run_builds_its_wheels_before_its_loop_and_at_segment_ends():
+    # the weights change only at a segment end, so the wheels are built
+    # before the first iteration and rebuilt there, and nowhere else
+    run, loop, segment_end = run_loop()
+
+    def builds(statements):
+        return sum(
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "Wheel"
+            for statement in statements for node in ast.walk(statement)
+        )
+
+    assert builds(run.body[: run.body.index(loop)]) == 2
+    assert builds([segment_end]) == 2
+    assert builds(run.body) == 4
+
+
+def test_engine_run_walks_no_operator_stats_per_iteration():
+    # outside its segment-end block, an iteration reads the two operators it
+    # drew and builds no weight list and no tuple of tuples
+    _run, loop, segment_end = run_loop()
+    body = [node for statement in loop.body if statement is not segment_end
+            for node in ast.walk(statement)]
+    comprehensions = [
+        ast.unparse(node) for node in body
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+        and any("stats" in ast.unparse(gen.iter) for gen in node.generators)
+    ]
+    assert comprehensions == []
+    nested = [
+        ast.unparse(node) for node in body
+        if isinstance(node, ast.Tuple) and any(isinstance(elt, ast.Tuple) for elt in node.elts)
+    ]
+    assert nested == []
