@@ -53,8 +53,9 @@ def cmd_solve(args) -> int:
         engine.write_report(report, args.out)
     if args.dump_schedule:
         sys.stdout.write(scenarios.dump_schedules(instance, solution))
+    banked = "residual" if result.scenario == "all-fct" else "outsourced"
     print(f"{result.scenario}: total {fmt_money(result.total_cents)} EUR, "
-          f"{result.vehicles} vehicles, {len(solution.bank)} outsourced -> {args.out}")
+          f"{result.vehicles} vehicles, {len(solution.bank)} {banked} -> {args.out}")
     return 0
 
 

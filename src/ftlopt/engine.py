@@ -23,7 +23,6 @@ from .model import (
     SchemaError,
     Solution,
     _finite,
-    _flag,
     _list,
     _members,
     _shown,
@@ -31,7 +30,6 @@ from .model import (
     _whole,
     fmt_money,
     read_json,
-    validate_solution,
     write_text,
 )
 from .operators import (
@@ -88,7 +86,6 @@ class AlnsConfig:
     removal_ops: tuple[str, ...] = DEFAULT_REMOVAL_OPS
     insertion_ops: tuple[str, ...] = DEFAULT_INSERTION_OPS
     max_seconds: Optional[float] = None
-    strict_validation: bool = False
 
     def __post_init__(self) -> None:
         self.check()
@@ -140,7 +137,6 @@ class AlnsConfig:
 
 # the converter of each config field, by the type of its default value
 _CONVERTERS = {
-    bool: _flag,
     int: _whole,
     float: _finite,
     tuple: lambda x: tuple(map(_str, _list(x))),  # the operator lists
@@ -268,7 +264,7 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
     xi = Fraction(str(config.xi)).as_integer_ratio()
     sigma_best, sigma_improve, sigma_accept = (
         config.sigma_best, config.sigma_improve, config.sigma_accept)
-    max_seconds, strict = config.max_seconds, config.strict_validation
+    max_seconds = config.max_seconds
     # the removal count, read once per accepted solution; a search's
     # solutions partition the requests, so the planned ones are those not
     # banked
@@ -306,10 +302,6 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
             s.segment_uses += 1
             s.uses += 1
         if ok:
-            if strict:
-                problems = validate_solution(instance, candidate)
-                if problems:
-                    raise RuntimeError(f"accepted infeasible solution: {problems[:3]}")
             current = candidate
             q = removal_count(psi, xi, n_requests - len(current.bank))
         temperature *= cooling

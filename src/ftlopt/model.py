@@ -170,12 +170,6 @@ def _str(x) -> str:
     return x
 
 
-def _flag(x) -> bool:
-    if not isinstance(x, bool):
-        raise TypeError("not true or false")
-    return x
-
-
 def _number(x):
     """x, when it is a JSON number; a string or a boolean raises."""
     if type(x) is not int and type(x) is not float:

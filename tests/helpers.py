@@ -5,11 +5,13 @@ minutes for time, cents for money) like the package itself.
 """
 
 import math
+import os
 import random
 import signal
 from contextlib import contextmanager
 from dataclasses import replace
 
+from ftlopt.instances import parse_gh, transform
 from ftlopt.model import (
     SUNDAY,
     CostModel,
@@ -22,6 +24,7 @@ from ftlopt.model import (
 )
 
 REGS = RegParams()
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def euclid_d10(points):
@@ -33,6 +36,12 @@ def euclid_d10(points):
                 d = math.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1])
                 dist[i][j] = 10 * int(math.floor(d + 0.5))
     return dist
+
+
+def gh_instance(name: str) -> Instance:
+    """The native instance of the benchmark file tests/data/<name>.txt."""
+    with open(os.path.join(DATA, f"{name}.txt"), "r", encoding="utf-8") as fh:
+        return transform(parse_gh(fh.read()))
 
 
 def micro_instance(

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ftlopt import operators
+from ftlopt import engine, operators
 from ftlopt.engine import (
     AlnsConfig,
     ConfigError,
@@ -22,11 +22,13 @@ from ftlopt.engine import (
     write_report,
 )
 from ftlopt.instances import read_instance
-from ftlopt.model import validate_solution
+from ftlopt.model import solution_cost, validate_solution
 from ftlopt.operators import InsertionEvaluator, build_initial
+from ftlopt.oracle import build_arc_graph, check_lp_assignment
+from ftlopt.scenarios import fct_instance
 from ftlopt.schedule import Simulator
 
-from helpers import fleet_instance, micro_instance, time_limit
+from helpers import fleet_instance, gh_instance, micro_instance, time_limit
 
 
 class TestConfig:
@@ -60,7 +62,6 @@ class TestConfig:
             {"removal_ops": 5},
             {"removal_ops": ["rrr", 3]},
             {"insertion_ops": "greedy"},
-            {"strict_validation": 1},
             {"max_seconds": "10"},
         ):
             with pytest.raises(ConfigError, match=next(iter(doc))):
@@ -93,8 +94,8 @@ class TestConfig:
         example, rest = example.split("```json", 1)[1].split("```", 1)
         doc = json.loads(example)
         assert config_from_dict(doc) == AlnsConfig()
-        # the sample and the two extras named after it cover every field
-        extras = ("max_seconds", "strict_validation")
+        # the sample and the extra named after it cover every field
+        extras = ("max_seconds",)
         assert all(f"`{key}`" in rest.split("##", 1)[0] for key in extras)
         assert sorted([*doc, *extras]) == sorted(AlnsConfig.__dataclass_fields__)
 
@@ -195,10 +196,44 @@ class TestRun:
             best, _ = run(inst, AlnsConfig(max_iterations=300, seed=seed))
             assert best.cost_total <= sum(r.sm_price_cents for r in inst.requests)
 
-    def test_accepted_solutions_stay_feasible(self):
-        inst = micro_instance(6)
-        best, _ = run(inst, AlnsConfig(max_iterations=300, seed=6, strict_validation=True))
-        assert validate_solution(inst, best) == []
+    def test_every_solution_of_a_search_is_feasible_and_exactly_priced(self, monkeypatch):
+        # engine.run looks repair and build_initial up as module globals on
+        # each call, so wrapping them there sees every fresh solution of a
+        # search: the initial one and each repair result.  Every accepted
+        # solution is one of them, fresh or handed back by the repair memo.
+        produced = []
+
+        def recorded(fn):
+            def wrapper(*args):
+                solution = fn(*args)
+                produced.append(solution)
+                return solution
+            return wrapper
+
+        monkeypatch.setattr(engine, "repair", recorded(engine.repair))
+        monkeypatch.setattr(engine, "build_initial", recorded(engine.build_initial))
+        cases = []  # (instance, seeds, iterations)
+        for name in ("gh_syn_c1", "gh_syn_mix"):
+            desk = gh_instance(name)
+            cases += [(fct_instance(desk), (1, 2, 3), 100), (desk, (1, 2, 3), 100)]
+        cases += [(micro_instance(i), (i,), 300) for i in range(10)]
+        every = 20  # the cost and LP checks read every 20th distinct solution
+        for inst, seeds, iterations in cases:
+            graph = build_arc_graph(inst)
+            for seed in seeds:
+                produced.clear()
+                best, _ = run(inst, AlnsConfig(max_iterations=iterations, seed=seed))
+                assert any(solution is best for solution in produced), (inst.name, seed)
+                # equal solutions check alike, so each is checked once
+                for i, solution in enumerate(dict.fromkeys(produced)):
+                    assert validate_solution(inst, solution) == [], (inst.name, seed, i)
+                    if i % every:
+                        continue
+                    cost = solution_cost(inst, solution)
+                    assert (cost.vehicles, cost.outsourced, cost.total) == (
+                        solution.cost_vehicles, solution.cost_outsourced, solution.cost_total
+                    ), (inst.name, seed, i)
+                    assert check_lp_assignment(graph, inst, solution) == [], (inst.name, seed, i)
 
     def test_weights_positive_and_stats_consistent(self):
         inst = micro_instance(7)

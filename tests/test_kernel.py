@@ -18,11 +18,14 @@ one to three rests or a whole multiple of tau_n of driving, departures on a
 blackout's first minute, legs across a blackout or past the horizon,
 multi-window deliveries, fits that a blackout or a window end pushes on,
 arrivals one minute after the last start before a blackout, and requests
-with no valid start.
+with no valid start.  Past the oracle's reach, a calendar shift (every
+window some days later, the horizon as many weekdays earlier) must move
+every frontier by exactly those days.
 """
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -506,4 +509,58 @@ def test_screen_and_position_bounds_keep_every_accepted_splice():
                     seen["departure within a day"] += o_lasts[-1] - deps[pos - 1] < 1440
             assert sim.best_insertions(trip, [(extra, None)])[0] == min(accepted, default=None)
     for what in ("rejected", "next start within a day", "departure within a day"):
+        assert seen[what] >= 20, (what, seen)
+
+
+def shifted(inst, days):
+    """inst with every window `days` days later on a horizon that starts
+    `days` weekdays earlier and is `days` days longer: every blackout stays
+    on the same minutes of every window."""
+    lag = days * MINUTES_PER_DAY
+
+    def later(w):
+        return TimeWindow(w.start + lag, w.end + lag)
+
+    requests = tuple(
+        replace(r, pickup_window=later(r.pickup_window),
+                delivery_windows=tuple(map(later, r.delivery_windows)))
+        for r in inst.requests
+    )
+    horizon = Horizon((inst.horizon.origin_weekday - days) % 7, inst.horizon.days + days)
+    return replace(inst, requests=requests, horizon=horizon)
+
+
+def test_a_calendar_shift_moves_every_frontier_by_whole_days():
+    # a fresh vehicle starts at its first window, so under the shift every
+    # prefix and suffix of a sequence keeps its feasibility, every frontier
+    # moves by the shift with the same rest counters, and every insertion
+    # keeps its cell (delta and position)
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(1500):
+        inst, seq = kernel_case(rng.randrange(10_000_000))
+        days = rng.randint(1, 14)
+        lag = days * MINUTES_PER_DAY
+        moved = shifted(inst, days)
+        seen[f"weekday {moved.horizon.origin_weekday}"] += 1
+        sim, moved_sim = Simulator(inst), Simulator(moved)
+        parts = {seq[:i] for i in range(1, len(seq) + 1)} | {seq[i:] for i in range(1, len(seq))}
+        for part in sorted(parts):
+            trip, got = sim.build_trip(part), moved_sim.build_trip(part)
+            assert (trip is None) == (got is None), (seq, days, part)
+            seen["infeasible" if trip is None else "feasible"] += 1
+            if trip is not None:
+                want = tuple(tuple((s + lag, c) for s, c in front) for front in trip.frontiers)
+                assert got.frontiers == want, (seq, days, part)
+        for extra in seq:
+            base = tuple(rid for rid in seq if rid != extra)
+            trip = sim.build_trip(base)
+            if trip is None:
+                continue
+            cell = sim.best_insertion(trip, extra)
+            assert moved_sim.best_insertion(moved_sim.build_trip(base), extra) == cell, (
+                seq, days, extra
+            )
+            seen["cell" if cell else "no cell"] += 1
+    for what in ("feasible", "infeasible", "cell", "no cell", *(f"weekday {w}" for w in range(7))):
         assert seen[what] >= 20, (what, seen)

@@ -164,6 +164,16 @@ def test_the_cli_catches_no_error_that_its_commands_cannot_raise():
     assert "PartitionViolation" not in (SRC / "cli.py").read_text(encoding="utf-8")
 
 
+def test_the_search_never_reaches_the_rule_checkers():
+    # the test suite validates what searches produce; no module of the
+    # package calls validate_solution, and only it runs the oracle's rule
+    # checkers, so a search cannot grow a validation branch unseen
+    assert calls(lambda callee: callee.rpartition(".")[2] == "validate_solution") == []
+    checkers = ("check_schedule_rules", "check_sunday_rests")
+    found = calls(lambda callee: callee.rpartition(".")[2] in checkers)
+    assert {(name, owner) for name, owner, _arg in found} == {("model.py", "validate_solution")}
+
+
 def test_one_function_spins_wheels():
     # Wheel.spin is the package's one weighted draw: it alone reads a random
     # number against the running sums of a Wheel, which alone accumulates

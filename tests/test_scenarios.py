@@ -451,6 +451,7 @@ class TestCli:
         cases = {
             "/" + "k" * 24 + "... (100000 characters)": {"k" * 100_000: 1},
             "/a~1b~0c": {"a/b~c": 1},
+            "/strict_validation": {"strict_validation": True},
             "/literal_regret": {"shaw_p": 6, "literal_regret": True, "zeta": 0, "seed": 1},
         }
         cfg = tmp_path / "cfg.json"
@@ -493,6 +494,8 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         doc = json.loads(out.read_text())
         assert doc["trips"] == [] and doc["bank"] == [1, 2] and doc["residual"] == 2
+        # the console line names them as the JSON does, not as outsourced
+        assert ", 0 vehicles, 2 residual -> " in r.stdout, r.stdout
 
     def test_regret_with_a_huge_k_runs_in_time(self, tmp_path):
         # regret-k pads the missing routes in closed form, not with k entries
