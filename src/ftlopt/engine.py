@@ -58,15 +58,18 @@ MAX_ITERATIONS = 10**9
 # Operator weights are running averages of scores, so scores of at most
 # 10^9 keep every weight and the roulette's weight sum a finite float.
 MAX_SCORE = 10**9
-# The start temperature is sa_start_gap * initial cost / -ln(acceptance),
-# where -ln(acceptance) lies between 1e-16 and 745, and the last one is
-# sa_end_fraction times the start.  With the gap in [1e-12, 10^6] and the end
-# fraction in [1e-12, 1], every temperature of a run stays between 1e-27 and
-# 1e38 for any cost of 1 cent to the 10^12 EUR money bound: finite and above
-# zero, so the report stays valid JSON and the acceptance test never divides
-# by zero.
+# The start temperature is sa_start_gap * initial cost / ln 2, and the last
+# one is sa_end_fraction times the start.  With the gap in [1e-12, 10^6] and
+# the end fraction in [1e-12, 1], every temperature of a run stays between
+# 1e-24 and 1e21 for any cost of 1 cent to the 10^12 EUR money bound: finite
+# and above zero, so the report stays valid JSON and the acceptance test
+# never divides by zero.
 MIN_SA_FRACTION = 1e-12
 MAX_SA_START_GAP = 10**6
+# A worsening of sa_start_gap times the initial cost is accepted at the start
+# with this probability, as in Ropke & Pisinger (2006); sa_start_gap alone
+# tunes the start temperature.
+START_ACCEPTANCE = 0.5
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,6 @@ class AlnsConfig:
     sigma_accept: int = 13
     rho: float = 0.1
     sa_start_gap: float = 0.05
-    sa_start_acceptance: float = 0.5
     sa_end_fraction: float = 0.002
     seed: int = 0
     removal_ops: tuple[str, ...] = DEFAULT_REMOVAL_OPS
@@ -104,7 +106,6 @@ class AlnsConfig:
             ("sigma_accept", 0 <= self.sigma_accept <= MAX_SCORE, f"must be 0..{MAX_SCORE}"),
             ("sa_start_gap", MIN_SA_FRACTION <= self.sa_start_gap <= MAX_SA_START_GAP,
              f"must be in [{MIN_SA_FRACTION}, {MAX_SA_START_GAP}]"),
-            ("sa_start_acceptance", 0 < self.sa_start_acceptance < 1, "must be in (0, 1)"),
             ("sa_end_fraction", MIN_SA_FRACTION <= self.sa_end_fraction <= 1,
              f"must be in [{MIN_SA_FRACTION}, 1]"),
             # random.Random(-n) is random.Random(n)
@@ -164,10 +165,11 @@ def config_from_dict(doc: dict) -> AlnsConfig:
 
 
 def temperature_schedule(config: AlnsConfig, initial_cost: int) -> tuple[float, float]:
-    """(T0, cooling factor): start so a start-gap-sized worsening is accepted
-    with the configured probability; cool geometrically to the end fraction."""
+    """(T0, cooling factor): start so that a worsening of sa_start_gap times
+    the initial cost is accepted with probability START_ACCEPTANCE; cool
+    geometrically to sa_end_fraction times T0 over max_iterations."""
     base = max(initial_cost, 1)
-    t0 = (config.sa_start_gap * base) / -math.log(config.sa_start_acceptance)
+    t0 = (config.sa_start_gap * base) / -math.log(START_ACCEPTANCE)
     m = max(config.max_iterations, 1)
     cooling = config.sa_end_fraction ** (1.0 / m)
     return t0, cooling

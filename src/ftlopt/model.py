@@ -109,10 +109,14 @@ def read_json(path: str):
         raise SchemaError("/", f"not valid JSON: {exc}") from None
 
 
-def _shown(value) -> str:
-    """repr(value), cut short when long (a JSON integer may have 4,300 digits)."""
-    text = repr(value)
+def _cut(text: str) -> str:
+    """text, cut short when long (a JSON integer may have 4,300 digits)."""
     return text if len(text) <= 40 else f"{text[:24]}... ({len(text)} characters)"
+
+
+def _shown(value) -> str:
+    """repr(value), cut short when long."""
+    return _cut(repr(value))
 
 
 def _conv(value, pointer: str, conv):
@@ -139,9 +143,7 @@ def _members(obj, where: str, convs: dict, optional=()) -> dict:
     if not obj.keys() <= convs.keys():
         unknown = sorted(obj.keys() - convs.keys())
         more = f" (and {len(unknown) - 1} more)" if len(unknown) > 1 else ""
-        key = unknown[0].replace("~", "~0").replace("/", "~1")
-        if len(key) > 40:  # cut short, as _shown cuts a long value
-            key = f"{key[:24]}... ({len(key)} characters)"
+        key = _cut(unknown[0].replace("~", "~0").replace("/", "~1"))
         raise SchemaError(f"{where}/{key}", "unknown key" + more)
     if len(obj) < len(convs):
         for key in convs:

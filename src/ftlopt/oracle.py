@@ -91,8 +91,8 @@ def brute_force_frontiers(sequence: Sequence[int], instance: Instance):
     those minutes, including rests taken before the nonstop counter is full,
     so the frontiers are exact.
     """
-    if len(sequence) > 3:
-        raise TooLarge("scheduling oracle is limited to 3 requests")
+    if len(sequence) > 5:
+        raise TooLarge("scheduling oracle is limited to 5 requests")
     if instance.horizon.days > 14:
         raise TooLarge("scheduling oracle is limited to 14-day horizons")
     regs = instance.regs
@@ -103,7 +103,9 @@ def brute_force_frontiers(sequence: Sequence[int], instance: Instance):
     def expand(states: list[tuple[int, int]]) -> list[tuple[int, int]]:
         # closure under forced blackout waits and voluntary rests; a state
         # inside a blackout can only wait, so it gives way to its release
-        # state (else, at counter 0, it would prune that state away)
+        # state (else, at counter 0, it would prune that state away).  A rest
+        # at counter 0 only yields later counter-0 states, which the state
+        # itself dominates, so only a tired state rests
         seen = set()
         queue = list(states)
         while queue:
@@ -114,7 +116,8 @@ def brute_force_frontiers(sequence: Sequence[int], instance: Instance):
             if (t, c) in seen or t > horizon_end:
                 continue
             seen.add((t, c))
-            queue.append((t + tau_b, 0))
+            if c:
+                queue.append((t + tau_b, 0))
         return _prune(list(seen))
 
     def drive_leg(states: list[tuple[int, int]], minutes: int) -> list[tuple[int, int]]:

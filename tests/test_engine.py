@@ -156,9 +156,16 @@ class TestAccept:
 
 class TestTemperature:
     def test_start_value_formula(self):
-        cfg = AlnsConfig(sa_start_gap=0.05, sa_start_acceptance=0.5)
-        t0, _c = temperature_schedule(cfg, 1000)
-        assert abs(t0 - 50 / math.log(2)) < 1e-9
+        # a worsening of sa_start_gap times the initial cost is accepted with
+        # probability 1/2: t0 is gap * cost / ln 2 to the bit, since
+        # -ln(0.5) == ln(2) exactly
+        assert -math.log(0.5) == math.log(2)
+        for cost in (0, 1, 1000, 3_324_357, 885_755_822, 10**14):
+            t0, _c = temperature_schedule(AlnsConfig(), cost)
+            assert t0 == 0.05 * max(cost, 1) / math.log(2), cost
+        t0, _c = temperature_schedule(AlnsConfig(sa_start_gap=0.2), 1000)
+        assert t0 == 200 / math.log(2)
+        assert math.exp(-0.2 * 1000 / t0) == pytest.approx(0.5, abs=1e-15)
 
     def test_cooling_telescopes_to_end_fraction(self):
         cfg = AlnsConfig(max_iterations=25_000, sa_end_fraction=0.002)

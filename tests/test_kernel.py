@@ -10,7 +10,7 @@ others: a splice must equal a fresh build, and best_insertion must accept
 exactly the splices that build.  Every frontier must be a strict Pareto
 frontier, and the schedule that simulate_trip walks back from the earliest
 last label must reach that label and pass the oracle's rule checks.  In
-the cases run against the minute-level oracle, on sequences of up to three
+the cases run against the minute-level oracle, on sequences of up to five
 requests, every frontier, and every failure with its reason and node, must
 equal the oracle's.  kernel_case aims its instances at the branches that
 matter: frontiers of two or three labels at the splice point, legs with
@@ -20,13 +20,16 @@ multi-window deliveries, fits that a blackout or a window end pushes on,
 arrivals one minute after the last start before a blackout, and requests
 with no valid start.  Past the oracle's reach, a calendar shift (every
 window some days later, the horizon as many weekdays earlier) must move
-every frontier by exactly those days.
+every frontier by exactly those days, and wider windows on a longer horizon
+must keep every feasible sequence feasible, every label matched or beaten
+and every accepted insertion accepted.
 """
 
 import random
 from collections import Counter
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ftlopt.model import (
@@ -42,6 +45,7 @@ from ftlopt.model import (
     trip_distances,
 )
 from ftlopt.oracle import (
+    TooLarge,
     blackout_intervals,
     brute_force_frontiers,
     brute_force_schedule,
@@ -133,7 +137,7 @@ def tally_fits(inst, sim, seq, k, fronts, seen):
 
 def check_trip(inst, seq, trip, oracle):
     """trip, the kernel's trip for seq (None: unschedulable), against
-    simulate_trip and, with oracle set and at most three requests, the
+    simulate_trip and, with oracle set and at most five requests, the
     minute-level oracle.  Returns simulate_trip's result."""
     full = simulate_trip(inst, seq)
     if trip is None:
@@ -146,7 +150,7 @@ def check_trip(inst, seq, trip, oracle):
         assert full.nodes[-1].service_start == trip.frontiers[-1][0][0], seq
         assert check_schedule_rules(inst, seq, full) == [], seq
         assert check_sunday_rests(inst, full) == [], seq
-    if oracle and len(seq) <= 3:
+    if oracle and len(seq) <= 5:
         want = brute_force_frontiers(seq, inst)
         if not isinstance(want, Infeasible):
             want = tuple(map(tuple, want))
@@ -383,6 +387,39 @@ def test_kernel_matches_oracle(seed, extra_at):
     check_case(inst, seq, extra_at % len(seq), Counter(), oracle=True)
 
 
+def test_trips_of_four_and_five_requests_match_the_oracle():
+    # every kernel_case sequence of four or five requests among seeds
+    # 0-1,499 that the kernel schedules, and the first 60 it does not: the
+    # frontiers, or the failure with its reason and node, equal the oracle's
+    seen = Counter()
+    for seed in range(1500):
+        inst, seq = kernel_case(seed)
+        if len(seq) < 4:
+            continue
+        trip = Simulator(inst).build_trip(seq)
+        if trip is None and seen["infeasible"] == 60:
+            continue
+        full = check_trip(inst, seq, trip, oracle=True)
+        if trip is None:
+            seen["infeasible"] += 1
+            seen["fails at request 3 or later"] += full.node >= 4
+        else:
+            seen[f"{len(seq)} requests"] += 1
+    for what, least in (("4 requests", 50), ("5 requests", 15), ("infeasible", 60),
+                        ("fails at request 3 or later", 10)):
+        assert seen[what] >= least, (what, seen)
+
+
+def test_the_oracle_refuses_six_requests_and_long_horizons():
+    inst, seq = next(case for case in map(kernel_case, range(100)) if len(case[1]) == 5)
+    six = replace(inst, requests=inst.requests + (replace(inst.requests[-1], id=6),))
+    with pytest.raises(TooLarge, match="5 requests"):
+        brute_force_frontiers(seq + (6,), six)
+    longer = replace(inst, horizon=Horizon(inst.horizon.origin_weekday, 15))
+    with pytest.raises(TooLarge, match="14-day"):
+        brute_force_frontiers(seq[:1], longer)
+
+
 def test_position_bounds_keep_a_splice_that_fits_to_the_minute():
     # R (2) spliced before A (1): R's delivery is A's pickup location, so A's
     # pickup can start right after it, at R's first pickup start + 2 sigma +
@@ -564,3 +601,72 @@ def test_a_calendar_shift_moves_every_frontier_by_whole_days():
             seen["cell" if cell else "no cell"] += 1
     for what in ("feasible", "infeasible", "cell", "no cell", *(f"weekday {w}" for w in range(7))):
         assert seen[what] >= 20, (what, seen)
+
+
+def widened(inst, rng):
+    """inst with every window opening some minutes earlier and closing some
+    later, each delivery window staying clear of its neighbours, on a
+    horizon 0-14 days longer: every legal timeline of inst stays legal."""
+    end = (inst.horizon.days + rng.randint(0, 14)) * MINUTES_PER_DAY
+
+    def earlier(t, lo):
+        return rng.choice((t, rng.randint(max(lo, t - 60), t), rng.randint(lo, t)))
+
+    def later(t, hi):
+        return rng.choice((t, rng.randint(t, min(hi, t + 60)), rng.randint(t, hi)))
+
+    requests = []
+    for r in inst.requests:
+        pw = r.pickup_window
+        wins, lo = [], 0
+        for i, w in enumerate(r.delivery_windows):
+            hi = r.delivery_windows[i + 1].start - 1 if i + 1 < len(r.delivery_windows) else end
+            wins.append(TimeWindow(earlier(w.start, lo), later(w.end, hi)))
+            lo = wins[-1].end + 1
+        requests.append(replace(
+            r, pickup_window=TimeWindow(earlier(pw.start, 0), later(pw.end, end)),
+            delivery_windows=tuple(wins),
+        ))
+    horizon = Horizon(inst.horizon.origin_weekday, end // MINUTES_PER_DAY)
+    return replace(inst, requests=tuple(requests), horizon=horizon)
+
+
+def test_wider_windows_keep_every_schedule():
+    # wider windows and a longer horizon only add legal timelines: every
+    # feasible prefix and suffix stays feasible, each old label is weakly
+    # dominated by a new one at the same node (so the last service never
+    # starts later), and every accepted insertion position stays accepted
+    rng = random.Random(32)
+    seen = Counter()
+    for _ in range(1500):
+        inst, seq = kernel_case(rng.randrange(10_000_000))
+        wide = widened(inst, rng)
+        sim, wide_sim = Simulator(inst), Simulator(wide)
+        parts = {seq[:i] for i in range(1, len(seq) + 1)} | {seq[i:] for i in range(1, len(seq))}
+        for part in sorted(parts):
+            trip, got = sim.build_trip(part), wide_sim.build_trip(part)
+            if trip is None:
+                seen["turned feasible" if got else "infeasible"] += 1
+                continue
+            assert got is not None, (seq, part)
+            for old, new in zip(trip.frontiers, got.frontiers):
+                for s, c in old:
+                    assert any(s1 <= s and c1 <= c for s1, c1 in new), (seq, part, old, new)
+            seen["feasible"] += 1
+            seen["finishes earlier"] += got.frontiers[-1][0][0] < trip.frontiers[-1][0][0]
+        for extra in seq:
+            base = tuple(rid for rid in seq if rid != extra)
+            trip = sim.build_trip(base)
+            if trip is None:
+                continue
+            wide_trip = wide_sim.build_trip(base)
+            assert wide_trip is not None, (seq, base)
+            asks = [(extra, (pos,)) for pos in range(len(base) + 1)]
+            for pos, (cell, got) in enumerate(
+                zip(sim.best_insertions(trip, asks), wide_sim.best_insertions(wide_trip, asks))
+            ):
+                if cell is not None:
+                    assert got == cell, (seq, extra, pos)
+                    seen["cell"] += 1
+    for what in ("feasible", "infeasible", "turned feasible", "finishes earlier", "cell"):
+        assert seen[what] >= 100, (what, seen)

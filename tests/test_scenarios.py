@@ -2,18 +2,20 @@ import csv
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from ftlopt import cli, scenarios
 from ftlopt.engine import AlnsConfig, ConfigError
 from ftlopt.instances import parse_gh, transform, write_instance
-from ftlopt.model import cents
+from ftlopt.model import Solution, cents
 from ftlopt.scenarios import (
     CSV_HEADER,
     compare,
@@ -452,6 +454,7 @@ class TestCli:
             "/" + "k" * 24 + "... (100000 characters)": {"k" * 100_000: 1},
             "/a~1b~0c": {"a/b~c": 1},
             "/strict_validation": {"strict_validation": True},
+            "/sa_start_acceptance": {"sa_start_acceptance": 0.5},
             "/literal_regret": {"shaw_p": 6, "literal_regret": True, "zeta": 0, "seed": 1},
         }
         cfg = tmp_path / "cfg.json"
@@ -496,6 +499,29 @@ class TestCli:
         assert doc["trips"] == [] and doc["bank"] == [1, 2] and doc["residual"] == 2
         # the console line names them as the JSON does, not as outsourced
         assert ", 0 vehicles, 2 residual -> " in r.stdout, r.stdout
+
+    def test_solution_doc_names_exactly_the_written_keys(self, tmp_path):
+        # the initial all-fct solution of gh_syn_c1 has trips and a
+        # residual, so solve writes every key the format can hold
+        text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+        example = text.split("## Solution (JSON)", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        keys = re.findall(r'"(\w+)":', example)
+        native, cfg, out = tmp_path / "c1.json", tmp_path / "cfg.json", tmp_path / "s.json"
+        r = self.run_cli("transform", "--gh", os.path.join(DATA, "gh_syn_c1.txt"), "--out", str(native))
+        assert r.returncode == 0, r.stderr
+        cfg.write_text(json.dumps({"max_iterations": 0}))
+        r = self.run_cli("solve", "--instance", str(native), "--scenario", "all-fct",
+                         "--config", str(cfg), "--out", str(out), timeout=30)
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(out.read_text())
+        assert doc["trips"] and doc["residual"] > 0
+        written = {*doc, *(key for trip in doc["trips"] for key in trip)}
+        assert set(keys) == written, sorted(set(keys) ^ written)
+        assert [key for key in keys if key in doc] == list(doc)
+        # compare's solution files hold the first five keys only
+        empty = scenarios.solution_to_dict(Solution((), frozenset(), 0, 0, 0))
+        assert list(empty) == list(doc)[:5]
+        assert doc["kpis"].count(",") == CSV_HEADER.count(",")
 
     def test_regret_with_a_huge_k_runs_in_time(self, tmp_path):
         # regret-k pads the missing routes in closed form, not with k entries
