@@ -81,7 +81,7 @@ def cmd_oracle(args) -> int:
 def cmd_emit_lp(args) -> int:
     instance = instances.read_instance(args.instance)
     graph = oracle.build_arc_graph(instance)
-    oracle.emit_lp(graph, instance, args.out)
+    oracle.emit_lp(graph, args.out)
     print(f"{len(graph.arcs)} arcs -> {args.out}")
     return 0
 

@@ -21,7 +21,6 @@ from .model import (
     Solution,
     fmt_km,
     priced_solution,
-    trip_distances,
     write_text,
 )
 from .schedule import Infeasible, Schedule, Simulator
@@ -317,14 +316,13 @@ def _best_orderings(instance: Instance, sim: Simulator) -> dict[frozenset, tuple
 
     def visit(prefix: tuple):
         if prefix:
-            if sim._advance(None, None, sim._fit_nodes(prefix)) is None:
+            trip = sim.build_trip(prefix)
+            if trip is None:
                 return
-            loaded, empty = trip_distances(instance, prefix)
-            total = loaded + empty
-            if total >= instance.mu_d10:
+            if trip.total_d10 >= instance.mu_d10:
                 key = frozenset(prefix)
                 cur = best.get(key)
-                cand = (total, prefix)
+                cand = (trip.total_d10, prefix)
                 if cur is None or cand < cur:
                     best[key] = cand
         for rid in ids:
@@ -389,16 +387,11 @@ class Arc:
     src: str
     dst: str
     d10: int
-    t_min: int
 
 
-@dataclass(frozen=True)
-class ArcGraph:
-    nodes: tuple[str, ...]
-    arcs: tuple[Arc, ...]
-
-
-def build_arc_graph(instance: Instance) -> ArcGraph:
+def build_arc_graph(instance: Instance) -> LpModel:
+    """The instance's relaxation, built once: its arcs and every row on
+    them."""
     reqs = sorted(instance.requests, key=lambda r: r.id)
     dist = instance.matrix.distance
     time = instance.matrix.time
@@ -408,10 +401,9 @@ def build_arc_graph(instance: Instance) -> ArcGraph:
     for r in reqs:
         nodes.append(f"o{r.id}")
         nodes.append(f"d{r.id}")
-        arcs.append(Arc(f"o{r.id}", f"d{r.id}", dist[r.origin][r.destination],
-                        time[r.origin][r.destination]))
-        arcs.append(Arc("n0", f"o{r.id}", 0, 0))
-        arcs.append(Arc(f"d{r.id}", "ninf", 0, 0))
+        arcs.append(Arc(f"o{r.id}", f"d{r.id}", dist[r.origin][r.destination]))
+        arcs.append(Arc("n0", f"o{r.id}", 0))
+        arcs.append(Arc(f"d{r.id}", "ninf", 0))
     for r1 in reqs:
         for r2 in reqs:
             if r1.id == r2.id:
@@ -427,11 +419,8 @@ def build_arc_graph(instance: Instance) -> ArcGraph:
                 + 3 * sigma
             )
             if reach <= r2.pickup_window.end:
-                arcs.append(
-                    Arc(f"d{r1.id}", f"o{r2.id}", dist[r1.destination][r2.origin],
-                        time[r1.destination][r2.origin])
-                )
-    return ArcGraph(tuple(nodes), tuple(arcs))
+                arcs.append(Arc(f"d{r1.id}", f"o{r2.id}", dist[r1.destination][r2.origin]))
+    return _lp_model(tuple(arcs), nodes, instance)
 
 
 def _xname(a: Arc) -> str:
@@ -470,19 +459,24 @@ class LpRow:
 
 @dataclass(frozen=True)
 class LpModel:
-    """Minimise objective + constant (tenth-cents) subject to rows.  Every
-    variable has the LP format's default bounds [0, +inf); the binaries
-    are further restricted to {0, 1}."""
+    """The routing + minimum-distance relaxation of an instance on its arc
+    graph: the one statement that emit_lp writes and check_lp_assignment
+    evaluates.  build_arc_graph builds it.
 
+    Minimise objective + constant (tenth-cents) subject to rows.  Every
+    variable has the LP format's default bounds [0, +inf); the binaries
+    are further restricted to {0, 1}.
+    """
+
+    arcs: tuple[Arc, ...]
     objective: LpRow
     constant: int
     rows: tuple[LpRow, ...]
     binaries: tuple[str, ...]
 
 
-def lp_model(graph: ArcGraph, instance: Instance) -> LpModel:
-    """The routing + minimum-distance model on the arc graph: the one
-    statement that emit_lp writes and check_lp_assignment evaluates.
+def _lp_model(arcs: tuple[Arc, ...], nodes: list[str], instance: Instance) -> LpModel:
+    """The model on the arcs between nodes.
 
     Binary x_a selects arc a; continuous y_a carries the cumulative distance
     (d10) from the tour start up to and including arc a.
@@ -490,14 +484,14 @@ def lp_model(graph: ArcGraph, instance: Instance) -> LpModel:
     kappa = instance.cost.kappa_cents
     ids = sorted(r.id for r in instance.requests)
     sm = {r.id: 10 * r.sm_price_cents for r in instance.requests}  # tenth-cents
-    out_of = {node: [] for node in graph.nodes}
-    into = {node: [] for node in graph.nodes}
-    for a in graph.arcs:
+    out_of = {node: [] for node in nodes}
+    into = {node: [] for node in nodes}
+    for a in arcs:
         out_of[a.src].append(a)
         into[a.dst].append(a)
 
     objective = []
-    for a in graph.arcs:
+    for a in arcs:
         coef = kappa * a.d10
         if a.src[0] == "o":  # serving a request saves its spot-market price
             coef -= sm[int(a.src[1:])]
@@ -508,7 +502,7 @@ def lp_model(graph: ArcGraph, instance: Instance) -> LpModel:
         serve = (-1, f"x_o{rid}_d{rid}")
         rows.append(LpRow(f"k1_{rid}", tuple((1, _xname(a)) for a in into[f"o{rid}"]) + (serve,)))
         rows.append(LpRow(f"k2_{rid}", tuple((1, _xname(a)) for a in out_of[f"d{rid}"]) + (serve,)))
-    for node in graph.nodes:
+    for node in nodes:
         if node in ("n0", "ninf"):
             continue
         terms = []
@@ -519,16 +513,16 @@ def lp_model(graph: ArcGraph, instance: Instance) -> LpModel:
         terms += [(-1, _yname(a)) for a in into[node]]
         rows.append(LpRow(f"flow_{node}", tuple(terms), unit=fmt_km))
     rows += [LpRow(f"y0_{rid}", ((1, f"y_n0_o{rid}"),)) for rid in ids]
-    big_m = sum(a.d10 for a in graph.arcs)
-    for a in graph.arcs:
+    big_m = sum(a.d10 for a in arcs)
+    for a in arcs:
         rows.append(LpRow(f"bigm_{a.src}_{a.dst}", ((1, _yname(a)), (-big_m, _xname(a))),
                           "<=", fmt_km))
     for a in into["ninf"]:
         rows.append(LpRow(f"mind_{a.src}", ((1, _yname(a)), (-instance.mu_d10, _xname(a))),
                           ">=", fmt_km))
-    binaries = tuple(_xname(a) for a in graph.arcs)
-    return LpModel(LpRow("obj", tuple(objective), unit=_eur3), sum(sm.values()), tuple(rows),
-                   binaries)
+    binaries = tuple(_xname(a) for a in arcs)
+    return LpModel(arcs, LpRow("obj", tuple(objective), unit=_eur3), sum(sm.values()),
+                   tuple(rows), binaries)
 
 
 def _eur3(tenth_cents: int) -> str:
@@ -544,14 +538,13 @@ def _lp_terms(row: LpRow) -> str:
     return " ".join(parts)
 
 
-def emit_lp(graph: ArcGraph, instance: Instance, path: str) -> None:
-    """Write lp_model in CPLEX LP format.
+def emit_lp(graph: LpModel, path: str) -> None:
+    """Write the model in CPLEX LP format.
 
     Time windows and driver-hours rules are enforced by the schedule
     simulator and deliberately not emitted.
     """
-    model = lp_model(graph, instance)
-    objective = f"{_lp_terms(model.objective)} + {_eur3(model.constant)}"
+    objective = f"{_lp_terms(graph.objective)} + {_eur3(graph.constant)}"
     lines = [
         "\\ Routing and minimum-driven-distance relaxation.",
         "\\ Timing (windows, shift breaks, Sunday breaks) is validated by the",
@@ -560,14 +553,14 @@ def emit_lp(graph: ArcGraph, instance: Instance, path: str) -> None:
         " obj: " + objective.lstrip("+ "),
         "Subject To",
     ]
-    lines += [f" {row.name}: {_lp_terms(row).lstrip('+ ')} {row.sense} 0" for row in model.rows]
+    lines += [f" {row.name}: {_lp_terms(row).lstrip('+ ')} {row.sense} 0" for row in graph.rows]
     lines.append("Binary")
-    lines += [f" {var}" for var in model.binaries]
+    lines += [f" {var}" for var in graph.binaries]
     lines.append("End")
     write_text(path, "\n".join(lines))
 
 
-def lp_assignment(graph: ArcGraph, instance: Instance, solution: Solution):
+def lp_assignment(graph: LpModel, instance: Instance, solution: Solution):
     """Map a solution to (values, missing): the value of every x and y
     variable by name, and the legs it drives that have no arc.
 
@@ -601,26 +594,24 @@ def lp_assignment(graph: ArcGraph, instance: Instance, solution: Solution):
     return values, missing
 
 
-def check_lp_assignment(graph: ArcGraph, instance: Instance, solution: Solution) -> list[str]:
-    """Violated rows, binaries and bounds of lp_model for a solution."""
+def check_lp_assignment(graph: LpModel, instance: Instance, solution: Solution) -> list[str]:
+    """Violated rows, binaries and bounds of the model for a solution."""
     values, missing = lp_assignment(graph, instance, solution)
     problems = [f"no arc for used leg {m}" for m in missing]
     for r in instance.requests:
         if (r.id in solution.bank) == bool(values.get(f"x_o{r.id}_d{r.id}", 0)):
             problems.append(f"request {r.id}: serve arc inconsistent with the bank")
-    model = lp_model(graph, instance)
-    for row in model.rows:
+    for row in graph.rows:
         lhs = row.value(values)
         if not _SENSES[row.sense](lhs, 0):
             meaning = _ROW_MEANING[row.name.split("_", 1)[0]]
             problems.append(f"{meaning} violated: {row.name} reads {lhs} {row.sense} 0")
-    problems += [f"binary {v} is {values[v]}" for v in model.binaries if values[v] not in (0, 1)]
+    problems += [f"binary {v} is {values[v]}" for v in graph.binaries if values[v] not in (0, 1)]
     problems += [f"{var} is {n}, below its bound 0" for var, n in values.items() if n < 0]
     return problems
 
 
-def lp_objective_cents(graph: ArcGraph, instance: Instance, solution: Solution) -> float:
+def lp_objective_cents(graph: LpModel, instance: Instance, solution: Solution) -> float:
     """Objective value of the mapped assignment, in cents (exact to 0.1)."""
-    model = lp_model(graph, instance)
     values, _missing = lp_assignment(graph, instance, solution)
-    return (model.objective.value(values) + model.constant) / 10
+    return (graph.objective.value(values) + graph.constant) / 10

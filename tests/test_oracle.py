@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import itertools
 import operator
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,12 +20,15 @@ from ftlopt.model import (
     Solution,
     TimeWindow,
     TravelMatrix,
+    Trip,
     solution_cost,
+    trip_distances,
 )
 from ftlopt.operators import InsertionEvaluator, build_initial
 from ftlopt.oracle import (
     TooLarge,
     brute_force,
+    brute_force_frontiers,
     build_arc_graph,
     check_lp_assignment,
     emit_lp,
@@ -32,7 +37,7 @@ from ftlopt.oracle import (
 )
 from ftlopt.schedule import Infeasible, Simulator, simulate_trip
 
-from helpers import micro_instance
+from helpers import gh_instance, micro_instance
 
 
 def tiny_instance(mu=0, sm_level=1.0):
@@ -133,6 +138,33 @@ class TestBruteForce:
             candidates.append(inst.cost.vehicle_cost(trip.total_d10) + rest)
         assert best.cost_total <= min(candidates)
 
+    def test_orderings_are_scheduled_as_the_minute_oracle_schedules_them(self, monkeypatch):
+        # brute_force decides which orderings are feasible through
+        # Simulator.build_trip: every sequence it builds, up to five requests
+        # on micro instances of 5-10 day horizons, has the oracle's
+        # frontiers, or fails where the oracle fails
+        built = {}
+        build = Simulator.build_trip
+
+        def spy(sim, requests):
+            built[tuple(requests)] = trip = build(sim, requests)
+            return trip
+
+        monkeypatch.setattr(Simulator, "build_trip", spy)
+        seen = Counter()
+        for seed in (0, 1, 2, 3, 4, 7):
+            inst = micro_instance(seed)
+            built.clear()
+            brute_force(inst)
+            for seq, trip in built.items():
+                want = brute_force_frontiers(seq, inst)
+                if trip is None:
+                    assert isinstance(want, Infeasible), (seed, seq)
+                else:
+                    assert trip.frontiers == tuple(map(tuple, want)), (seed, seq)
+                seen[len(seq), trip is not None] += 1
+        assert seen[4, True] >= 15 and seen[4, False] >= 50 and seen[5, False] >= 30, seen
+
 
 class TestArcGraph:
     def test_single_request_graph(self):
@@ -158,8 +190,19 @@ class TestArcGraph:
                 ),
             ),
         )
-        tight_pairs = {(a.src, a.dst) for a in build_arc_graph(tight).arcs}
-        assert ("d1", "o2") not in tight_pairs
+        tight_graph = build_arc_graph(tight)
+        assert ("d1", "o2") not in {(a.src, a.dst) for a in tight_graph.arcs}
+        # a trip that drives the filtered deadhead breaks every row along it
+        trip = Trip((1, 2), *trip_distances(tight, (1, 2)))
+        assert check_lp_assignment(tight_graph, tight, Solution((trip,), frozenset(), 0, 0, 0)) == [
+            "no arc for used leg d1->o2",
+            "kirchhoff2 violated: k2_1 reads -1 = 0",
+            "kirchhoff1 violated: k1_2 reads -1 = 0",
+            "distance update violated: flow_d1 reads -1200 = 0",
+            "distance update violated: flow_o2 reads 2000 = 0",
+            "big-M violated: bigm_o2_d2 reads 800 <= 0",
+            "big-M violated: bigm_d2_ninf reads 800 <= 0",
+        ]
 
     def test_filter_keeps_every_schedulable_deadhead(self):
         # schedule feasibility of (r1, r2) implies the arc passes the filter
@@ -172,12 +215,27 @@ class TestArcGraph:
                     assert (f"d{a}", f"o{b}") in pairs
 
 
+# sha256 of the file that emit_lp writes for the transformed gh_mini and for
+# micro_instance(1), whose minimum distance is 45.5 km: recorded at commit
+# 4062c88, before the relaxation's rows moved into build_arc_graph
+LP_DIGESTS = {
+    "gh_mini": "76ef3f283f8e3933dfe0e1f0e835d143a3a5d2d8c779618f6b3609b31847a774",
+    "micro 1": "8fcefb2fe0c175262bf9491dc87f5a81a9dc2fb492babe7e164a57ef5cee0f54",
+}
+
+
 class TestLp:
+    def test_emitted_files_unchanged(self, tmp_path):
+        path = tmp_path / "m.lp"
+        for name, inst in (("gh_mini", gh_instance("gh_mini")), ("micro 1", micro_instance(1))):
+            emit_lp(build_arc_graph(inst), str(path))
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == LP_DIGESTS[name], name
+
     def test_emitted_file_structure(self, tmp_path):
         inst = tiny_instance()
         graph = build_arc_graph(inst)
         path = tmp_path / "m.lp"
-        emit_lp(graph, inst, str(path))
+        emit_lp(graph, str(path))
         text = path.read_text()
         assert text.startswith("\\")
         for section in ("Minimize", "Subject To", "Binary", "End"):
@@ -206,8 +264,9 @@ class TestLp:
         veh = deep.cost.vehicle_cost(trip.total_d10)
         out = deep.requests[1].sm_price_cents
         sol = Solution((trip,), frozenset({2}), veh, out, veh + out)
-        problems = check_lp_assignment(graph, deep, sol)
-        assert any("minimum distance" in p for p in problems)
+        assert check_lp_assignment(graph, deep, sol) == [
+            "minimum distance violated: mind_d1 reads -10 >= 0"
+        ]
 
     def test_random_feasible_solutions_zero_violations(self):
         rng = random.Random(12)
@@ -273,7 +332,7 @@ class TestLpFile:
     def check_file(self, inst, sol, tmp_path):
         graph = build_arc_graph(inst)
         path = tmp_path / "m.lp"
-        emit_lp(graph, inst, str(path))
+        emit_lp(graph, str(path))
         (obj_terms, obj_const), rows, binaries = parse_lp(path.read_text())
         values, missing = lp_assignment(graph, inst, sol)
         assert missing == []

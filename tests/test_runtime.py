@@ -120,6 +120,28 @@ def test_the_scheduler_writes_the_rest_rule_once():
     ]
 
 
+def test_the_oracle_reads_no_private_member_of_the_kernel():
+    # the enumeration solver schedules its orderings through
+    # Simulator.build_trip, so the oracle checks the kernel's public calls
+    # and shares none of its internals
+    found = nodes(lambda node: isinstance(node, ast.Attribute) and node.attr.startswith("_"))
+    assert [(owner, ast.unparse(node)) for name, owner, node in found if name == "oracle.py"] == []
+
+
+def test_the_lp_relaxation_is_built_once_per_instance():
+    # build_arc_graph alone states the relaxation's rows and its model,
+    # through the one helper it calls; emit_lp, check_lp_assignment and
+    # lp_objective_cents read the model they are given, and only the emit-lp
+    # command builds one
+    for built in ("LpRow", "LpModel"):
+        found = calls(lambda callee: callee == built)
+        assert {(name, owner) for name, owner, _arg in found} == {("oracle.py", "_lp_model")}, built
+    for callee_name, caller in (("_lp_model", ("oracle.py", "build_arc_graph")),
+                                ("build_arc_graph", ("cli.py", "cmd_emit_lp"))):
+        found = calls(lambda callee: callee.rpartition(".")[2] == callee_name)
+        assert [(name, owner) for name, owner, _arg in found] == [caller], callee_name
+
+
 def test_one_reader_checks_the_members_of_every_json_object():
     # model._members alone rejects a value that is not an object, an
     # unknown member and a missing one, so the instance and the run

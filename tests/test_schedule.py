@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -361,6 +362,40 @@ class TestCheckInsertion:
                 else:
                     assert built.frontiers == tuple(map(tuple, want))
             checked += 1
+
+    def test_splices_into_four_and_five_request_trips_match_the_oracle(self):
+        # the first 40 kernel_case sequences of four or five requests whose
+        # rest, without one request, builds: that request spliced back at
+        # every position is accepted by best_insertion, spliced and built
+        # afresh exactly when the minute-level oracle schedules it, with the
+        # oracle's frontiers
+        seen = Counter()
+        seed = -1
+        while seen["cases"] < 40:
+            seed += 1
+            inst, seq = kernel_case(seed)
+            if len(seq) < 4:
+                continue
+            k = seed % len(seq)
+            rid, base = seq[k], seq[:k] + seq[k + 1 :]
+            sim = Simulator(inst)
+            trip = sim.build_trip(base)
+            if trip is None:
+                continue
+            seen["cases"] += 1
+            for pos in range(len(base) + 1):
+                new_seq = base[:pos] + (rid,) + base[pos:]
+                want = brute_force_frontiers(new_seq, inst)
+                want = None if isinstance(want, Infeasible) else tuple(map(tuple, want))
+                fits = sim.best_insertion(trip, rid, (pos,)) is not None
+                spliced = sim.splice_trip(trip, rid, pos)
+                # a fresh simulator, so the build cannot hit the splice's trip cache
+                built = Simulator(inst).build_trip(new_seq)
+                assert fits == (want is not None), (seed, new_seq)
+                assert (spliced and spliced.frontiers) == want, (seed, new_seq)
+                assert (built and built.frontiers) == want, (seed, new_seq)
+                seen[len(new_seq), want is not None] += 1
+        assert seen[4, True] >= 20 and seen[5, True] >= 8 and seen[5, False] >= 30, seen
 
 
 class TestScheduleShape:
