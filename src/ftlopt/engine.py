@@ -5,6 +5,11 @@ adaptive weights, partially destroys the current solution, repairs it, and
 accepts the candidate under simulated annealing.  Weights are refreshed
 every segment from the scores the operators earned, and the two roulette
 wheels are rebuilt from them then and only then.
+
+The operator scores, the reaction factor and the annealing are fixed at the
+values of Ropke & Pisinger (2006), and the removal count's caps in
+`operators` at the production parameter table's; the run configuration
+holds only the run's controls.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from operator import attrgetter
 from typing import Optional
 
@@ -51,39 +55,29 @@ class ConfigError(ValueError):
 DEFAULT_REMOVAL_OPS = ("rrr", "srr", "shaw", "shaw_tw", "tsr", "rsr")
 DEFAULT_INSERTION_OPS = ("greedy", "regret4", "regret5", "regret6")
 
-# Bounds on run configuration values.  The cooling factor is
-# sa_end_fraction ** (1 / max_iterations), so max_iterations must stay a
+# The bound on max_iterations.  The cooling factor is
+# SA_END_FRACTION ** (1 / max_iterations), so max_iterations must stay a
 # float-sized count; 10^9 iterations already take days.
 MAX_ITERATIONS = 10**9
-# Operator weights are running averages of scores, so scores of at most
-# 10^9 keep every weight and the roulette's weight sum a finite float.
-MAX_SCORE = 10**9
-# The start temperature is sa_start_gap * initial cost / ln 2, and the last
-# one is sa_end_fraction times the start.  With the gap in [1e-12, 10^6] and
-# the end fraction in [1e-12, 1], every temperature of a run stays between
-# 1e-24 and 1e21 for any cost of 1 cent to the 10^12 EUR money bound: finite
-# and above zero, so the report stays valid JSON and the acceptance test
-# never divides by zero.
-MIN_SA_FRACTION = 1e-12
-MAX_SA_START_GAP = 10**6
-# A worsening of sa_start_gap times the initial cost is accepted at the start
-# with this probability, as in Ropke & Pisinger (2006); sa_start_gap alone
-# tunes the start temperature.
+# Operator scores for a new best, an improvement of the current solution and
+# an accepted worsening, and the reaction factor of the weight update, as in
+# Ropke & Pisinger (2006).
+SIGMA_BEST = 33
+SIGMA_IMPROVE = 9
+SIGMA_ACCEPT = 13
+RHO = 0.1
+# A worsening of SA_START_GAP times the initial cost is accepted at the start
+# with probability START_ACCEPTANCE; the last temperature of a run is
+# SA_END_FRACTION times the first, as in Ropke & Pisinger (2006).
+SA_START_GAP = 0.05
 START_ACCEPTANCE = 0.5
+SA_END_FRACTION = 0.002
 
 
 @dataclass(frozen=True)
 class AlnsConfig:
     max_iterations: int = 25_000
     segment_length: int = 200
-    psi: int = 100           # absolute removal cap
-    xi: float = 0.35         # relative removal cap
-    sigma_best: int = 33
-    sigma_improve: int = 9
-    sigma_accept: int = 13
-    rho: float = 0.1
-    sa_start_gap: float = 0.05
-    sa_end_fraction: float = 0.002
     seed: int = 0
     removal_ops: tuple[str, ...] = DEFAULT_REMOVAL_OPS
     insertion_ops: tuple[str, ...] = DEFAULT_INSERTION_OPS
@@ -98,16 +92,6 @@ class AlnsConfig:
             ("max_iterations", 0 <= self.max_iterations <= MAX_ITERATIONS,
              f"must be 0..{MAX_ITERATIONS}"),
             ("segment_length", self.segment_length > 0, "must be positive"),
-            ("psi", self.psi > 0, "must be positive"),
-            ("xi", 0 < self.xi <= 1, "must be in (0, 1]"),
-            ("rho", 0 < self.rho <= 1, "must be in (0, 1]"),
-            ("sigma_best", 0 <= self.sigma_best <= MAX_SCORE, f"must be 0..{MAX_SCORE}"),
-            ("sigma_improve", 0 <= self.sigma_improve <= MAX_SCORE, f"must be 0..{MAX_SCORE}"),
-            ("sigma_accept", 0 <= self.sigma_accept <= MAX_SCORE, f"must be 0..{MAX_SCORE}"),
-            ("sa_start_gap", MIN_SA_FRACTION <= self.sa_start_gap <= MAX_SA_START_GAP,
-             f"must be in [{MIN_SA_FRACTION}, {MAX_SA_START_GAP}]"),
-            ("sa_end_fraction", MIN_SA_FRACTION <= self.sa_end_fraction <= 1,
-             f"must be in [{MIN_SA_FRACTION}, 1]"),
             # random.Random(-n) is random.Random(n)
             ("seed", self.seed >= 0, "must be non-negative"),
             ("max_seconds", self.max_seconds is None or self.max_seconds >= 0,
@@ -139,7 +123,6 @@ class AlnsConfig:
 # the converter of each config field, by the type of its default value
 _CONVERTERS = {
     int: _whole,
-    float: _finite,
     tuple: lambda x: tuple(map(_str, _list(x))),  # the operator lists
     type(None): lambda x: x if x is None else _finite(x),  # max_seconds
 }
@@ -165,13 +148,13 @@ def config_from_dict(doc: dict) -> AlnsConfig:
 
 
 def temperature_schedule(config: AlnsConfig, initial_cost: int) -> tuple[float, float]:
-    """(T0, cooling factor): start so that a worsening of sa_start_gap times
+    """(T0, cooling factor): start so that a worsening of SA_START_GAP times
     the initial cost is accepted with probability START_ACCEPTANCE; cool
-    geometrically to sa_end_fraction times T0 over max_iterations."""
+    geometrically to SA_END_FRACTION times T0 over max_iterations."""
     base = max(initial_cost, 1)
-    t0 = (config.sa_start_gap * base) / -math.log(START_ACCEPTANCE)
+    t0 = (SA_START_GAP * base) / -math.log(START_ACCEPTANCE)
     m = max(config.max_iterations, 1)
-    cooling = config.sa_end_fraction ** (1.0 / m)
+    cooling = SA_END_FRACTION ** (1.0 / m)
     return t0, cooling
 
 
@@ -262,16 +245,14 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
     t0, cooling = temperature_schedule(config, current.cost_total)
     temperature = t0
     # the loop's constants, read once
-    removal_ops, psi, segment_length = config.removal_ops, config.psi, config.segment_length
-    xi = Fraction(str(config.xi)).as_integer_ratio()
-    sigma_best, sigma_improve, sigma_accept = (
-        config.sigma_best, config.sigma_improve, config.sigma_accept)
-    max_seconds = config.max_seconds
+    removal_ops, segment_length, max_seconds = (
+        config.removal_ops, config.segment_length, config.max_seconds)
+    sigma_best, sigma_improve, sigma_accept, rho = SIGMA_BEST, SIGMA_IMPROVE, SIGMA_ACCEPT, RHO
     # the removal count, read once per accepted solution; a search's
     # solutions partition the requests, so the planned ones are those not
     # banked
     n_requests = len(instance.requests)
-    q = removal_count(psi, xi, n_requests - len(current.bank))
+    q = removal_count(n_requests - len(current.bank))
 
     trace = [TraceRow(0, current.cost_total, best.cost_total, temperature)]
 
@@ -305,14 +286,14 @@ def run(instance: Instance, config: AlnsConfig = AlnsConfig()) -> tuple[Solution
             s.uses += 1
         if ok:
             current = candidate
-            q = removal_count(psi, xi, n_requests - len(current.bank))
+            q = removal_count(n_requests - len(current.bank))
         temperature *= cooling
 
         if it % segment_length == 0:
             for stats in (removal_stats, insertion_stats):
                 for s in stats:
                     if s.segment_uses:
-                        s.weight = (1 - config.rho) * s.weight + config.rho * (
+                        s.weight = (1 - rho) * s.weight + rho * (
                             s.segment_score / s.segment_uses
                         )
                     s.segment_score = 0

@@ -523,18 +523,38 @@ class Violation:
     trip_index: Optional[int] = None
 
 
-def validate_solution(instance: Instance, solution: Solution) -> list[Violation]:
+def _sequence_fault(instance: Instance, requests: tuple[int, ...]) -> str:
+    """Why a trip's request sequence cannot be scheduled at all, or ""."""
+    if not requests:
+        return "no request"
+    for i, rid in enumerate(requests):
+        if rid not in instance._by_id:
+            return f"unknown request {rid}"
+        if rid in requests[:i]:
+            return f"request {rid} repeated"
+    return ""
+
+
+def validate_solution(instance: Instance, solution: Solution, simulator=None) -> list[Violation]:
     """All feasibility violations of a solution; empty list means feasible.
 
     Checks the partition property, every trip's schedule, and the per-trip
     minimum driven distance.  Each emitted schedule also goes through the
-    oracle's rule checkers, which share no code with the scheduler.
+    oracle's rule checkers, which share no code with the scheduler.  A trip
+    that is empty, repeats a request or holds an unknown one is a partition
+    violation, and its distance and schedule go unchecked.  `simulator`, a
+    `schedule.Simulator` of this instance, saves compiling a fresh one; the
+    violations are the same either way.
     """
     from . import oracle, schedule  # local import keeps module dependencies one-way
 
     out = [Violation("partition", p) for p in _check_partition(instance, solution)]
-    sim = schedule.Simulator(instance)  # compiles every request once
+    sim = simulator or schedule.Simulator(instance)  # compiles every request once
     for i, trip in enumerate(solution.trips):
+        fault = _sequence_fault(instance, trip.requests)
+        if fault:
+            out.append(Violation("partition", f"trip {i}: {fault}", i))
+            continue
         loaded, empty = trip_distances(instance, trip.requests)
         if (loaded, empty) != (trip.loaded_d10, trip.empty_d10):
             out.append(Violation("partition", f"trip {i}: cached distances stale", i))

@@ -21,13 +21,19 @@ from .model import Instance, Solution, Trip, priced_solution
 from .schedule import Simulator
 
 
-def removal_count(psi: int, xi: tuple[int, int], planned: int) -> int:
-    """q = min(psi, ceil(xi * planned), planned), with xi given as its
-    integer ratio (numerator, denominator)."""
+# The removal count's caps, as in the production parameter table: at most
+# PSI requests and at most 35 per 100 planned ones, rounded up.  XI is that
+# share as an exact ratio (numerator, denominator), so no float rounds it.
+PSI = 100
+XI = (7, 20)
+
+
+def removal_count(planned: int) -> int:
+    """q = min(PSI, ceil(XI * planned), planned)."""
     if planned <= 0:
         return 0
-    num, den = xi
-    return min(psi, -((-num * planned) // den), planned)
+    num, den = XI
+    return min(PSI, -((-num * planned) // den), planned)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +146,9 @@ class Wheel:
     `total` is sum(weights) and `sums` holds the running sums, the same
     left-to-right additions as a scan that stops at the first running sum
     above the shot.  A spin consumes exactly one random number; the last
-    index absorbs rounding.  When every weight is 0 (scores of 0 with rho
-    1), every index is alike.
+    index absorbs rounding.  When every weight is 0 (a weight drawn in
+    thousands of segments without a score decays to 0), every index is
+    alike.
     """
 
     __slots__ = ("total", "sums")

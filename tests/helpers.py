@@ -121,7 +121,7 @@ def trip_case(seed: int):
     return instance, tuple(r.id for r in requests)
 
 
-def kernel_case(seed: int):
+def kernel_case(seed: int, loose: bool = False):
     """Instance plus request sequence (2-5 requests) aimed at every branch of
     the label kernel.
 
@@ -135,8 +135,16 @@ def kernel_case(seed: int):
     sigma before a Sunday blackout, so that a departure falls on its first
     minute; some of their requests drive from the pickup's opening straight
     to a delivery one minute after its last start before a blackout.
+
+    With loose set, windows are wider, so that more sequences of four and
+    five requests reach their last node: a daily window runs from 01:00 to
+    23:00 of the next day, other windows last up to five days, and a
+    ladder's windows run 01:00-23:00, its pickup window over two days.
+    Without it, a seed gives the same case as before the mode existed.
     """
     rng = random.Random(seed)
+    opens, closes = (60, 1380) if loose else (360, 1080)  # daily windows
+    widest = 7200 if loose else 2400
     regs = RegParams(
         tau_b=rng.choice((REGS.tau_b, 300)), sigma=rng.choice((REGS.sigma, REGS.sigma, 0))
     )
@@ -174,12 +182,12 @@ def kernel_case(seed: int):
             ws = rng.choice(near)  # service can end on a blackout's first minute
         elif rng.random() < 0.5:
             day = -(-lo // 1440)
-            ws = day * 1440 + 360  # a daily window, 06:00-18:00
-            we = ws + 720
+            ws = day * 1440 + opens  # a daily window
+            we = (day + loose) * 1440 + closes
             return TimeWindow(ws, we) if we <= horizon_end else None
         else:
             ws = lo + rng.randint(0, 900)
-        we = ws + rng.randint(sigma, 2400)
+        we = ws + rng.randint(sigma, widest)
         if we > horizon_end or rng.random() < 0.1:
             we = horizon_end
         return TimeWindow(ws, we) if ws + sigma <= we else None
@@ -209,8 +217,8 @@ def kernel_case(seed: int):
         if ladder:
             day = anchor // 1440
             day += (weekday + day) % 7 == SUNDAY  # no pickup on a blackout day
-            pw = TimeWindow(day * 1440 + 360, day * 1440 + 1080)
-            wins = tuple(TimeWindow(dd * 1440 + 360, dd * 1440 + 1080) for dd in range(day, days))
+            pw = TimeWindow(day * 1440 + opens, min((day + loose) * 1440 + closes, horizon_end))
+            wins = tuple(TimeWindow(dd * 1440 + opens, dd * 1440 + closes) for dd in range(day, days))
         else:
             pair = pushed(anchor, time[o][d]) if rng.random() < 0.3 else None
             pw = pair[0] if pair else window(anchor) or TimeWindow(anchor, horizon_end)

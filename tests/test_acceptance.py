@@ -8,9 +8,11 @@ self-contained.
 
 import inspect
 import json
+import math
 import os
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +27,9 @@ from ftlopt.instances import (
 )
 from ftlopt.model import DEFAULT_SM_TIERS, RegParams, fmt_money, solution_cost, validate_solution
 from ftlopt.operators import (
+    PSI,
     REMOVAL_OPERATORS,
+    XI,
     InsertionEvaluator,
     build_initial,
     removal_count,
@@ -58,7 +62,9 @@ def test_criterion_1_parameter_fidelity():
     regs = RegParams()
     assert (regs.tau_n, regs.tau_b, regs.tau_s, regs.sigma, regs.nu) == (450, 990, 1320, 120, 70)
     cfg = AlnsConfig()
-    assert (cfg.max_iterations, cfg.psi, cfg.xi, cfg.segment_length) == (25_000, 100, 0.35, 200)
+    assert (cfg.max_iterations, PSI, XI, cfg.segment_length) == (25_000, 100, (7, 20), 200)
+    # the relative cap is 35 per 100 planned requests, exactly
+    assert Fraction(*XI) == Fraction("0.35")
     # the transformation's rules, as the transformed instance carries them
     with open(os.path.join(DATA, "gh_mini.txt"), "r", encoding="utf-8") as fh:
         instance = transform(parse_gh(fh.read()))
@@ -247,15 +253,14 @@ def test_criterion_8_property_suites():
         assert check_schedule_rules(instance, seq, sched) == []
         assert check_sunday_rests(instance, sched) == []
 
-    from fractions import Fraction
-
     for seed in range(8):
         instance = micro_instance(seed)
         sim = Simulator(instance)
         solution = build_initial(InsertionEvaluator(Simulator(instance)))
         all_ids = sorted(r.id for r in instance.requests)
         if solution.planned_count:
-            q = removal_count(100, Fraction("0.35").as_integer_ratio(), solution.planned_count)
+            q = removal_count(solution.planned_count)
+            assert q == min(100, math.ceil(Fraction(35, 100) * solution.planned_count))
             biggest = max(len(t.requests) for t in solution.trips)
             for name, op in REMOVAL_OPERATORS.items():
                 trips, removed = op(sim, solution, q, random.Random(seed))

@@ -13,6 +13,8 @@ from ftlopt.model import (
     Solution,
     TimeWindow,
     TravelMatrix,
+    Trip,
+    Violation,
     cents,
     fmt_km,
     fmt_money,
@@ -24,7 +26,7 @@ from ftlopt.model import (
 from ftlopt import schedule
 from ftlopt.schedule import Simulator
 
-from helpers import micro_instance
+from helpers import gh_instance, micro_instance
 
 
 def three_request_instance():
@@ -228,6 +230,43 @@ class TestValidate:
         sol = Solution((t1, t2), frozenset({3}), 0, 0, 0)
         kinds = {v.kind for v in validate_solution(inst, sol)}
         assert "partition" in kinds
+
+    def test_a_trip_that_cannot_be_scheduled_is_a_partition_violation(self):
+        # an empty trip, an unknown request and a repeated one are reported
+        # with the trip's index, and the trip's distance and schedule go
+        # unchecked, where they once raised
+        inst = gh_instance("gh_mini")
+        ids = {r.id for r in inst.requests}
+        first = min(ids)
+        assert 99 not in ids
+        for requests, partition, trip_fault in (
+            ((), [], "no request"),
+            ((99,), ["unknown request 99"], "unknown request 99"),
+            ((first, first), [f"request {first} appears 2 times"], f"request {first} repeated"),
+        ):
+            bank = frozenset(ids - set(requests))
+            sol = Solution((Trip(requests, 0, 0),), bank, 0, 0, 0)
+            assert validate_solution(inst, sol) == [
+                *(Violation("partition", p) for p in partition),
+                Violation("partition", f"trip 0: {trip_fault}", 0),
+            ], requests
+
+    def test_a_given_simulator_finds_the_same_violations(self):
+        # validate_solution compiles its own simulator unless handed one
+        inst = three_request_instance()
+        sim = Simulator(inst)
+        tight = dataclasses.replace(inst, mu_d10=10**6)
+        t1, t12 = sim.build_trip((1,)), sim.build_trip((1, 2))
+        t321 = Trip((3, 2, 1), *trip_distances(inst, (3, 2, 1)))  # not schedulable
+        for instance, sol in (
+            (inst, Solution((t321,), frozenset(), 0, 0, 0)),
+            (tight, Solution((t12,), frozenset({3}), 0, 0, 0)),
+            (inst, Solution((t1, t12, Trip((), 0, 0)), frozenset({3}), 0, 0, 0)),
+            (inst, Solution((dataclasses.replace(t12, empty_d10=0), t1), frozenset(), 0, 0, 0)),
+        ):
+            fresh = validate_solution(instance, sol)
+            assert fresh, sol
+            assert validate_solution(instance, sol, Simulator(instance)) == fresh
 
 
 class TestTripDistances:

@@ -19,7 +19,9 @@ from ftlopt.model import (
     trip_distances,
 )
 from ftlopt.operators import (
+    PSI,
     REMOVAL_OPERATORS,
+    XI,
     InsertionEvaluator,
     Wheel,
     _roulette_without_replacement,
@@ -165,14 +167,16 @@ class TestWheel:
 
 class TestRemovalCount:
     def test_table_values(self):
-        xi = Fraction("0.35").as_integer_ratio()
-        assert removal_count(100, xi, 100) == 35
-        assert removal_count(100, xi, 1000) == 100
-        assert removal_count(100, xi, 2) == 1
-        assert removal_count(100, xi, 0) == 0
+        assert (PSI, Fraction(*XI)) == (100, Fraction("0.35"))
+        assert removal_count(100) == 35
+        assert removal_count(1000) == 100
+        assert removal_count(2) == 1
+        assert removal_count(0) == 0
 
     def test_exact_ceiling_no_float_drift(self):
-        assert removal_count(100, Fraction("0.35").as_integer_ratio(), 20) == 7  # not 8
+        assert removal_count(20) == 7  # not 8
+        for planned in range(1, 400):
+            assert removal_count(planned) == min(100, -(-35 * planned // 100)), planned
 
 
 class TestRouteRemoval:
@@ -424,7 +428,8 @@ class TestRepair:
             if sol.planned_count == 0:
                 continue
             sim = Simulator(inst)
-            q = removal_count(100, Fraction("0.35").as_integer_ratio(), sol.planned_count)
+            q = removal_count(sol.planned_count)
+            assert q == min(100, -(-35 * sol.planned_count // 100))
             biggest = max(len(t.requests) for t in sol.trips)
             for name, op in REMOVAL_OPERATORS.items():
                 trips, removed = op(sim, sol, q, random.Random(seed))

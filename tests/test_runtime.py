@@ -142,6 +142,18 @@ def test_the_lp_relaxation_is_built_once_per_instance():
         assert [(name, owner) for name, owner, _arg in found] == [caller], callee_name
 
 
+def test_the_run_configuration_holds_only_run_controls():
+    # the search's tuning (the removal caps, the operator scores, the
+    # reaction factor and the annealing) is fixed in module constants, so a
+    # new configuration field takes a deliberate edit of this list
+    tree = ast.parse((SRC / "engine.py").read_text(encoding="utf-8"))
+    config = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "AlnsConfig")
+    assert [ast.unparse(node.target) for node in config.body if isinstance(node, ast.AnnAssign)] == [
+        "max_iterations", "segment_length", "seed", "removal_ops", "insertion_ops", "max_seconds",
+    ]
+
+
 def test_one_reader_checks_the_members_of_every_json_object():
     # model._members alone rejects a value that is not an object, an
     # unknown member and a missing one, so the instance and the run

@@ -367,12 +367,13 @@ class TestCli:
         native = tmp_path / "mini.json"
         self.run_cli("transform", "--gh", os.path.join(DATA, "gh_mini.txt"), "--out", str(native))
         bad_cfg = tmp_path / "bad.json"
-        bad_cfg.write_text(json.dumps({"xi": 7}))
+        bad_cfg.write_text(json.dumps({"segment_length": 0}))
         r = self.run_cli(
             "solve", "--instance", str(native), "--scenario", "mixed",
             "--config", str(bad_cfg), "--out", str(tmp_path / "y.json"),
         )
         assert r.returncode == 3
+        assert r.stderr.startswith("config error: /segment_length: must be positive"), r.stderr
         bad_cfg.write_text(json.dumps({"max_iterations": "abc"}))
         r = self.run_cli(
             "solve", "--instance", str(native), "--scenario", "mixed",
@@ -421,17 +422,21 @@ class TestCli:
         assert not (tmp_path / "g.json").exists()
 
     def test_config_faults_exit_3_briefly(self, tmp_path):
-        # numbers that once crashed a run (an overflow, an infinite or a zero
-        # temperature) and text that is not JSON end in one short line
+        # numbers that once crashed a run (an overflow) or break a bound, the
+        # keys of the tuning table that is now fixed, and text that is not
+        # JSON end in one short line
         native = tmp_path / "mix.json"
         self.run_cli("transform", "--gh", os.path.join(DATA, "gh_syn_mix.txt"), "--out", str(native))
         short = {"max_iterations": 50, "segment_length": 1}
+        retired = ("psi", "xi", "sigma_best", "sigma_improve", "sigma_accept", "rho",
+                   "sa_start_gap", "sa_end_fraction")
         cases = [
             (json.dumps({"max_iterations": 10**400}), "/max_iterations: "),
-            *((json.dumps({**short, key: 10**400}), f"/{key}: ")
-              for key in ("sigma_best", "sigma_improve", "sigma_accept")),
-            (json.dumps({**short, "sa_start_gap": 1e308}), "/sa_start_gap: "),
-            (json.dumps({**short, "sa_start_gap": 5e-324, "sa_end_fraction": 5e-324}), "/sa_"),
+            (json.dumps({"max_iterations": 10**9 + 1}), "/max_iterations: must be 0..1000000000"),
+            (json.dumps({**short, "segment_length": 0}), "/segment_length: must be positive"),
+            (json.dumps({**short, "max_seconds": -1}), "/max_seconds: must be non-negative"),
+            (json.dumps({**short, "max_seconds": math.inf}), "/max_seconds: invalid value inf"),
+            *((json.dumps({**short, key: 1}), f"/{key}: unknown key") for key in retired),
             ('{"seed": ' + "9" * 5000 + "}", "/: not valid JSON: "),
             ("{", "/: not valid JSON: "),
             (json.dumps(["seed", 1]), "/: not an object"),
